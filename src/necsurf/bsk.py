@@ -17,34 +17,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .signatures import QuotientType, SurfaceTopology, kernel_algebraic_genus
+from .signatures import FAMILIES, CycleSpec, QuotientType, SurfaceTopology, kernel_algebraic_genus
 from .zmod import order_mod
-
-
-@dataclass(frozen=True)
-class CycleSpec:
-    """One period cycle: its distinct reflection names in cycle order.
-
-    ``length`` is the number of link periods (0 for an empty cycle, in
-    which case there is a single reflection).  ``tail`` names the extra
-    generator identified with the conjugate of the first reflection, when
-    the presentation keeps it (e.g. c2 in c0*x = x*c2).  ``connector``
-    names the e-generator attached to the cycle, when one survives in the
-    presentation; its image order drives the boundary count of empty
-    cycles.
-    """
-
-    reflections: tuple[str, ...]
-    length: int
-    connector: str | None = None
-    tail: str | None = None
 
 
 @dataclass
 class Presentation:
-    """Presentation data for one catalog family, in its usual generator names."""
+    """A family's ``PresentationSpec`` at the cone orders of ``quotient``."""
 
     quotient: QuotientType
     gens: tuple[str, ...]
@@ -52,22 +33,16 @@ class Presentation:
     free: tuple[str, ...]
     elliptic_orders: dict[str, int]
     cycles: tuple[CycleSpec, ...]
-    glides: tuple[str, ...] = ()
-    # sum over (coef, gen) must vanish mod N (the long relation), or None
-    # when eliminating a redundant connector consumed it
-    long_relation: tuple[tuple[int, str], ...] | None = None
-    # dependent generator -> linear expression in terms of earlier ones
-    derived: dict[str, tuple[tuple[int, str], ...]] = field(default_factory=dict)
-    relations: tuple[str, ...] = ()
+    reflection_names: tuple[str, ...]
+    glides: tuple[str, ...]
+    long_relation: tuple[tuple[int, str], ...] | None
+    derived: dict[str, tuple[tuple[int, str], ...]]
 
     @property
-    def reflection_names(self) -> tuple[str, ...]:
-        out = []
-        for cyc in self.cycles:
-            out.extend(cyc.reflections)
-            if cyc.tail:
-                out.append(cyc.tail)
-        return tuple(out)
+    def relations(self) -> tuple[str, ...]:
+        """The relations x^m stating the elliptic orders, then the family's others."""
+        static = FAMILIES[self.quotient.kind].presentation.relations
+        return tuple(f"{g}^{o}" for g, o in self.elliptic_orders.items()) + static
 
     def complete(self, free_images: dict[str, int], N: int) -> dict[str, int]:
         """Fill in dependent generator images from the free ones."""
@@ -78,179 +53,25 @@ class Presentation:
 
 
 def presentation_of(q: QuotientType) -> Presentation:
-    """The presentation used for this quotient family.
+    """The presentation used for this quotient family (see ``PresentationSpec``).
 
-    Generator names follow the usual conventions: x (elliptic), e
-    (connector), c (reflection), d (glide).  Redundant connectors are
-    eliminated exactly as in the standard presentations, e.g. e = (x*d^2)^-1
-    for the once-punctured Moebius band.
+    Only the elliptic orders depend on the cone orders; the rest is the
+    family's fixed spec.
     """
-    kind, m, n = q.kind, q.m, q.n
-    if kind == "d6":
-        cs = tuple(f"c{i}" for i in range(6))
-        return Presentation(
-            quotient=q,
-            gens=cs,
-            eps={c: -1 for c in cs},
-            free=cs,
-            elliptic_orders={},
-            cycles=(CycleSpec(cs, 6),),
-            long_relation=None,  # e1 = 1 eliminates the connector entirely
-            relations=tuple(f"{c}^2" for c in cs)
-            + tuple(f"({cs[i]} {cs[(i + 1) % 6]})^2" for i in range(6)),
-        )
-    if kind == "ann2":
-        gens = ("e1", "e2", "c10", "c20", "c21", "c22")
-        return Presentation(
-            quotient=q,
-            gens=gens,
-            eps={"e1": 1, "e2": 1, "c10": -1, "c20": -1, "c21": -1, "c22": -1},
-            free=("e1", "c10", "c20", "c21"),
-            elliptic_orders={},
-            cycles=(
-                CycleSpec(("c10",), 0, connector="e1"),
-                CycleSpec(("c20", "c21"), 2, connector="e2", tail="c22"),
-            ),
-            long_relation=((1, "e1"), (1, "e2")),
-            derived={"e2": ((-1, "e1"),), "c22": ((1, "c20"),)},
-            relations=(
-                "e1 e2",
-                "c10^2",
-                "c20^2",
-                "c21^2",
-                "c22^2",
-                "(c20 c21)^2",
-                "(c21 c22)^2",
-                "e1 c10 = c10 e1",
-                "e2 c20 = c22 e2",
-            ),
-        )
-    if kind == "mb2":
-        gens = ("d", "c0", "c1", "c2")
-        return Presentation(
-            quotient=q,
-            gens=gens,
-            eps={"d": -1, "c0": -1, "c1": -1, "c2": -1},
-            free=("d", "c0", "c1"),
-            elliptic_orders={},
-            cycles=(CycleSpec(("c0", "c1"), 2, tail="c2"),),
-            glides=("d",),
-            long_relation=None,  # e1 = d^-2
-            derived={"c2": ((1, "c0"),)},
-            relations=("c0^2", "c1^2", "c2^2", "(c0 c1)^2", "(c1 c2)^2", "c0 d^2 = d^2 c2"),
-        )
-    if kind == "d12":
-        gens = ("x", "c0", "c1", "c2")
-        return Presentation(
-            quotient=q,
-            gens=gens,
-            eps={"x": 1, "c0": -1, "c1": -1, "c2": -1},
-            free=("x", "c0", "c1"),
-            elliptic_orders={"x": m},
-            cycles=(CycleSpec(("c0", "c1"), 2, tail="c2"),),
-            long_relation=None,  # e1 = x^-1
-            derived={"c2": ((1, "c0"),)},
-            relations=(f"x^{m}", "c0^2", "c1^2", "c2^2", "(c0 c1)^2", "(c1 c2)^2", "c0 x = x c2"),
-        )
-    if kind == "d14":
-        cs = tuple(f"c{i}" for i in range(5))
-        gens = ("x",) + cs
-        return Presentation(
-            quotient=q,
-            gens=gens,
-            eps={"x": 1, **{c: -1 for c in cs}},
-            free=("x",) + cs[:4],
-            elliptic_orders={"x": m},
-            cycles=(CycleSpec(cs[:4], 4, tail="c4"),),
-            long_relation=None,  # e1 = x^-1
-            derived={"c4": ((1, "c0"),)},
-            relations=(f"x^{m}",)
-            + tuple(f"{c}^2" for c in cs)
-            + tuple(f"({cs[i]} {cs[i + 1]})^2" for i in range(4))
-            + ("c0 x = x c4",),
-        )
-    if kind == "mb1":
-        gens = ("x", "d", "c", "e")
-        return Presentation(
-            quotient=q,
-            gens=gens,
-            eps={"x": 1, "d": -1, "c": -1, "e": 1},
-            free=("x", "d", "c"),
-            elliptic_orders={"x": m},
-            cycles=(CycleSpec(("c",), 0, connector="e"),),
-            glides=("d",),
-            long_relation=((1, "x"), (1, "e"), (2, "d")),
-            derived={"e": ((-1, "x"), (-2, "d"))},
-            relations=(f"x^{m}", "c^2", "x e d^2", "e c = c e"),
-        )
-    if kind == "d21":
-        gens = ("x1", "x2", "c", "e")
-        return Presentation(
-            quotient=q,
-            gens=gens,
-            eps={"x1": 1, "x2": 1, "c": -1, "e": 1},
-            free=("x1", "x2", "c"),
-            elliptic_orders={"x1": m, "x2": n},
-            cycles=(CycleSpec(("c",), 0, connector="e"),),
-            long_relation=((1, "x1"), (1, "x2"), (1, "e")),
-            derived={"e": ((-1, "x1"), (-1, "x2"))},
-            relations=(f"x1^{m}", f"x2^{n}", "c^2", "x1 x2 e", "e c = c e"),
-        )
-    if kind == "ann1":
-        gens = ("x", "e1", "e2", "c1", "c2")
-        return Presentation(
-            quotient=q,
-            gens=gens,
-            eps={"x": 1, "e1": 1, "e2": 1, "c1": -1, "c2": -1},
-            free=("x", "e1", "c1", "c2"),
-            elliptic_orders={"x": m},
-            cycles=(
-                CycleSpec(("c1",), 0, connector="e1"),
-                CycleSpec(("c2",), 0, connector="e2"),
-            ),
-            long_relation=((1, "x"), (1, "e1"), (1, "e2")),
-            derived={"e2": ((-1, "x"), (-1, "e1"))},
-            relations=(f"x^{m}", "c1^2", "c2^2", "x e1 e2", "e1 c1 = c1 e1", "e2 c2 = c2 e2"),
-        )
-    if kind in ("d3-22m", "d3-23m"):
-        second = 2 if kind == "d3-22m" else 3
-        gens = ("x1", "x2", "x3", "e", "c")
-        return Presentation(
-            quotient=q,
-            gens=gens,
-            eps={"x1": 1, "x2": 1, "x3": 1, "e": 1, "c": -1},
-            free=("x1", "x2", "x3", "c"),
-            elliptic_orders={"x1": 2, "x2": second, "x3": m},
-            cycles=(CycleSpec(("c",), 0, connector="e"),),
-            long_relation=((1, "x1"), (1, "x2"), (1, "x3"), (1, "e")),
-            derived={"e": ((-1, "x1"), (-1, "x2"), (-1, "x3"))},
-            relations=("x1^2", f"x2^{second}", f"x3^{m}", "c^2", "x1 x2 x3 e", "c e = e c"),
-        )
-    if kind in ("d2c-2m", "d2c-3m"):
-        first = 2 if kind == "d2c-2m" else 3
-        gens = ("x1", "x2", "e", "c0", "c1", "c2")
-        return Presentation(
-            quotient=q,
-            gens=gens,
-            eps={"x1": 1, "x2": 1, "e": 1, "c0": -1, "c1": -1, "c2": -1},
-            free=("x1", "x2", "c0", "c1"),
-            elliptic_orders={"x1": first, "x2": m},
-            cycles=(CycleSpec(("c0", "c1"), 2, connector="e", tail="c2"),),
-            long_relation=((1, "x1"), (1, "x2"), (1, "e")),
-            derived={"e": ((-1, "x1"), (-1, "x2")), "c2": ((1, "c0"),)},
-            relations=(
-                f"x1^{first}",
-                f"x2^{m}",
-                "c0^2",
-                "c1^2",
-                "c2^2",
-                "(c0 c1)^2",
-                "(c1 c2)^2",
-                "x1 x2 e",
-                "c2 e = e c0",
-            ),
-        )
-    raise ValueError(f"unknown quotient kind {kind!r}")
+    fam = FAMILIES[q.kind]
+    spec = fam.presentation
+    return Presentation(
+        quotient=q,
+        gens=spec.gens,
+        eps=spec.eps,
+        free=spec.free,
+        elliptic_orders=dict(zip(spec.elliptic, fam.proper_periods(q.m, q.n))),
+        cycles=spec.cycles,
+        reflection_names=spec.reflection_names,
+        glides=spec.glides,
+        long_relation=spec.long_relation,
+        derived=spec.derived,
+    )
 
 
 @dataclass(frozen=True)
@@ -362,8 +183,8 @@ def orientability_case_rule(bmap: BskMap) -> bool:
     """Per-family orientability criteria, as derived in the case analyses.
 
     Redundant with the general non-orientable-word test in orientability();
-    kept as an assertion layer (surface_of checks they agree on every
-    smooth map).  True means the covered surface is orientable.
+    kept as the reference the tests check it against on every smooth map
+    of the oracle sweep.  True means the covered surface is orientable.
     """
     kind, N = bmap.quotient.kind, bmap.N
     img = bmap.image_dict
@@ -440,9 +261,6 @@ def surface_of(bmap: BskMap) -> SurfaceTopology:
     if failures:
         raise ValueError(f"map is not smooth: {failures[0]}")
     orientable = orientability(bmap)
-    assert orientable == orientability_case_rule(bmap), (
-        f"general orientability test disagrees with the case rule on {bmap}"
-    )
     k = boundary_count(bmap)
     p = kernel_algebraic_genus(bmap.quotient.signature(), bmap.N)
     eps = 2 if orientable else 1

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .signatures import QuotientType, SurfaceTopology, kernel_algebraic_genus
-from .zmod import biggest_coprime_divisor, divisors, euler_phi, factorize, psi
+from .signatures import FAMILIES, QuotientType, SurfaceTopology, kernel_algebraic_genus
+from .zmod import biggest_coprime_divisor, divisors, euler_phi, factorize, harvey_check, psi
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,9 @@ def classify_mb1(N: int, m: int, k: int, want_orientable: bool) -> Classificatio
 def classify_d21(m: int, n: int, k: int) -> ClassificationResult:
     """Twice-punctured disc quotients; N = lcm(m, n) is forced.
 
-    Existence needs k | t, gcd(k, N/t) = 1 for t = gcd(m, n), and k even
+    The boundary generator e has order N/k, so existence is Harvey's test
+    that Z_N is generated by elements of orders m, n, N/k summing to zero.
+    For t = gcd(m, n) it amounts to k | t, gcd(k, N/t) = 1, and k even
     when N is even with N/t odd (so that exactly one of N/m, N/n, N/k is
     even).  The cover is always orientable, orientation-preserving, of
     algebraic genus 1 + N(1 - 1/m - 1/n).  With C the biggest divisor of
@@ -159,16 +161,12 @@ def classify_d21(m: int, n: int, k: int) -> ClassificationResult:
     phi(B)*psi(C) for m != n; for m = n the maps pair off under
     inversion and the count follows _half_count with multiplier k.
     """
-    if m < 2 or n < 2 or k < 1:
-        raise ValueError("need m, n >= 2 and k >= 1")
-    if (m, n) == (2, 2):
-        raise ValueError("d21 needs 1/m + 1/n < 1")
-    q = QuotientType("d21", m=m, n=n)
+    q = QuotientType("d21", m=m, n=n)  # rejects m, n < 2 and 1/m + 1/n >= 1
+    if k < 1:
+        raise ValueError("need k >= 1")
     N = math.lcm(m, n)
     t = math.gcd(m, n)
-    if t % k != 0 or math.gcd(k, N // t) != 1:
-        return _absent(q, N)
-    if N % 2 == 0 and (N // t) % 2 != 0 and k % 2 != 0:
+    if N % k != 0 or not harvey_check(m, n, N // k, N):
         return _absent(q, N)
     C = biggest_coprime_divisor(t // k, N * k // t)
     assert C % 2 == 1, "C must be odd whenever the existence conditions hold"
@@ -308,37 +306,46 @@ def classify_corner_pair(kind: str, m: int) -> ClassificationResult:
 
 # --- dispatch and sweeps ---------------------------------------------------
 
+_CORNER_ONLY = (lambda q, N, k, o: classify_corner_only(q.kind, N), None)
+_DISC_CORNERS = (lambda q, N, k, o: classify_disc_corners(q.kind, q.m), None)
+_TRIANGLE = (lambda q, N, k, o: classify_triangle(q.kind, q.m), None)
+_CORNER_PAIR = (lambda q, N, k, o: classify_corner_pair(q.kind, q.m), None)
+
+#: kind -> (formula(q, N, k, orientable), the boundary counts k that can
+#: occur at order N, or None for a formula without k).  The formulas are
+#: looked up by module-level name at each call.
+_FORMULAS = {
+    "d6": _CORNER_ONLY,
+    "ann2": _CORNER_ONLY,
+    "mb2": _CORNER_ONLY,
+    "d12": _DISC_CORNERS,
+    "d14": _DISC_CORNERS,
+    "mb1": (lambda q, N, k, o: classify_mb1(N, q.m, k, o), lambda q, N: divisors(N)),
+    "d21": (
+        lambda q, N, k, o: classify_d21(q.m, q.n, k),
+        lambda q, N: divisors(math.gcd(q.m, q.n)),
+    ),
+    "ann1": (lambda q, N, k, o: classify_ann1(N, q.m, k, o), lambda q, N: range(1, 2 * q.m + 1)),
+    "d3-23m": _TRIANGLE,
+    "d3-22m": _TRIANGLE,
+    "d2c-3m": _CORNER_PAIR,
+    "d2c-2m": _CORNER_PAIR,
+}
+
 
 def classify(q: QuotientType, N: int, k: int | None = None, orientable: bool | None = None) -> ClassificationResult:
     """Classify actions of order N with quotient q (and boundary count k where needed).
 
     For families whose order is forced by the cone orders, a mismatched N
-    yields a non-existence result.  mb1 and ann1 require k and the
-    orientability of the covered surface; d21 requires k.
+    yields a non-existence result.  The family's ``classify_args`` say
+    which of k and the orientability of the covered surface it needs.
     """
-    kind = q.kind
-    if kind in ("d6", "ann2", "mb2"):
-        return classify_corner_only(kind, N)
-    if kind in ("d12", "d14"):
-        res = classify_disc_corners(kind, q.m)
-        return res if res.order == N else _absent(q, N)
-    if kind == "mb1":
-        if k is None or orientable is None:
-            raise ValueError("mb1 needs k and the orientability flag")
-        return classify_mb1(N, q.m, k, orientable)
-    if kind == "d21":
-        if k is None:
-            raise ValueError("d21 needs k")
-        res = classify_d21(q.m, q.n, k)
-        return res if res.order == N else _absent(q, N)
-    if kind == "ann1":
-        if k is None or orientable is None:
-            raise ValueError("ann1 needs k and the orientability flag")
-        return classify_ann1(N, q.m, k, orientable)
-    if kind in ("d3-22m", "d3-23m"):
-        res = classify_triangle(kind, q.m)
-        return res if res.order == N else _absent(q, N)
-    res = classify_corner_pair(kind, q.m)
+    if N < 2:
+        raise ValueError("the acting group must have order >= 2")
+    needs = FAMILIES[q.kind].classify_args
+    if ("k" in needs and k is None) or ("orientable" in needs and orientable is None):
+        raise ValueError(f"{q.kind} needs {' and '.join(needs)}")
+    res = _FORMULAS[q.kind][0](q, N, k, orientable)
     return res if res.order == N else _absent(q, N)
 
 
@@ -362,41 +369,19 @@ def parameter_space(kind: str, N: int) -> list[QuotientType]:
     bounds everything; for d21 only pairs with lcm(m, n) = N can carry a
     surjection.
     """
-    divs = [d for d in divisors(N) if d >= 2]
-    if kind in ("d6", "ann2", "mb2"):
-        return [QuotientType(kind)]
-    if kind == "d21":
-        return [
-            QuotientType(kind, m=m, n=n)
-            for m in divs
-            for n in divs
-            if m <= n and (m, n) != (2, 2) and math.lcm(m, n) == N
-        ]
-    if kind in ("d3-23m", "d2c-3m"):
-        return [QuotientType(kind, m=m) for m in (3, 4, 5) if N % m == 0]
-    if kind == "d12":
-        return [QuotientType(kind, m=m) for m in divs if m >= 3]
-    return [QuotientType(kind, m=m) for m in divs]
+    return FAMILIES[kind].instances([d for d in divisors(N) if d >= 2], order=N)
 
 
 def results_for(q: QuotientType, N: int) -> list[ClassificationResult]:
     """Every classification result for quotient q at order N (all k, all flags)."""
-    kind = q.kind
-    if kind == "mb1":
-        return [
-            classify_mb1(N, q.m, k, flag)
-            for k in divisors(N)
-            for flag in (True, False)
-        ]
-    if kind == "ann1":
-        return [
-            classify_ann1(N, q.m, k, flag)
-            for k in range(1, 2 * q.m + 1)
-            for flag in (True, False)
-        ]
-    if kind == "d21":
-        return [classify_d21(q.m, q.n, k) for k in divisors(math.gcd(q.m, q.n))]
-    return [classify(q, N)]
+    formula, k_range = _FORMULAS[q.kind]
+    flags = (True, False) if "orientable" in FAMILIES[q.kind].classify_args else (None,)
+    return [
+        res
+        for k in (k_range(q, N) if k_range else (None,))
+        for flag in flags
+        if (res := formula(q, N, k, flag)).order == N
+    ]
 
 
 def actions_for_order(N: int) -> list[ActionRecord]:
@@ -404,14 +389,9 @@ def actions_for_order(N: int) -> list[ActionRecord]:
     if N < 2:
         raise ValueError("the acting group must have order >= 2")
     out = []
-    for kind in (
-        "d6", "ann2", "mb2", "d12", "d14", "mb1", "d21", "ann1",
-        "d3-23m", "d3-22m", "d2c-3m", "d2c-2m",
-    ):
+    for kind in FAMILIES:
         for q in parameter_space(kind, N):
             for res in results_for(q, N):
-                if res.order != N:
-                    continue
                 for real in res.realizations:
                     out.append(ActionRecord(q, N, real))
     return out
@@ -425,8 +405,6 @@ def classification_buckets(q: QuotientType, N: int) -> dict[tuple, int]:
     """
     buckets: dict[tuple, int] = {}
     for res in results_for(q, N):
-        if res.order != N:
-            continue
         for real in res.realizations:
             key = (
                 real.surface.orientable,

@@ -16,26 +16,11 @@ import sys
 
 from . import extremal, oracle
 from .classify import ClassificationResult, actions_for_order, classify
-from .signatures import QUOTIENT_KINDS, QuotientType
+from .signatures import FAMILIES, QuotientType
 
 SCHEMA_VERSION = "1"
 
-KIND_CHOICES = tuple(QUOTIENT_KINDS)
-# which options each quotient family takes on the classify command
-_NEEDS = {
-    "d6": ("N",),
-    "ann2": ("N",),
-    "mb2": ("N",),
-    "d12": ("m",),
-    "d14": ("m",),
-    "mb1": ("N", "m", "k", "flag"),
-    "d21": ("m", "n", "k"),
-    "ann1": ("N", "m", "k", "flag"),
-    "d3-22m": ("m",),
-    "d3-23m": ("m",),
-    "d2c-2m": ("m",),
-    "d2c-3m": ("m",),
-}
+KIND_CHOICES = tuple(FAMILIES)
 
 
 def _realization_dict(q: QuotientType, N: int, real) -> dict:
@@ -105,17 +90,17 @@ ROW_HEADERS = [
 
 def cmd_classify(args) -> int:
     kind = args.type
-    needs = _NEEDS[kind]
-    params = QUOTIENT_KINDS[kind][1]
-    for opt in needs:
-        value = {"N": args.N, "m": args.m, "k": args.k, "n": args.n}.get(opt)
-        if opt != "flag" and value is None:
-            raise UsageError(f"{kind} requires --{opt}")
-        if opt == "flag" and args.orientable is None:
-            raise UsageError(f"{kind} requires --orientable or --non-orientable")
-    q = QuotientType(kind, m=args.m if "m" in params else None,
-                     n=args.n if "n" in params else None)
-    N = args.N if args.N is not None else _forced_order(q)
+    fam = FAMILIES[kind]
+    given = {"N": args.N, "m": args.m, "n": args.n, "k": args.k, "orientable": args.orientable}
+    needs = fam.params + fam.classify_args
+    for opt, value in given.items():
+        if value is not None and opt != "N" and opt not in needs:
+            raise UsageError(f"{kind} does not take {_flag(opt)}")
+    for opt in (needs if fam.order_is_forced else ("N",) + needs):
+        if given[opt] is None:
+            raise UsageError(f"{kind} requires {_flag(opt)}")
+    q = QuotientType(kind, m=args.m, n=args.n)
+    N = args.N if args.N is not None else q.forced_order()
     res = classify(q, N, k=args.k, orientable=args.orientable)
     payload = _classification_payload(res)
     rows = payload["realizations"]
@@ -126,17 +111,8 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _forced_order(q: QuotientType) -> int:
-    """The order of the acting group when the cone orders determine it."""
-    import math
-
-    if q.kind == "d21":
-        return math.lcm(q.m, q.n)
-    if q.kind in ("d3-23m", "d2c-3m"):
-        return math.lcm(6, q.m)
-    if q.kind in ("d12", "d14", "d3-22m", "d2c-2m"):
-        return math.lcm(2, q.m)
-    raise UsageError(f"{q.kind} requires --N")
+def _flag(opt: str) -> str:
+    return "--orientable or --non-orientable" if opt == "orientable" else f"--{opt}"
 
 
 def _params_dict(args) -> dict:

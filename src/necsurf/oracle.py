@@ -30,7 +30,7 @@ from .bsk import (
     surface_of,
 )
 from .classify import classification_buckets, parameter_space
-from .signatures import QuotientType, SurfaceTopology
+from .signatures import FAMILIES, QuotientType, SurfaceTopology
 from .zmod import order_mod, units
 
 ORACLE_MAX_N = 96
@@ -64,37 +64,23 @@ def _move(name: str, pres: Presentation, **overrides) -> AutMove:
 def moves_for(q: QuotientType) -> tuple[AutMove, ...]:
     """The move set used to decide equivalence for this family.
 
-    mb1: the two involutions generating its Klein-four outer group.
-    ann1: likewise (one of them swaps the two boundary cycles).
-    d21: the boundary reflection, plus the cone swap when the two cone
-    orders agree.  Every family with a non-empty period cycle also gets
-    the rotation that shifts the cycle's reflections by one.
+    The family's outer moves (``Family.moves``), less any that would send
+    an elliptic generator to one of another order (the d21 cone swap when
+    m != n).  Every family with a non-empty period cycle also gets the
+    rotation that shifts the cycle's reflections by one.
     """
     pres = presentation_of(q)
-    moves = []
-    if q.kind == "mb1":
-        moves.append(
-            _move("gamma", pres, x=((-1, "x"),), e=((-1, "e"),), d=((-1, "d"),))
+    orders = pres.elliptic_orders
+    moves = [
+        _move(name, pres, **mapping)
+        for name, mapping in FAMILIES[q.kind].moves
+        if all(
+            orders[g] == orders.get(src)
+            for g, expr in mapping.items()
+            if g in orders
+            for _, src in expr
         )
-        moves.append(
-            _move("delta", pres, e=((-1, "e"),), d=((-1, "d"), (-1, "x")))
-        )
-    elif q.kind == "ann1":
-        moves.append(
-            _move("alpha", pres, x=((-1, "x"),), e1=((-1, "e1"),), e2=((-1, "e2"),))
-        )
-        moves.append(
-            _move(
-                "beta", pres,
-                e1=((1, "e2"),), e2=((1, "e1"),), c1=((1, "c2"),), c2=((1, "c1"),),
-            )
-        )
-    elif q.kind == "d21":
-        moves.append(
-            _move("alpha", pres, x1=((-1, "x1"),), x2=((-1, "x2"),), e=((-1, "e"),))
-        )
-        if q.m == q.n:
-            moves.append(_move("beta", pres, x1=((1, "x2"),), x2=((1, "x1"),)))
+    ]
     for idx, cyc in enumerate(pres.cycles):
         if cyc.length < 2:
             continue
@@ -230,14 +216,6 @@ def oracle_report(q: QuotientType, N: int) -> OrbitReport:
 
 # --- cross-checking against the closed forms -------------------------------
 
-FULL_MOVE_SET_KINDS = ("mb1", "ann1", "d21")
-
-ALL_KINDS = (
-    "d6", "ann2", "mb2", "d12", "d14", "mb1", "d21", "ann1",
-    "d3-23m", "d3-22m", "d2c-3m", "d2c-2m",
-)
-
-
 @dataclass(frozen=True)
 class CheckPoint:
     quotient: QuotientType
@@ -278,7 +256,7 @@ def check_point(q: QuotientType, N: int) -> CheckPoint:
     want = classification_buckets(q, N)
     ok = got == want
     note = ""
-    if not ok and q.kind not in FULL_MOVE_SET_KINDS:
+    if not ok and not FAMILIES[q.kind].full_moves:
         note = "proof-level move set (units + cycle rotation); discrepancy surfaced, not reconciled"
     return CheckPoint(
         q,
@@ -293,9 +271,14 @@ def check_point(q: QuotientType, N: int) -> CheckPoint:
 
 
 def check_points(kinds=None, n_max: int = 24, n_min: int = 2) -> list[tuple[QuotientType, int]]:
-    kinds = tuple(kinds) if kinds else ALL_KINDS
+    """The (quotient, N) points of a sweep; bad bounds or kinds raise before any work."""
+    if not 2 <= n_min <= n_max <= ORACLE_MAX_N:
+        raise ValueError(
+            f"need 2 <= n_min <= n_max <= {ORACLE_MAX_N}, got n_min={n_min}, n_max={n_max}"
+        )
+    kinds = tuple(kinds) if kinds else tuple(FAMILIES)
     for kind in kinds:
-        if kind not in ALL_KINDS:
+        if kind not in FAMILIES:
             raise ValueError(f"unknown quotient kind {kind!r}")
     out = []
     for N in range(n_min, n_max + 1):

@@ -8,13 +8,16 @@ orbifold.  The module computes the normalized hyperbolic area, transfers
 genus to finite-index bordered surface subgroups, produces the canonical
 Fuchsian subgroup signature, and holds the catalog of the ten quotient
 families that can occur for a cyclic action of order N on a bordered
-surface of algebraic genus p with N > p - 1 (equivalently, area < 1).
+surface of algebraic genus p with N > p - 1 (equivalently, area < 1):
+``FAMILIES``, one ``Family`` record per quotient kind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -142,21 +145,142 @@ def is_admissible_quotient(sig: NecSignature, N: int) -> bool:
 
 # --- the ten large-action quotient families ------------------------------
 
-#: kind -> (catalog family number, parameter names, description)
-QUOTIENT_KINDS: dict[str, tuple[int, tuple[str, ...], str]] = {
-    "d6": (1, (), "disc with 6 corner points"),
-    "ann2": (2, (), "annulus with 2 corner points"),
-    "mb2": (3, (), "Moebius band with 2 corner points"),
-    "d12": (4, ("m",), "disc with 1 cone point and 2 corner points"),
-    "d14": (5, ("m",), "disc with 1 cone point and 4 corner points"),
-    "mb1": (6, ("m",), "Moebius band with 1 cone point"),
-    "d21": (7, ("m", "n"), "disc with 2 cone points"),
-    "ann1": (8, ("m",), "annulus with 1 cone point"),
-    "d3-23m": (9, ("m",), "disc with 3 cone points of orders 2,3,m"),
-    "d3-22m": (9, ("m",), "disc with 3 cone points of orders 2,2,m"),
-    "d2c-3m": (10, ("m",), "disc with cone points 3,m and 2 corner points"),
-    "d2c-2m": (10, ("m",), "disc with cone points 2,m and 2 corner points"),
-}
+Term = tuple[int, str]  # (coefficient, generator) in an additive expression
+
+
+@dataclass(frozen=True)
+class CycleSpec:
+    """One period cycle: its distinct reflection names in cycle order.
+
+    ``length`` is the number of link periods (0 for an empty cycle, in
+    which case there is a single reflection).  ``tail`` names the extra
+    generator identified with the conjugate of the first reflection, when
+    the presentation keeps it (e.g. c2 in c0*x = x*c2).  ``connector``
+    names the e-generator attached to the cycle, when one survives in the
+    presentation; its image order drives the boundary count of empty
+    cycles.
+    """
+
+    reflections: tuple[str, ...]
+    length: int
+    connector: str | None = None
+    tail: str | None = None
+
+
+@dataclass(frozen=True)
+class PresentationSpec:
+    """The part of a family's presentation that does not depend on its cone orders.
+
+    Generator names follow the usual conventions: x (elliptic), e
+    (connector), c (reflection), d (glide).  Redundant connectors are
+    eliminated exactly as in the standard presentations, e.g. e = (x*d^2)^-1
+    for the once-punctured Moebius band.  ``elliptic`` names the elliptic
+    generators in the order of the proper periods; their relations x^m
+    precede ``relations``.
+    """
+
+    gens: tuple[str, ...]
+    free: tuple[str, ...]
+    elliptic: tuple[str, ...]
+    cycles: tuple[CycleSpec, ...]
+    glides: tuple[str, ...] = ()
+    # sum over (coef, gen) must vanish mod N (the long relation), or None
+    # when eliminating a redundant connector consumed it
+    long_relation: tuple[Term, ...] | None = None
+    # dependent generator -> linear expression in terms of earlier ones
+    derived: dict[str, tuple[Term, ...]] = field(default_factory=dict)
+    relations: tuple[str, ...] = ()
+
+    @cached_property
+    def reflection_names(self) -> tuple[str, ...]:
+        out = []
+        for cyc in self.cycles:
+            out.extend(cyc.reflections)
+            if cyc.tail:
+                out.append(cyc.tail)
+        return tuple(out)
+
+    @cached_property
+    def eps(self) -> dict[str, int]:
+        """-1 on the reflections and glides (orientation-reversing), +1 elsewhere."""
+        reversing = {*self.reflection_names, *self.glides}
+        return {g: -1 if g in reversing else 1 for g in self.gens}
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the package knows about one quotient kind but its counting formula.
+
+    The quotient signature is (genus; sign; periods; cycles); its proper
+    periods are the fixed ``periods`` followed by the cone orders named in
+    ``params`` ("m", or "m" and "n").
+    ``moves`` are outer automorphisms as substitutions on generator
+    images; a move that sends an elliptic generator to one of another
+    order does not apply.  ``full_moves`` says they generate the whole
+    outer automorphism group.  When ``order_is_forced``, N is the lcm of
+    all periods and link periods.  ``classify_args`` are the extra
+    arguments ``classify`` needs: the boundary count "k" and the
+    "orientable" flag of the covered surface.
+    """
+
+    kind: str
+    number: int  # catalog family number
+    description: str  # of the catalog family
+    genus: int
+    orientable: bool
+    periods: tuple[int, ...]
+    params: tuple[str, ...]
+    cycles: tuple[tuple[int, ...], ...]
+    presentation: PresentationSpec
+    moves: tuple[tuple[str, dict[str, tuple[Term, ...]]], ...] = ()
+    full_moves: bool = False
+    order_is_forced: bool = False
+    classify_args: tuple[str, ...] = ()
+    # 3 where m = 2 would repeat the signature of the family with a 2 in
+    # place of this family's 3
+    m_min: int = 2
+
+    @cached_property
+    def _area_base(self) -> tuple[int, int]:
+        """Area with every parameter period's 1 - 1/m counted as 1, as (a, b) = a/b."""
+        base = area(NecSignature(self.genus, self.orientable, self.periods, self.cycles))
+        base += len(self.params)
+        return base.numerator, base.denominator
+
+    def proper_periods(self, m: int | None, n: int | None) -> tuple[int, ...]:
+        if m is None:
+            return self.periods
+        return self.periods + ((m,) if n is None else (m, n))
+
+    def admits(self, m: int | None = None, n: int | None = None) -> bool:
+        """Do these cone orders give a catalog quotient (m >= m_min, n >= 2, 0 < area < 1)?
+
+        The area is a/b - 1/m (- 1/n), so the test is an integer comparison:
+        (a - b)*m < b < a*m, or (a - b)*m*n < b*(m + n) < a*m*n.
+        """
+        if m is None:
+            return True
+        a, b = self._area_base
+        if n is None:
+            return m >= self.m_min and (a - b) * m < b < a * m
+        return m >= self.m_min and n >= 2 and (a - b) * m * n < b * (m + n) < a * m * n
+
+    def instances(self, values, order: int | None = None) -> list[QuotientType]:
+        """Every admitted choice of cone orders from ``values`` (ascending), pairs with m <= n.
+
+        With ``order`` a pair must have lcm equal to it, the condition for
+        two cone points alone to carry a surjection onto Z_order.
+        """
+        if not self.params:
+            return [QuotientType(self.kind)]
+        if len(self.params) == 1:
+            return [QuotientType(self.kind, m=m) for m in values if self.admits(m)]
+        return [
+            QuotientType(self.kind, m=m, n=n)
+            for m in values
+            for n in values
+            if m <= n and (order is None or math.lcm(m, n) == order) and self.admits(m, n)
+        ]
 
 
 @dataclass(frozen=True)
@@ -168,40 +292,27 @@ class QuotientType:
     n: int | None = None
 
     def __post_init__(self):
-        if self.kind not in QUOTIENT_KINDS:
+        fam = FAMILIES.get(self.kind)
+        if fam is None:
             raise ValueError(f"unknown quotient kind {self.kind!r}")
-        params = QUOTIENT_KINDS[self.kind][1]
-        if ("m" in params) != (self.m is not None) or ("n" in params) != (
-            self.n is not None
-        ):
-            raise ValueError(f"kind {self.kind!r} takes parameters {params}")
-        if self.m is not None and self.m < 2:
-            raise ValueError("cone orders must be >= 2")
-        if self.n is not None and self.n < 2:
-            raise ValueError("cone orders must be >= 2")
-        if self.kind == "d12" and self.m < 3:
-            raise ValueError("d12 needs m >= 3 (m = 2 has zero area)")
-        if self.kind == "d21" and (self.m, self.n) == (2, 2):
-            raise ValueError("d21 needs 1/m + 1/n < 1")
-        if self.kind in ("d3-23m", "d2c-3m") and self.m not in (3, 4, 5):
-            raise ValueError(f"{self.kind} needs m in {{3, 4, 5}}")
+        if (self.m is None) == ("m" in fam.params) or (self.n is None) == ("n" in fam.params):
+            raise ValueError(f"kind {self.kind!r} takes parameters {fam.params}")
+        if self.m is not None and not fam.admits(self.m, self.n):
+            raise ValueError(
+                f"{self.label()} is outside the catalog: cone orders must be "
+                f">= {fam.m_min} and the area in (0, 1)"
+            )
 
     def signature(self) -> NecSignature:
-        m, n = self.m, self.n
-        return {
-            "d6": lambda: NecSignature(0, True, (), ((2,) * 6,)),
-            "ann2": lambda: NecSignature(0, True, (), ((), (2, 2))),
-            "mb2": lambda: NecSignature(1, False, (), ((2, 2),)),
-            "d12": lambda: NecSignature(0, True, (m,), ((2, 2),)),
-            "d14": lambda: NecSignature(0, True, (m,), ((2, 2, 2, 2),)),
-            "mb1": lambda: NecSignature(1, False, (m,), ((),)),
-            "d21": lambda: NecSignature(0, True, (m, n), ((),)),
-            "ann1": lambda: NecSignature(0, True, (m,), ((), ())),
-            "d3-23m": lambda: NecSignature(0, True, (2, 3, m), ((),)),
-            "d3-22m": lambda: NecSignature(0, True, (2, 2, m), ((),)),
-            "d2c-3m": lambda: NecSignature(0, True, (3, m), ((2, 2),)),
-            "d2c-2m": lambda: NecSignature(0, True, (2, m), ((2, 2),)),
-        }[self.kind]()
+        fam = FAMILIES[self.kind]
+        return NecSignature(fam.genus, fam.orientable, fam.proper_periods(self.m, self.n), fam.cycles)
+
+    def forced_order(self) -> int | None:
+        """The order N that the cone orders force, or None when N is free."""
+        if not FAMILIES[self.kind].order_is_forced:
+            return None
+        sig = self.signature()
+        return math.lcm(*sig.proper_periods, *(n for cyc in sig.period_cycles for n in cyc))
 
     def label(self) -> str:
         if self.n is not None:
@@ -214,6 +325,195 @@ class QuotientType:
         return self.label()
 
 
+def _negate(*gens: str) -> dict[str, tuple[Term, ...]]:
+    return {g: ((-1, g),) for g in gens}
+
+
+def _swap(a: str, b: str) -> dict[str, tuple[Term, ...]]:
+    return {a: ((1, b),), b: ((1, a),)}
+
+
+_C6 = tuple(f"c{i}" for i in range(6))
+_C5 = _C6[:5]
+# a corner pair closed by the tail c2, a conjugate of c0 (mb2, d12)
+_CORNER_PAIR = (CycleSpec(("c0", "c1"), 2, tail="c2"),)
+_CORNER_PAIR_RELATIONS = ("c0^2", "c1^2", "c2^2", "(c0 c1)^2", "(c1 c2)^2")
+_EMPTY_CYCLE = (CycleSpec(("c",), 0, connector="e"),)
+
+_THREE_CONES = PresentationSpec(
+    gens=("x1", "x2", "x3", "e", "c"),
+    free=("x1", "x2", "x3", "c"),
+    elliptic=("x1", "x2", "x3"),
+    cycles=_EMPTY_CYCLE,
+    long_relation=((1, "x1"), (1, "x2"), (1, "x3"), (1, "e")),
+    derived={"e": ((-1, "x1"), (-1, "x2"), (-1, "x3"))},
+    relations=("c^2", "x1 x2 x3 e", "c e = e c"),
+)
+_TWO_CONES_CORNERS = PresentationSpec(
+    gens=("x1", "x2", "e", "c0", "c1", "c2"),
+    free=("x1", "x2", "c0", "c1"),
+    elliptic=("x1", "x2"),
+    cycles=(CycleSpec(("c0", "c1"), 2, connector="e", tail="c2"),),
+    long_relation=((1, "x1"), (1, "x2"), (1, "e")),
+    derived={"e": ((-1, "x1"), (-1, "x2")), "c2": ((1, "c0"),)},
+    relations=_CORNER_PAIR_RELATIONS + ("x1 x2 e", "c2 e = e c0"),
+)
+
+#: kind -> Family, in catalog order
+FAMILIES: dict[str, Family] = {f.kind: f for f in (
+    Family(
+        "d6", 1, "disc with 6 corner points", 0, True, (), (), ((2,) * 6,),
+        PresentationSpec(
+            gens=_C6,
+            free=_C6,
+            elliptic=(),
+            cycles=(CycleSpec(_C6, 6),),
+            # e1 = 1 eliminates the connector and the long relation entirely
+            relations=tuple(f"{c}^2" for c in _C6)
+            + tuple(f"({_C6[i]} {_C6[(i + 1) % 6]})^2" for i in range(6)),
+        ),
+    ),
+    Family(
+        "ann2", 2, "annulus with 2 corner points", 0, True, (), (), ((), (2, 2)),
+        PresentationSpec(
+            gens=("e1", "e2", "c10", "c20", "c21", "c22"),
+            free=("e1", "c10", "c20", "c21"),
+            elliptic=(),
+            cycles=(
+                CycleSpec(("c10",), 0, connector="e1"),
+                CycleSpec(("c20", "c21"), 2, connector="e2", tail="c22"),
+            ),
+            long_relation=((1, "e1"), (1, "e2")),
+            derived={"e2": ((-1, "e1"),), "c22": ((1, "c20"),)},
+            relations=(
+                "e1 e2", "c10^2", "c20^2", "c21^2", "c22^2", "(c20 c21)^2", "(c21 c22)^2",
+                "e1 c10 = c10 e1", "e2 c20 = c22 e2",
+            ),
+        ),
+    ),
+    Family(
+        "mb2", 3, "Moebius band with 2 corner points", 1, False, (), (), ((2, 2),),
+        PresentationSpec(
+            gens=("d", "c0", "c1", "c2"),
+            free=("d", "c0", "c1"),
+            elliptic=(),
+            cycles=_CORNER_PAIR,
+            glides=("d",),
+            # e1 = d^-2
+            derived={"c2": ((1, "c0"),)},
+            relations=_CORNER_PAIR_RELATIONS + ("c0 d^2 = d^2 c2",),
+        ),
+    ),
+    Family(
+        "d12", 4, "disc with 1 cone point and 2 corner points", 0, True, (), ("m",), ((2, 2),),
+        PresentationSpec(
+            gens=("x", "c0", "c1", "c2"),
+            free=("x", "c0", "c1"),
+            elliptic=("x",),
+            cycles=_CORNER_PAIR,
+            # e1 = x^-1
+            derived={"c2": ((1, "c0"),)},
+            relations=_CORNER_PAIR_RELATIONS + ("c0 x = x c2",),
+        ),
+        order_is_forced=True,
+    ),
+    Family(
+        "d14", 5, "disc with 1 cone point and 4 corner points", 0, True, (), ("m",), ((2,) * 4,),
+        PresentationSpec(
+            gens=("x",) + _C5,
+            free=("x",) + _C5[:4],
+            elliptic=("x",),
+            cycles=(CycleSpec(_C5[:4], 4, tail="c4"),),
+            # e1 = x^-1
+            derived={"c4": ((1, "c0"),)},
+            relations=tuple(f"{c}^2" for c in _C5)
+            + tuple(f"({_C5[i]} {_C5[i + 1]})^2" for i in range(4))
+            + ("c0 x = x c4",),
+        ),
+        order_is_forced=True,
+    ),
+    Family(
+        "mb1", 6, "Moebius band with 1 cone point", 1, False, (), ("m",), ((),),
+        PresentationSpec(
+            gens=("x", "d", "c", "e"),
+            free=("x", "d", "c"),
+            elliptic=("x",),
+            cycles=_EMPTY_CYCLE,
+            glides=("d",),
+            long_relation=((1, "x"), (1, "e"), (2, "d")),
+            derived={"e": ((-1, "x"), (-2, "d"))},
+            relations=("c^2", "x e d^2", "e c = c e"),
+        ),
+        # the two involutions generating its Klein-four outer group
+        moves=(
+            ("gamma", _negate("x", "e", "d")),
+            ("delta", {**_negate("e"), "d": ((-1, "d"), (-1, "x"))}),
+        ),
+        full_moves=True,
+        classify_args=("k", "orientable"),
+    ),
+    Family(
+        "d21", 7, "disc with 2 cone points", 0, True, (), ("m", "n"), ((),),
+        PresentationSpec(
+            gens=("x1", "x2", "c", "e"),
+            free=("x1", "x2", "c"),
+            elliptic=("x1", "x2"),
+            cycles=_EMPTY_CYCLE,
+            long_relation=((1, "x1"), (1, "x2"), (1, "e")),
+            derived={"e": ((-1, "x1"), (-1, "x2"))},
+            relations=("c^2", "x1 x2 e", "e c = c e"),
+        ),
+        # the boundary reflection, and the cone swap when m = n
+        moves=(("alpha", _negate("x1", "x2", "e")), ("beta", _swap("x1", "x2"))),
+        full_moves=True,
+        order_is_forced=True,
+        classify_args=("k",),
+    ),
+    Family(
+        "ann1", 8, "annulus with 1 cone point", 0, True, (), ("m",), ((), ()),
+        PresentationSpec(
+            gens=("x", "e1", "e2", "c1", "c2"),
+            free=("x", "e1", "c1", "c2"),
+            elliptic=("x",),
+            cycles=(
+                CycleSpec(("c1",), 0, connector="e1"),
+                CycleSpec(("c2",), 0, connector="e2"),
+            ),
+            long_relation=((1, "x"), (1, "e1"), (1, "e2")),
+            derived={"e2": ((-1, "x"), (-1, "e1"))},
+            relations=("c1^2", "c2^2", "x e1 e2", "e1 c1 = c1 e1", "e2 c2 = c2 e2"),
+        ),
+        # as for mb1; beta swaps the two boundary cycles
+        moves=(
+            ("alpha", _negate("x", "e1", "e2")),
+            ("beta", {**_swap("e1", "e2"), **_swap("c1", "c2")}),
+        ),
+        full_moves=True,
+        classify_args=("k", "orientable"),
+    ),
+    Family(
+        "d3-23m", 9, "disc with 3 cone points", 0, True, (2, 3), ("m",), ((),), _THREE_CONES,
+        order_is_forced=True,
+        m_min=3,
+    ),
+    Family(
+        "d3-22m", 9, "disc with 3 cone points", 0, True, (2, 2), ("m",), ((),), _THREE_CONES,
+        order_is_forced=True,
+    ),
+    Family(
+        "d2c-3m", 10, "disc with 2 cone points and 2 corner points", 0, True, (3,), ("m",),
+        ((2, 2),), _TWO_CONES_CORNERS,
+        order_is_forced=True,
+        m_min=3,
+    ),
+    Family(
+        "d2c-2m", 10, "disc with 2 cone points and 2 corner points", 0, True, (2,), ("m",),
+        ((2, 2),), _TWO_CONES_CORNERS,
+        order_is_forced=True,
+    ),
+)}
+
+
 @dataclass(frozen=True)
 class CatalogFamily:
     number: int
@@ -221,47 +521,15 @@ class CatalogFamily:
     description: str
 
 
-_FAMILY_DESCRIPTIONS = {
-    1: "disc with 6 corner points",
-    2: "annulus with 2 corner points",
-    3: "Moebius band with 2 corner points",
-    4: "disc with 1 cone point and 2 corner points",
-    5: "disc with 1 cone point and 4 corner points",
-    6: "Moebius band with 1 cone point",
-    7: "disc with 2 cone points",
-    8: "annulus with 1 cone point",
-    9: "disc with 3 cone points",
-    10: "disc with 2 cone points and 2 corner points",
-}
-
-
 def large_action_catalog() -> tuple[CatalogFamily, ...]:
     """The ten quotient families admitting area < 1, in catalog order."""
-    groups: dict[int, list[str]] = {}
-    for kind, (number, _, _) in QUOTIENT_KINDS.items():
-        groups.setdefault(number, []).append(kind)
+    groups: dict[int, list[Family]] = {}
+    for fam in FAMILIES.values():
+        groups.setdefault(fam.number, []).append(fam)
     return tuple(
-        CatalogFamily(number, tuple(sorted(groups[number])), _FAMILY_DESCRIPTIONS[number])
-        for number in sorted(groups)
+        CatalogFamily(number, tuple(sorted(f.kind for f in fams)), fams[0].description)
+        for number, fams in sorted(groups.items())
     )
-
-
-def quotient_instances(kind: str, max_period: int) -> list[QuotientType]:
-    """All parameter choices for a family with cone orders <= max_period."""
-    params = QUOTIENT_KINDS[kind][1]
-    if not params:
-        return [QuotientType(kind)]
-    if kind in ("d3-23m", "d2c-3m"):
-        return [QuotientType(kind, m=m) for m in (3, 4, 5) if m <= max_period]
-    if kind == "d21":
-        out = []
-        for m in range(2, max_period + 1):
-            for n in range(m, max_period + 1):
-                if (m, n) != (2, 2):
-                    out.append(QuotientType(kind, m=m, n=n))
-        return out
-    lo = 3 if kind == "d12" else 2
-    return [QuotientType(kind, m=m) for m in range(lo, max_period + 1)]
 
 
 def _canon(sig: NecSignature):
@@ -311,41 +579,15 @@ def _cycle_length_choices(k):
 
 
 def quotient_of_signature(sig: NecSignature) -> QuotientType | None:
-    """Match a signature against the ten catalog families (None if no match)."""
+    """Match a signature against the catalog families (None if no match).
+
+    A family's cone-order parameters can only take the signature's periods.
+    """
     key = _canon(sig)
-    periods, cycles = key[2], key[3]
-    if not sig.orientable:
-        if sig.genus == 1 and cycles == ((2, 2),) and not periods:
-            return QuotientType("mb2")
-        if sig.genus == 1 and cycles == ((),) and len(periods) == 1:
-            return QuotientType("mb1", m=periods[0])
-        return None
-    if sig.genus != 0:
-        return None
-    if cycles == ((2, 2, 2, 2, 2, 2),) and not periods:
-        return QuotientType("d6")
-    if cycles == ((), (2, 2)) and not periods:
-        return QuotientType("ann2")
-    if cycles == ((2, 2),):
-        if len(periods) == 1 and periods[0] >= 3:
-            return QuotientType("d12", m=periods[0])
-        if len(periods) == 2 and periods[0] == 2:
-            return QuotientType("d2c-2m", m=periods[1])
-        if len(periods) == 2 and periods[0] == 3 and periods[1] in (3, 4, 5):
-            return QuotientType("d2c-3m", m=periods[1])
-        return None
-    if cycles == ((2, 2, 2, 2),) and len(periods) == 1:
-        return QuotientType("d14", m=periods[0])
-    if cycles == ((), ()) and len(periods) == 1:
-        return QuotientType("ann1", m=periods[0])
-    if cycles == ((),):
-        if len(periods) == 2 and periods != (2, 2):
-            return QuotientType("d21", m=periods[0], n=periods[1])
-        if len(periods) == 3 and periods[:2] == (2, 2):
-            return QuotientType("d3-22m", m=periods[2])
-        if len(periods) == 3 and periods[0] == 2 and periods[1] == 3 and periods[2] in (3, 4, 5):
-            return QuotientType("d3-23m", m=periods[2])
-        return None
+    for fam in FAMILIES.values():
+        for q in fam.instances(sorted(set(sig.proper_periods))):
+            if _canon(q.signature()) == key:
+                return q
     return None
 
 

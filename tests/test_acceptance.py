@@ -238,12 +238,12 @@ def test_criterion_6_structural_invariants():
     """Per-map invariants for every smooth map at N <= 24, zero violations."""
     with criterion(6, "structural invariant suite N <= 24"):
         from necsurf.classify import parameter_space
-        from necsurf.oracle import ALL_KINDS
+        from necsurf.signatures import FAMILIES
 
         checked_maps = 0
         for N in range(2, 25):
             unit_list = units(N)
-            for kind in ALL_KINDS:
+            for kind in FAMILIES:
                 for q in parameter_space(kind, N):
                     pres = presentation_of(q)
                     maps = enumerate_smooth(q, N)

@@ -3,6 +3,7 @@
 import pytest
 
 from necsurf.classify import (
+    _FORMULAS,
     actions_for_order,
     classification_buckets,
     classify,
@@ -14,7 +15,7 @@ from necsurf.classify import (
     classify_mb1,
     classify_triangle,
 )
-from necsurf.signatures import QuotientType
+from necsurf.signatures import FAMILIES, QuotientType
 
 
 def surfaces(res):
@@ -178,6 +179,25 @@ def test_dispatcher_handles_order_mismatch():
     q = QuotientType("d21", m=2, n=3)
     assert classify(q, 6, k=1).exists
     assert not classify(q, 12, k=1).exists
+
+
+def test_dispatcher_rejects_bad_input():
+    with pytest.raises(ValueError):
+        classify(QuotientType("d12", m=3), 0)
+    with pytest.raises(ValueError):
+        classify(QuotientType("mb1", m=4), 8, k=4)  # no orientability flag
+    with pytest.raises(ValueError):
+        classify(QuotientType("d21", m=2, n=3), 6)  # no k
+
+
+def test_formula_table_matches_registry():
+    """One formula per family; k-ranges exactly where classify takes k, and
+    a formula's own order is N unless the registry says the cone orders force it."""
+    assert list(_FORMULAS) == list(FAMILIES)
+    for kind, (formula, k_range) in _FORMULAS.items():
+        assert (k_range is not None) == ("k" in FAMILIES[kind].classify_args)
+        for q in FAMILIES[kind].instances(range(2, 31)):
+            assert formula(q, 60, 1, True).order == (q.forced_order() or 60), q
 
 
 def test_enumeration_at_order_two():

@@ -2,6 +2,7 @@
 
 import json
 
+from necsurf import oracle
 from necsurf.cli import main
 
 
@@ -46,6 +47,19 @@ def test_classify_missing_argument(capsys):
     code, _, err = run(capsys, "classify", "mb1", "--m", "4")
     assert code == 2
     assert "requires" in err
+
+
+def test_classify_rejects_bad_input(capsys):
+    code, out, _ = run(capsys, "classify", "d12", "--m", "3", "--N", "0")
+    assert code == 2 and not out
+    for argv in (
+        ("d6", "--N", "2", "--m", "5"),
+        ("mb1", "--N", "8", "--m", "4", "--k", "4", "--orientable", "--n", "9"),
+        ("d12", "--m", "3", "--k", "1"),
+        ("d21", "--m", "2", "--n", "3", "--k", "1", "--non-orientable"),
+    ):
+        code, out, err = run(capsys, "classify", *argv)
+        assert code == 2 and "does not take" in err and not out, argv
 
 
 def test_bad_flag_usage(capsys):
@@ -120,3 +134,13 @@ def test_verify_json(capsys):
     payload = json.loads(out)
     assert payload["result"]["passed"] is True
     assert payload["result"]["points"]
+
+
+def test_verify_rejects_bounds_before_any_work(capsys, monkeypatch):
+    def no_point(q, N):
+        raise AssertionError(f"check point {q} at N={N} ran")
+
+    monkeypatch.setattr(oracle, "check_point", no_point)
+    for n_max in (str(oracle.ORACLE_MAX_N + 1), "1"):
+        code, out, err = run(capsys, "verify", "--n-max", n_max)
+        assert code == 2 and "n_max" in err and not out, n_max

@@ -4,9 +4,11 @@ import itertools
 
 import pytest
 
-from necsurf.bsk import BskMap, is_smooth, presentation_of
+from necsurf.bsk import BskMap, is_smooth, orientability, orientability_case_rule, presentation_of
 from necsurf.oracle import (
+    ORACLE_MAX_N,
     check_point,
+    check_points,
     cross_check,
     enumerate_smooth,
     moves_for,
@@ -153,6 +155,23 @@ def test_cross_check_small_sweep():
 def test_cross_check_rejects_unknown_kind():
     with pytest.raises(ValueError):
         cross_check(kinds=("tetrahedral",), n_max=4)
+
+
+@pytest.mark.parametrize("n_min, n_max", [(2, ORACLE_MAX_N + 1), (2, 1), (1, 4), (5, 4)])
+def test_check_points_rejects_bad_bounds(n_min, n_max):
+    with pytest.raises(ValueError):
+        check_points(None, n_max, n_min)
+
+
+def test_orientability_matches_case_rule_on_sweep():
+    """The non-orientable-word test agrees with the per-family case rule
+    on every smooth map of the N <= 48 sweep."""
+    checked = 0
+    for q, N in check_points(None, 48):
+        for bmap in enumerate_smooth(q, N):
+            assert orientability(bmap) == orientability_case_rule(bmap), bmap
+            checked += 1
+    assert checked == 120887
 
 
 def test_check_point_beyond_default_sweep():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from necsurf.signatures import (
+    FAMILIES,
     NecSignature,
     QuotientType,
     SurfaceTopology,
@@ -16,7 +17,6 @@ from necsurf.signatures import (
     is_admissible_quotient,
     kernel_algebraic_genus,
     large_action_catalog,
-    quotient_instances,
     quotient_of_signature,
 )
 
@@ -83,7 +83,7 @@ def test_canonical_fuchsian_needs_reflections():
 def test_fuchsian_area_doubles():
     for kind in ("d6", "ann2", "mb2", "d12", "d14", "mb1", "d21", "ann1",
                  "d3-22m", "d3-23m", "d2c-2m", "d2c-3m"):
-        for q in quotient_instances(kind, 60):
+        for q in FAMILIES[kind].instances(range(2, 61)):
             sig = q.signature()
             assert fuchsian_area(canonical_fuchsian(sig)) == 2 * area(sig)
 
@@ -117,7 +117,7 @@ def test_catalog_has_ten_families():
 def test_catalog_areas_in_unit_interval():
     for kind in ("d6", "ann2", "mb2", "d12", "d14", "mb1", "d21", "ann1",
                  "d3-22m", "d3-23m", "d2c-2m", "d2c-3m"):
-        for q in quotient_instances(kind, 60):
+        for q in FAMILIES[kind].instances(range(2, 61)):
             assert 0 < area(q.signature()) < 1, q
 
 
@@ -128,13 +128,25 @@ def test_generated_catalog_matches_hardcoded():
     expanded = set()
     for kind in ("d6", "ann2", "mb2", "d12", "d14", "mb1", "d21", "ann1",
                  "d3-22m", "d3-23m", "d2c-2m", "d2c-3m"):
-        for q in quotient_instances(kind, max_period):
+        for q in FAMILIES[kind].instances(range(2, max_period + 1)):
             expanded.add(_canon(q.signature()))
     assert generated == expanded
     for s in generate_admissible_signatures(max_period):
         q = quotient_of_signature(s)
         assert q is not None
         assert _canon(q.signature()) == _canon(s)
+
+
+def test_admits_is_the_exact_area_test():
+    """The registry's integer test equals 0 < area < 1 in exact rationals."""
+    for fam in FAMILIES.values():
+        ms = range(2, 31) if fam.params else [None]
+        ns = range(2, 31) if len(fam.params) == 2 else [None]
+        for m in ms:
+            for n in ns:
+                sig = NecSignature(fam.genus, fam.orientable, fam.proper_periods(m, n), fam.cycles)
+                want = (m is None or m >= fam.m_min) and 0 < area(sig) < 1
+                assert fam.admits(m, n) == want, (fam.kind, m, n)
 
 
 def test_quotient_type_validation():
