@@ -127,9 +127,14 @@ def classify_mb1(N: int, m: int, k: int, want_orientable: bool) -> Classificatio
     ceil(phi(t)/2) for odd N.  Either way the algebraic genus is
     1 + (m-1)N/m.
     """
-    q = QuotientType("mb1", m=m)
     if N < 2 or m < 2 or k < 1:
         raise ValueError("need N >= 2, m >= 2, k >= 1")
+    return _mb1(QuotientType("mb1", m=m), N, k, want_orientable)
+
+
+def _mb1(q: QuotientType, N: int, k: int, want_orientable: bool) -> ClassificationResult:
+    """``classify_mb1`` for an already validated quotient, N >= 2 and k >= 1."""
+    m = q.m
     if N % k != 0:
         return _absent(q, N)
     t = math.gcd(m, N // k)
@@ -212,10 +217,20 @@ def classify_ann1(N: int, m: int, k: int, want_orientable: bool) -> Classificati
     orientation-preserving classes, counted like the twice-punctured disc
     with C the biggest divisor of m/(n1*n2) coprime to N*n1*n2/m.
     Algebraic genus 1 + N(m-1)/m in every case.
+
+    The splittings are found by walking n1 over the divisors of m up to
+    k/2, so one call costs O(d(m)).  Only the k of ``_ann1_boundary_counts``
+    can carry classes: the divisors of N up to 2m and the O(d(m)^2) sums of
+    coprime divisor pairs of m.
     """
     if N < 2 or m < 2 or k < 1:
         raise ValueError("need N >= 2, m >= 2, k >= 1")
-    q = QuotientType("ann1", m=m)
+    return _ann1(QuotientType("ann1", m=m), N, k, want_orientable)
+
+
+def _ann1(q: QuotientType, N: int, k: int, want_orientable: bool) -> ClassificationResult:
+    """``classify_ann1`` for an already validated quotient, N >= 2 and k >= 1."""
+    m = q.m
     if N % m != 0:
         return _absent(q, N)  # no element of exact order m
     p = 1 + N * (m - 1) // m
@@ -232,9 +247,11 @@ def classify_ann1(N: int, m: int, k: int, want_orientable: bool) -> Classificati
         reals.append(
             Realization(_surface(True, p, k), euler_phi(t), reversing=True, label="mirror")
         )
-    for n1 in range(1, k // 2 + 1):
+    for n1 in divisors(m):
         n2 = k - n1
-        if m % n1 != 0 or m % n2 != 0:
+        if n1 > n2:
+            break
+        if m % n2 != 0:
             continue
         if math.gcd(n1, n2) != 1 or math.gcd(N // m, n1) != 1 or math.gcd(N // m, n2) != 1:
             continue
@@ -250,6 +267,19 @@ def classify_ann1(N: int, m: int, k: int, want_orientable: bool) -> Classificati
             )
         )
     return _result(q, N, reals)
+
+
+def _ann1_boundary_counts(q: QuotientType, N: int) -> list[int]:
+    """The boundary counts k at which ann1(m) can carry order-N classes, ascending.
+
+    Non-orientable and kind-1 covers need k | N, and their conditions on
+    N/k give k <= 2m; kind-2 covers need k = n1 + n2 with n1 <= n2 coprime
+    divisors of m, so k <= m + 1.  Building the set costs O(d(N) + d(m)^2).
+    """
+    ks = {d for d in divisors(N) if d <= 2 * q.m}
+    dm = divisors(q.m)
+    ks.update(a + b for i, a in enumerate(dm) for b in dm[i:] if math.gcd(a, b) == 1)
+    return sorted(ks)
 
 
 def classify_triangle(kind: str, m: int) -> ClassificationResult:
@@ -313,19 +343,22 @@ _CORNER_PAIR = (lambda q, N, k, o: classify_corner_pair(q.kind, q.m), None)
 
 #: kind -> (formula(q, N, k, orientable), the boundary counts k that can
 #: occur at order N, or None for a formula without k).  The formulas are
-#: looked up by module-level name at each call.
+#: looked up by module-level name at each call.  The ann1 k-set comes from
+#: divisors (``_ann1_boundary_counts``): the O(d(m)^2) split sums of m plus
+#: the divisors of N up to 2m, each classified in O(d(m)) steps.  Trying
+#: every k <= 2m and every split n1 <= k/2 took O(m^2) steps per divisor m.
 _FORMULAS = {
     "d6": _CORNER_ONLY,
     "ann2": _CORNER_ONLY,
     "mb2": _CORNER_ONLY,
     "d12": _DISC_CORNERS,
     "d14": _DISC_CORNERS,
-    "mb1": (lambda q, N, k, o: classify_mb1(N, q.m, k, o), lambda q, N: divisors(N)),
+    "mb1": (lambda q, N, k, o: _mb1(q, N, k, o), lambda q, N: divisors(N)),
     "d21": (
         lambda q, N, k, o: classify_d21(q.m, q.n, k),
         lambda q, N: divisors(math.gcd(q.m, q.n)),
     ),
-    "ann1": (lambda q, N, k, o: classify_ann1(N, q.m, k, o), lambda q, N: range(1, 2 * q.m + 1)),
+    "ann1": (lambda q, N, k, o: _ann1(q, N, k, o), _ann1_boundary_counts),
     "d3-23m": _TRIANGLE,
     "d3-22m": _TRIANGLE,
     "d2c-3m": _CORNER_PAIR,
@@ -345,6 +378,8 @@ def classify(q: QuotientType, N: int, k: int | None = None, orientable: bool | N
     needs = FAMILIES[q.kind].classify_args
     if ("k" in needs and k is None) or ("orientable" in needs and orientable is None):
         raise ValueError(f"{q.kind} needs {' and '.join(needs)}")
+    if "k" in needs and k < 1:
+        raise ValueError("need k >= 1")
     res = _FORMULAS[q.kind][0](q, N, k, orientable)
     return res if res.order == N else _absent(q, N)
 

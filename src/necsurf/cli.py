@@ -127,7 +127,9 @@ def _params_dict(args) -> dict:
 
 
 def cmd_enumerate(args) -> int:
-    bound = min(args.N, args.max_genus) if args.max_genus else args.N
+    if args.max_genus is not None and args.max_genus < 0:
+        raise UsageError("--max-genus must be >= 0")
+    bound = args.N if args.max_genus is None else min(args.N, args.max_genus)
     records = [
         r for r in actions_for_order(args.N) if r.surface.algebraic_genus <= bound
     ]

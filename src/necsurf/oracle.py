@@ -271,12 +271,15 @@ def check_point(q: QuotientType, N: int) -> CheckPoint:
 
 
 def check_points(kinds=None, n_max: int = 24, n_min: int = 2) -> list[tuple[QuotientType, int]]:
-    """The (quotient, N) points of a sweep; bad bounds or kinds raise before any work."""
+    """The (quotient, N) points of a sweep; bad bounds or kinds raise before any work.
+
+    A kind named twice is swept once, in the order it was first named.
+    """
     if not 2 <= n_min <= n_max <= ORACLE_MAX_N:
         raise ValueError(
             f"need 2 <= n_min <= n_max <= {ORACLE_MAX_N}, got n_min={n_min}, n_max={n_max}"
         )
-    kinds = tuple(kinds) if kinds else tuple(FAMILIES)
+    kinds = tuple(dict.fromkeys(kinds)) if kinds else tuple(FAMILIES)
     for kind in kinds:
         if kind not in FAMILIES:
             raise ValueError(f"unknown quotient kind {kind!r}")

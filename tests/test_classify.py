@@ -1,9 +1,15 @@
 """Closed-form class counts, family by family."""
 
+import math
+
 import pytest
 
 from necsurf.classify import (
     _FORMULAS,
+    ClassificationResult,
+    Realization,
+    _half_count,
+    _surface,
     actions_for_order,
     classification_buckets,
     classify,
@@ -16,6 +22,7 @@ from necsurf.classify import (
     classify_triangle,
 )
 from necsurf.signatures import FAMILIES, QuotientType
+from necsurf.zmod import biggest_coprime_divisor, euler_phi, psi
 
 
 def surfaces(res):
@@ -142,6 +149,57 @@ def test_ann1_non_orientable():
         assert not classify_ann1(N, m, k, False).exists
 
 
+def _ann1_linear_reference(N, m, k, want_orientable):
+    """The ann1 formula as a linear search: every split k = n1 + n2 with n1 <= k/2."""
+    q = QuotientType("ann1", m=m)
+    p = 1 + N * (m - 1) // m
+    if not want_orientable:
+        if N % 2 != 0 or N % k != 0 or N != math.lcm(m, N // k):
+            return ClassificationResult(q, N, False, 0)
+        count = euler_phi(math.gcd(m, N // k))
+        reals = [Realization(_surface(False, p, k), count)]
+        return ClassificationResult(q, N, True, count, tuple(reals))
+    reals = []
+    if N % k == 0 and N == 2 * math.lcm(m, N // k) and (N // 2) % 2 == 1:
+        t = math.gcd(m, N // k)
+        reals.append(Realization(_surface(True, p, k), euler_phi(t), True, "mirror"))
+    for n1 in range(1, k // 2 + 1):
+        n2 = k - n1
+        if m % n1 or m % n2 or math.gcd(n1, n2) != 1:
+            continue
+        if math.gcd(N // m, n1) != 1 or math.gcd(N // m, n2) != 1:
+            continue
+        if N % 2 == 0 and all(v % 2 for v in (N // m, n1, n2)):
+            continue
+        C = biggest_coprime_divisor(m // (n1 * n2), N * n1 * n2 // m)
+        B = m // (C * n1 * n2)
+        count = euler_phi(B) * psi(C) if k != 2 else _half_count(B, C, N // m)
+        reals.append(Realization(_surface(True, p, k), count, False, f"split{{{n1},{n2}}}"))
+    reals = tuple(r for r in reals if r.count > 0)
+    return ClassificationResult(q, N, bool(reals), sum(r.count for r in reals), reals)
+
+
+def test_ann1_divisor_search_matches_linear_reference():
+    """No boundary count is lost: outside the divisor-driven k-set the linear
+    search finds nothing, and inside it both searches agree."""
+    k_set = _FORMULAS["ann1"][1]
+    checked = 0
+    for N in range(2, 151):
+        for m in (d for d in range(2, N + 1) if N % d == 0):
+            ks = set(k_set(QuotientType("ann1", m=m), N))
+            assert ks <= set(range(1, 2 * m + 1)), (N, m)
+            for k in range(1, 2 * m + 1):
+                for orientable in (True, False):
+                    want = _ann1_linear_reference(N, m, k, orientable)
+                    got = classify_ann1(N, m, k, orientable)
+                    if k not in ks:
+                        assert not want.exists and not got.exists, (N, m, k, orientable)
+                    else:
+                        assert got == want, (N, m, k, orientable)
+                        checked += got.exists
+    assert checked > 1000
+
+
 def test_triangle():
     res = classify_triangle("d3-22m", 3)
     assert (res.order, res.class_count) == (6, 1)
@@ -188,6 +246,9 @@ def test_dispatcher_rejects_bad_input():
         classify(QuotientType("mb1", m=4), 8, k=4)  # no orientability flag
     with pytest.raises(ValueError):
         classify(QuotientType("d21", m=2, n=3), 6)  # no k
+    for kind in ("mb1", "ann1"):
+        with pytest.raises(ValueError):
+            classify(QuotientType(kind, m=3), 6, k=0, orientable=True)
 
 
 def test_formula_table_matches_registry():

@@ -95,6 +95,18 @@ def test_enumerate_max_genus_filter(capsys):
     assert all(r["algebraic_genus"] <= 3 for r in cut_rows)
 
 
+def test_enumerate_max_genus_zero_keeps_no_rows(capsys):
+    code, out, _ = run(capsys, "enumerate", "--N", "6", "--max-genus", "0", "--format", "json")
+    result = json.loads(out)["result"]
+    assert code == 0
+    assert result["rows"] == [] and result["max_genus"] == 0
+
+
+def test_enumerate_rejects_negative_max_genus(capsys):
+    code, out, err = run(capsys, "enumerate", "--N", "6", "--max-genus", "-1")
+    assert code == 2 and "--max-genus" in err and not out
+
+
 def test_min_genus_both_match(capsys):
     code, out, _ = run(capsys, "min-genus", "--N", "15", "--variant", "p+")
     assert code == 0

@@ -163,6 +163,11 @@ def test_check_points_rejects_bad_bounds(n_min, n_max):
         check_points(None, n_max, n_min)
 
 
+def test_check_points_sweeps_a_repeated_kind_once():
+    assert check_points(["d6", "d6"], 4) == check_points(["d6"], 4)
+    assert check_points(["mb2", "d6", "mb2"], 6) == check_points(["mb2", "d6"], 6)
+
+
 def test_orientability_matches_case_rule_on_sweep():
     """The non-orientable-word test agrees with the per-family case rule
     on every smooth map of the N <= 48 sweep."""
