@@ -76,25 +76,22 @@ def presentation_of(q: QuotientType) -> Presentation:
 
 @dataclass(frozen=True)
 class BskMap:
-    """An assignment of residues mod N to the canonical generators."""
+    """Residues mod N assigned to the canonical generators, in ``gens`` order."""
 
     quotient: QuotientType
     N: int
-    images: tuple[tuple[str, int], ...]
+    images: tuple[int, ...]
 
     @classmethod
     def from_dict(cls, quotient: QuotientType, N: int, images: dict[str, int]) -> "BskMap":
-        pres = presentation_of(quotient)
-        if set(images) != set(pres.gens):
-            raise ValueError(f"images must cover generators {pres.gens}")
-        return cls(quotient, N, tuple((g, images[g] % N) for g in pres.gens))
+        gens = FAMILIES[quotient.kind].presentation.gens
+        if set(images) != set(gens):
+            raise ValueError(f"images must cover generators {gens}")
+        return cls(quotient, N, tuple(images[g] % N for g in gens))
 
     @property
     def image_dict(self) -> dict[str, int]:
-        return dict(self.images)
-
-    def vector(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.images)
+        return dict(zip(FAMILIES[self.quotient.kind].presentation.gens, self.images))
 
     def to_json(self) -> str:
         payload = {
@@ -106,7 +103,7 @@ class BskMap:
         return json.dumps(payload, sort_keys=True)
 
     def __str__(self) -> str:
-        imgs = ", ".join(f"{g}->{v}" for g, v in self.images)
+        imgs = ", ".join(f"{g}->{v}" for g, v in self.image_dict.items())
         return f"{self.quotient}@Z_{self.N}[{imgs}]"
 
 
@@ -263,7 +260,4 @@ def surface_of(bmap: BskMap) -> SurfaceTopology:
     orientable = orientability(bmap)
     k = boundary_count(bmap)
     p = kernel_algebraic_genus(bmap.quotient.signature(), bmap.N)
-    eps = 2 if orientable else 1
-    g2 = p + 1 - k
-    assert g2 % eps == 0 and g2 >= 0, f"inconsistent genus for {bmap}: p={p}, k={k}"
-    return SurfaceTopology(orientable, g2 // eps, k)
+    return SurfaceTopology.of_genus(orientable, p, k)

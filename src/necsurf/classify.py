@@ -53,13 +53,6 @@ def _result(q, N, reals) -> ClassificationResult:
     return ClassificationResult(q, N, bool(reals), sum(r.count for r in reals), reals)
 
 
-def _surface(orientable: bool, algebraic_genus: int, k: int) -> SurfaceTopology:
-    eps = 2 if orientable else 1
-    g2 = algebraic_genus + 1 - k
-    assert g2 % eps == 0 and g2 >= 0, (orientable, algebraic_genus, k)
-    return SurfaceTopology(orientable, g2 // eps, k)
-
-
 def _ceil_half(x: int) -> int:
     return (x + 1) // 2
 
@@ -80,22 +73,23 @@ def classify_corner_only(kind: str, N: int) -> ClassificationResult:
     if kind == "d6":
         if N != 2:
             return _absent(q, N)
-        return _result(q, N, [Realization(_surface(True, 2, 3), 1, reversing=True)])
+        surf = SurfaceTopology.of_genus(True, 2, 3)
+        return _result(q, N, [Realization(surf, 1, reversing=True)])
     if N % 2 != 0:
         return _absent(q, N)
     p = N // 2 + 1
     half_odd = (N // 2) % 2 == 1
     reals = []
     if kind == "ann2":
-        reals.append(Realization(_surface(False, p, N // 2), 1))  # Klein bottle
-        reals.append(Realization(_surface(False, p, N // 2 + 1), 1))  # projective plane
+        for k in (N // 2, N // 2 + 1):  # Klein bottle, projective plane
+            reals.append(Realization(SurfaceTopology.of_genus(False, p, k), 1))
         if half_odd:
-            reals.append(Realization(_surface(True, p, N // 2), 1, reversing=True))
-            reals.append(Realization(_surface(True, p, N // 2 + 2), 1, reversing=True))
+            for k in (N // 2, N // 2 + 2):
+                reals.append(Realization(SurfaceTopology.of_genus(True, p, k), 1, reversing=True))
     else:  # mb2
-        reals.append(Realization(_surface(False, p, N // 2), 1))
+        reals.append(Realization(SurfaceTopology.of_genus(False, p, N // 2), 1))
         if half_odd:
-            reals.append(Realization(_surface(True, p, N // 2), 1, reversing=True))
+            reals.append(Realization(SurfaceTopology.of_genus(True, p, N // 2), 1, reversing=True))
     return _result(q, N, reals)
 
 
@@ -112,9 +106,9 @@ def classify_disc_corners(kind: str, m: int) -> ClassificationResult:
     p = kernel_algebraic_genus(q.signature(), N)
     k = N // 2 if kind == "d12" else N
     if m % 2 == 0:
-        real = Realization(_surface(False, p, k), 1)
+        real = Realization(SurfaceTopology.of_genus(False, p, k), 1)
     else:
-        real = Realization(_surface(True, p, k), 1, reversing=True)
+        real = Realization(SurfaceTopology.of_genus(True, p, k), 1, reversing=True)
     return _result(q, N, [real])
 
 
@@ -149,7 +143,7 @@ def _mb1(q: QuotientType, N: int, k: int, want_orientable: bool) -> Classificati
             return _absent(q, N)
         count = euler_phi(t) if N % 2 == 0 else _ceil_half(euler_phi(t))
     p = 1 + (m - 1) * N // m
-    surf = _surface(want_orientable, p, k)
+    surf = SurfaceTopology.of_genus(want_orientable, p, k)
     return _result(q, N, [Realization(surf, count, reversing=True if want_orientable else None)])
 
 
@@ -178,7 +172,8 @@ def classify_d21(m: int, n: int, k: int) -> ClassificationResult:
     B = t // (k * C)
     count = euler_phi(B) * psi(C) if m != n else _half_count(B, C, k)
     p = 1 + N - N // m - N // n
-    return _result(q, N, [Realization(_surface(True, p, k), count, reversing=False)])
+    surf = SurfaceTopology.of_genus(True, p, k)
+    return _result(q, N, [Realization(surf, count, reversing=False)])
 
 
 def _is_two_power_above_two(b: int) -> bool:
@@ -239,14 +234,13 @@ def _ann1(q: QuotientType, N: int, k: int, want_orientable: bool) -> Classificat
         if N % 2 != 0 or N % k != 0 or N != math.lcm(m, N // k):
             return _absent(q, N)
         count = euler_phi(math.gcd(m, N // k))
-        return _result(q, N, [Realization(_surface(False, p, k), count)])
+        return _result(q, N, [Realization(SurfaceTopology.of_genus(False, p, k), count)])
 
     reals = []
     if N % k == 0 and N == 2 * math.lcm(m, N // k) and (N // 2) % 2 == 1:
         t = math.gcd(m, N // k)
-        reals.append(
-            Realization(_surface(True, p, k), euler_phi(t), reversing=True, label="mirror")
-        )
+        surf = SurfaceTopology.of_genus(True, p, k)
+        reals.append(Realization(surf, euler_phi(t), reversing=True, label="mirror"))
     for n1 in divisors(m):
         n2 = k - n1
         if n1 > n2:
@@ -261,11 +255,8 @@ def _ann1(q: QuotientType, N: int, k: int, want_orientable: bool) -> Classificat
         assert C % 2 == 1
         B = m // (C * n1 * n2)
         count = euler_phi(B) * psi(C) if k != 2 else _half_count(B, C, N // m)
-        reals.append(
-            Realization(
-                _surface(True, p, k), count, reversing=False, label=f"split{{{n1},{n2}}}"
-            )
-        )
+        surf = SurfaceTopology.of_genus(True, p, k)
+        reals.append(Realization(surf, count, reversing=False, label=f"split{{{n1},{n2}}}"))
     return _result(q, N, reals)
 
 

@@ -142,9 +142,7 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _answer_payload(ans: extremal.ExtremalAnswer | None, error: str | None = None) -> dict:
-    if ans is None:
-        return {"defined": False, "error": error}
+def _answer_payload(ans: extremal.ExtremalAnswer) -> dict:
     return {
         "defined": True,
         "variant": ans.variant,
@@ -165,31 +163,29 @@ def _run_minmax(args, query: str) -> int:
     mode = args.mode or "both"
     closed = search = None
     if mode in ("closed", "both"):
-        closed = closed_fn(arg, args.variant)
+        closed = _answer_payload(closed_fn(arg, args.variant))
     if mode in ("search", "both"):
-        search = search_fn(arg, args.variant)
+        search = _answer_payload(search_fn(arg, args.variant))
     result = {
         "query": query,
         "variant": args.variant,
         "argument": arg,
-        "closed": _answer_payload(closed) if closed else None,
-        "search": _answer_payload(search) if search else None,
+        "closed": closed,
+        "search": search,
     }
     verdict = None
     if mode == "both":
         same = (
-            closed.value == search.value
-            and sorted(_answer_payload(closed)["realizers"], key=str)
-            == sorted(_answer_payload(search)["realizers"], key=str)
+            closed["value"] == search["value"]
+            and sorted(closed["realizers"], key=str) == sorted(search["realizers"], key=str)
         )
         verdict = "match" if same else "MISMATCH"
         result["verdict"] = verdict
     shown = closed or search
-    rows = _answer_payload(shown)["realizers"]
     _emit(_record(query, {"argument": arg, "variant": args.variant, "mode": mode}, result),
-          rows, args.format, ROW_HEADERS)
+          shown["realizers"], args.format, ROW_HEADERS)
     if args.format == "table":
-        print(f"-> {query}[{args.variant}]({arg}) = {shown.value}" +
+        print(f"-> {query}[{args.variant}]({arg}) = {shown['value']}" +
               (f" [{verdict}]" if verdict else ""))
     return 0 if verdict in (None, "match") else 1
 
@@ -203,6 +199,8 @@ def cmd_minmax_max(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
     kinds = args.types.split(",") if args.types else None
     report = oracle.cross_check(kinds=kinds, n_max=args.n_max, jobs=args.jobs)
     if args.format == "json":

@@ -38,27 +38,19 @@ ORACLE_MAX_N = 96
 
 @dataclass(frozen=True)
 class AutMove:
-    """An outer automorphism move, recorded additively on generator images.
+    """An outer automorphism move, recorded additively on image vectors.
 
     Because the target is abelian, a substitution g -> word(generators)
-    acts on an image vector linearly; ``mapping`` sends each generator to
-    the integer combination of old images that becomes its new image.
+    acts on an image vector linearly; ``rows[i]`` holds the
+    (coefficient, source position) terms whose sum becomes the new image
+    of the generator at position i of ``Presentation.gens``.
     """
 
     name: str
-    mapping: dict[str, tuple[tuple[int, str], ...]]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
-    def apply(self, images: dict[str, int], N: int) -> dict[str, int]:
-        return {
-            g: sum(c * images[src] for c, src in self.mapping[g]) % N
-            for g in self.mapping
-        }
-
-
-def _move(name: str, pres: Presentation, **overrides) -> AutMove:
-    mapping = {g: ((1, g),) for g in pres.gens}
-    mapping.update(overrides)
-    return AutMove(name, mapping)
+    def apply(self, vector: tuple[int, ...], N: int) -> tuple[int, ...]:
+        return tuple(sum(c * vector[src] for c, src in row) % N for row in self.rows)
 
 
 def moves_for(q: QuotientType) -> tuple[AutMove, ...]:
@@ -67,12 +59,13 @@ def moves_for(q: QuotientType) -> tuple[AutMove, ...]:
     The family's outer moves (``Family.moves``), less any that would send
     an elliptic generator to one of another order (the d21 cone swap when
     m != n).  Every family with a non-empty period cycle also gets the
-    rotation that shifts the cycle's reflections by one.
+    rotation that shifts the cycle's reflections by one.  Generators a
+    move does not name keep their image.
     """
     pres = presentation_of(q)
     orders = pres.elliptic_orders
-    moves = [
-        _move(name, pres, **mapping)
+    named = [
+        (name, mapping)
         for name, mapping in FAMILIES[q.kind].moves
         if all(
             orders[g] == orders.get(src)
@@ -85,13 +78,16 @@ def moves_for(q: QuotientType) -> tuple[AutMove, ...]:
         if cyc.length < 2:
             continue
         names = cyc.reflections
-        overrides = {
-            names[j]: ((1, names[(j - 1) % len(names)]),) for j in range(len(names))
-        }
+        mapping = {names[j]: ((1, names[j - 1]),) for j in range(len(names))}
         if cyc.tail:
-            overrides[cyc.tail] = ((1, names[-1]),)
-        moves.append(_move(f"shift{idx}", pres, **overrides))
-    return tuple(moves)
+            mapping[cyc.tail] = ((1, names[-1]),)
+        named.append((f"shift{idx}", mapping))
+    pos = {g: i for i, g in enumerate(pres.gens)}
+
+    def row(mapping, g):
+        return tuple((c, pos[src]) for c, src in mapping.get(g, ((1, g),)))
+
+    return tuple(AutMove(name, tuple(row(m, g) for g in pres.gens)) for name, m in named)
 
 
 def _free_domains(pres: Presentation, N: int) -> list[tuple[int, ...]]:
@@ -108,19 +104,18 @@ def _free_domains(pres: Presentation, N: int) -> list[tuple[int, ...]]:
     return domains
 
 
-def enumerate_smooth(q: QuotientType, N: int, max_n: int = ORACLE_MAX_N) -> list[BskMap]:
+def enumerate_smooth(q: QuotientType, N: int) -> list[BskMap]:
     """Every smooth assignment for (q, N), in deterministic order.
 
     Searches only the free generators (images determined by relations are
     filled in), with candidate values ascending.
     """
-    if N < 2 or N > max_n:
-        raise ValueError(f"order {N} outside the enumeration bound 2..{max_n}")
+    if N < 2 or N > ORACLE_MAX_N:
+        raise ValueError(f"order {N} outside the enumeration bound 2..{ORACLE_MAX_N}")
     pres = presentation_of(q)
     out = []
     for combo in itertools.product(*_free_domains(pres, N)):
-        images = pres.complete(dict(zip(pres.free, combo)), N)
-        bmap = BskMap(q, N, tuple((g, images[g]) for g in pres.gens))
+        bmap = BskMap(q, N, tuple(pres.complete(dict(zip(pres.free, combo)), N).values()))
         if is_smooth(bmap):
             out.append(bmap)
     return out
@@ -172,8 +167,7 @@ def orbit_count(maps: list[BskMap], moves: tuple[AutMove, ...], N: int) -> Orbit
     if not maps:
         return OrbitReport(None, N, 0, 0, ())
     q = maps[0].quotient
-    pres = presentation_of(q)
-    index = {m.vector(): i for i, m in enumerate(maps)}
+    index = {m.images: i for i, m in enumerate(maps)}
     assert len(index) == len(maps)
     unit_list = units(N)
     seen = [False] * len(maps)
@@ -185,17 +179,12 @@ def orbit_count(maps: list[BskMap], moves: tuple[AutMove, ...], N: int) -> Orbit
         queue = [start]
         members = [start]
         while queue:
-            i = queue.pop()
-            img = maps[i].image_dict
-            neighbours = [
-                {g: (u * v) % N for g, v in img.items()} for u in unit_list
-            ] + [move.apply(img, N) for move in moves]
+            vec = maps[queue.pop()].images
+            neighbours = [tuple(u * v % N for v in vec) for u in unit_list]
+            neighbours += [move.apply(vec, N) for move in moves]
             for nb in neighbours:
-                vec = tuple(nb[g] for g in pres.gens)
-                j = index.get(vec)
-                assert j is not None, (
-                    f"equivalence left the smooth set: {q} at N={N}, image {nb}"
-                )
+                j = index.get(nb)
+                assert j is not None, f"equivalence left the smooth set: {BskMap(q, N, nb)}"
                 if not seen[j]:
                     seen[j] = True
                     queue.append(j)
@@ -205,7 +194,7 @@ def orbit_count(maps: list[BskMap], moves: tuple[AutMove, ...], N: int) -> Orbit
             assert _invariants(maps[i]) == inv, (
                 f"orbit invariants vary within an orbit of {q} at N={N}"
             )
-        rep = maps[min(members, key=lambda i: maps[i].vector())]
+        rep = maps[min(members, key=lambda i: maps[i].images)]
         orbits.append(OrbitInfo(rep, len(members), inv[0], inv[1], inv[2]))
     return OrbitReport(q, N, len(maps), len(orbits), tuple(orbits))
 

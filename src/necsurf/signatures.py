@@ -610,6 +610,16 @@ class SurfaceTopology:
         if self.algebraic_genus < 2:
             raise ValueError(f"{self} is not hyperbolic (algebraic genus < 2)")
 
+    @classmethod
+    def of_genus(cls, orientable: bool, algebraic_genus: int, k: int) -> "SurfaceTopology":
+        """The surface with k boundary components and algebraic genus p = eps*g + k - 1."""
+        eps = 2 if orientable else 1
+        g2 = algebraic_genus + 1 - k
+        assert g2 % eps == 0 and g2 >= 0, (
+            f"inconsistent genus: orientable={orientable}, p={algebraic_genus}, k={k}"
+        )
+        return cls(orientable, g2 // eps, k)
+
     @property
     def epsilon(self) -> int:
         return 2 if self.orientable else 1

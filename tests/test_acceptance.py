@@ -264,7 +264,7 @@ def test_criterion_6_structural_invariants():
                             )
                             assert surface_of(scaled) == surf
                         for move in moves:
-                            moved = BskMap.from_dict(q, N, move.apply(img, N))
+                            moved = BskMap(q, N, move.apply(bmap.images, N))
                             assert is_smooth(moved)
                             assert surface_of(moved) == surf
                         # (c) consecutive reflections have distinct images

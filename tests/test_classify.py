@@ -9,7 +9,6 @@ from necsurf.classify import (
     ClassificationResult,
     Realization,
     _half_count,
-    _surface,
     actions_for_order,
     classification_buckets,
     classify,
@@ -21,7 +20,7 @@ from necsurf.classify import (
     classify_mb1,
     classify_triangle,
 )
-from necsurf.signatures import FAMILIES, QuotientType
+from necsurf.signatures import FAMILIES, QuotientType, SurfaceTopology
 from necsurf.zmod import biggest_coprime_divisor, euler_phi, psi
 
 
@@ -157,12 +156,13 @@ def _ann1_linear_reference(N, m, k, want_orientable):
         if N % 2 != 0 or N % k != 0 or N != math.lcm(m, N // k):
             return ClassificationResult(q, N, False, 0)
         count = euler_phi(math.gcd(m, N // k))
-        reals = [Realization(_surface(False, p, k), count)]
+        reals = [Realization(SurfaceTopology.of_genus(False, p, k), count)]
         return ClassificationResult(q, N, True, count, tuple(reals))
     reals = []
     if N % k == 0 and N == 2 * math.lcm(m, N // k) and (N // 2) % 2 == 1:
         t = math.gcd(m, N // k)
-        reals.append(Realization(_surface(True, p, k), euler_phi(t), True, "mirror"))
+        surf = SurfaceTopology.of_genus(True, p, k)
+        reals.append(Realization(surf, euler_phi(t), True, "mirror"))
     for n1 in range(1, k // 2 + 1):
         n2 = k - n1
         if m % n1 or m % n2 or math.gcd(n1, n2) != 1:
@@ -174,7 +174,8 @@ def _ann1_linear_reference(N, m, k, want_orientable):
         C = biggest_coprime_divisor(m // (n1 * n2), N * n1 * n2 // m)
         B = m // (C * n1 * n2)
         count = euler_phi(B) * psi(C) if k != 2 else _half_count(B, C, N // m)
-        reals.append(Realization(_surface(True, p, k), count, False, f"split{{{n1},{n2}}}"))
+        surf = SurfaceTopology.of_genus(True, p, k)
+        reals.append(Realization(surf, count, False, f"split{{{n1},{n2}}}"))
     reals = tuple(r for r in reals if r.count > 0)
     return ClassificationResult(q, N, bool(reals), sum(r.count for r in reals), reals)
 

@@ -156,3 +156,13 @@ def test_verify_rejects_bounds_before_any_work(capsys, monkeypatch):
     for n_max in (str(oracle.ORACLE_MAX_N + 1), "1"):
         code, out, err = run(capsys, "verify", "--n-max", n_max)
         assert code == 2 and "n_max" in err and not out, n_max
+
+
+def test_verify_rejects_jobs_below_one_before_any_work(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(oracle, "cross_check", no_sweep)
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "verify", "--n-max", "4", "--jobs", jobs)
+        assert code == 2 and "--jobs" in err and not out, jobs

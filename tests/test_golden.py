@@ -33,12 +33,10 @@ def test_check_points_in_golden_order():
     assert [_key(q, N) for q, N in points] == want
 
 
-def test_check_point_matches_golden_up_to_20():
+def test_check_point_matches_golden_up_to_48():
     checked = 0
     for entry in ORACLE:
         point = entry["point"]
-        if point["N"] > 20:
-            continue
         q = QuotientType(point["kind"], m=point["m"], n=point["n"])
         p = oracle.check_point(q, point["N"])
         got = {
@@ -50,7 +48,7 @@ def test_check_point_matches_golden_up_to_20():
         }
         assert json.loads(json.dumps(got)) == entry["result"], point["quotient"]
         checked += 1
-    assert checked == 408
+    assert checked == 1291
 
 
 def test_enumerate_rows_match_golden(capsys):
@@ -61,3 +59,16 @@ def test_enumerate_rows_match_golden(capsys):
         assert main(["enumerate", "--N", N, "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)["result"]["rows"]
         assert W.rows_digest(rows) == digest, N
+
+
+def test_extremal_queries_match_golden(capsys):
+    """The min-genus queries with N <= 60 and the max-order queries with p <= 30."""
+    golden = W.load_golden("extremal-cli")
+    checked = 0
+    for argv in W.extremal_domain():
+        if int(argv[2]) > (60 if argv[0] == "min-genus" else 30):
+            continue
+        assert main(argv) == 0, argv
+        assert W.digest(capsys.readouterr().out) == golden[W.argv_key(argv)], argv
+        checked += 1
+    assert checked == 411

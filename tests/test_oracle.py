@@ -112,15 +112,14 @@ def test_moves_preserve_smoothness():
         assert maps
         for move in moves_for(q):
             for m in maps:
-                image = move.apply(m.image_dict, N)
-                assert is_smooth(BskMap.from_dict(q, N, image))
+                assert is_smooth(BskMap(q, N, move.apply(m.images, N)))
 
 
 def test_enumeration_order_independent():
     """The smooth-map set does not depend on the generator search order."""
     for q, N in ((QuotientType("ann1", m=3), 6), (QuotientType("mb1", m=2), 4)):
         pres = presentation_of(q)
-        want = {m.vector() for m in enumerate_smooth(q, N)}
+        want = {m.images for m in enumerate_smooth(q, N)}
         domains = {
             g: [v for v in range(N)] for g in pres.free
         }
@@ -133,7 +132,7 @@ def test_enumeration_order_independent():
                 images = pres.complete(dict(zip(perm, combo)), N)
                 bmap = BskMap.from_dict(q, N, images)
                 if is_smooth(bmap):
-                    got.add(bmap.vector())
+                    got.add(bmap.images)
             assert got == want
 
 
@@ -150,6 +149,10 @@ def test_cross_check_small_sweep():
     assert len(report.points) > 100
     described = report.points[0].describe()
     assert "ok" in described
+
+
+def test_cross_check_process_pool_matches_serial():
+    assert cross_check(n_max=10, jobs=2).points == cross_check(n_max=10, jobs=1).points
 
 
 def test_cross_check_rejects_unknown_kind():
