@@ -30,17 +30,7 @@ from .extremal import (
     min_genus_search,
 )
 from .oracle import cross_check, enumerate_smooth, moves_for, oracle_report, orbit_count
-from .signatures import (
-    FuchsianSignature,
-    NecSignature,
-    QuotientType,
-    SurfaceTopology,
-    area,
-    canonical_fuchsian,
-    is_admissible_quotient,
-    kernel_algebraic_genus,
-    large_action_catalog,
-)
+from .signatures import NecSignature, QuotientType, SurfaceTopology, area, kernel_algebraic_genus
 from .zmod import (
     MaclachlanQuad,
     crt_solve,

@@ -17,61 +17,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .signatures import FAMILIES, CycleSpec, QuotientType, SurfaceTopology, kernel_algebraic_genus
+from .signatures import (
+    FAMILIES, PresentationSpec, QuotientType, SurfaceTopology, kernel_algebraic_genus,
+)
 from .zmod import order_mod
 
 
-@dataclass
-class Presentation:
-    """A family's ``PresentationSpec`` at the cone orders of ``quotient``."""
-
-    quotient: QuotientType
-    gens: tuple[str, ...]
-    eps: dict[str, int]  # +1 orientation-preserving, -1 reversing
-    free: tuple[str, ...]
-    elliptic_orders: dict[str, int]
-    cycles: tuple[CycleSpec, ...]
-    reflection_names: tuple[str, ...]
-    glides: tuple[str, ...]
-    long_relation: tuple[tuple[int, str], ...] | None
-    derived: dict[str, tuple[tuple[int, str], ...]]
-
-    @property
-    def relations(self) -> tuple[str, ...]:
-        """The relations x^m stating the elliptic orders, then the family's others."""
-        static = FAMILIES[self.quotient.kind].presentation.relations
-        return tuple(f"{g}^{o}" for g, o in self.elliptic_orders.items()) + static
-
-    def complete(self, free_images: dict[str, int], N: int) -> dict[str, int]:
-        """Fill in dependent generator images from the free ones."""
-        images = dict(free_images)
-        for name, expr in self.derived.items():
-            images[name] = sum(c * images[g] for c, g in expr) % N
-        return {g: images[g] % N for g in self.gens}
-
-
-def presentation_of(q: QuotientType) -> Presentation:
-    """The presentation used for this quotient family (see ``PresentationSpec``).
-
-    Only the elliptic orders depend on the cone orders; the rest is the
-    family's fixed spec.
-    """
+def presentation_of(q: QuotientType) -> PresentationSpec:
+    """The family's spec at the cone orders of ``q``: its ``elliptic_orders`` filled in."""
     fam = FAMILIES[q.kind]
     spec = fam.presentation
-    return Presentation(
-        quotient=q,
-        gens=spec.gens,
-        eps=spec.eps,
-        free=spec.free,
-        elliptic_orders=dict(zip(spec.elliptic, fam.proper_periods(q.m, q.n))),
-        cycles=spec.cycles,
-        reflection_names=spec.reflection_names,
-        glides=spec.glides,
-        long_relation=spec.long_relation,
-        derived=spec.derived,
-    )
+    return replace(spec, elliptic_orders=dict(zip(spec.elliptic, fam.proper_periods(q.m, q.n))))
 
 
 @dataclass(frozen=True)
@@ -109,11 +67,12 @@ class BskMap:
 
 def smoothness_failures(bmap: BskMap) -> list[str]:
     """All reasons the assignment fails to be a BSK epimorphism (empty = smooth)."""
-    pres = presentation_of(bmap.quotient)
-    N = bmap.N
+    q, N = bmap.quotient, bmap.N
+    fam = FAMILIES[q.kind]
+    pres = fam.presentation
     img = bmap.image_dict
     bad = []
-    for name, want in pres.elliptic_orders.items():
+    for name, want in zip(pres.elliptic, fam.proper_periods(q.m, q.n)):
         got = order_mod(img[name], N)
         if got != want:
             bad.append(f"{name} has order {got}, requires exact order {want}")
@@ -155,7 +114,7 @@ def orientability(bmap: BskMap) -> bool:
     non-orientable iff w lies in the subgroup generated by the preserving
     images, the differences of reversing images, and 2w.
     """
-    pres = presentation_of(bmap.quotient)
+    pres = FAMILIES[bmap.quotient.kind].presentation
     N = bmap.N
     img = bmap.image_dict
     refl = set(pres.reflection_names)
@@ -176,38 +135,6 @@ def orientability(bmap: BskMap) -> bool:
     return w % d != 0
 
 
-def orientability_case_rule(bmap: BskMap) -> bool:
-    """Per-family orientability criteria, as derived in the case analyses.
-
-    Redundant with the general non-orientable-word test in orientability();
-    kept as the reference the tests check it against on every smooth map
-    of the oracle sweep.  True means the covered surface is orientable.
-    """
-    kind, N = bmap.quotient.kind, bmap.N
-    img = bmap.image_dict
-    if kind in ("d6", "d21", "d3-22m", "d3-23m"):
-        return True
-    if kind == "d2c-2m":
-        return False
-    if kind == "d2c-3m":
-        return bmap.quotient.m != 4
-    if kind in ("d12", "d14"):
-        return bmap.quotient.m % 2 == 1
-    if kind == "ann2":
-        return order_mod(img["e1"], N) != N
-    if kind == "mb2":
-        if order_mod(img["d"], N) == N:
-            return (N // 2) % 2 == 1
-        return False  # d^(N/2) lies in the kernel
-    if kind == "mb1":
-        return math.gcd(N, img["x"], img["e"]) != 1
-    if kind == "ann1":
-        if img["c1"] == 0 and img["c2"] == 0:
-            return True
-        return (N // 2) % math.gcd(N, img["x"], img["e1"]) != 0
-    raise ValueError(f"unknown quotient kind {kind!r}")
-
-
 def action_reverses_orientation(bmap: BskMap) -> bool | None:
     """For orientable covers: does a generator of the action reverse orientation?
 
@@ -219,7 +146,7 @@ def action_reverses_orientation(bmap: BskMap) -> bool | None:
     """
     if not orientability(bmap):
         return None
-    pres = presentation_of(bmap.quotient)
+    pres = FAMILIES[bmap.quotient.kind].presentation
     img = bmap.image_dict
     if pres.glides:
         return True
@@ -235,7 +162,7 @@ def boundary_count(bmap: BskMap) -> int:
     every smooth map (non-empty cycles force N even) and is asserted, not
     rounded.
     """
-    pres = presentation_of(bmap.quotient)
+    pres = FAMILIES[bmap.quotient.kind].presentation
     N = bmap.N
     img = bmap.image_dict
     total = 0

@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 
 from .signatures import FAMILIES, QuotientType, SurfaceTopology, kernel_algebraic_genus
-from .zmod import biggest_coprime_divisor, divisors, euler_phi, factorize, harvey_check, psi
+from .zmod import (
+    biggest_coprime_divisor, divisors, euler_phi, factorize, harvey_check, maclachlan, psi,
+)
 
 
 @dataclass(frozen=True)
@@ -155,21 +157,22 @@ def classify_d21(m: int, n: int, k: int) -> ClassificationResult:
     For t = gcd(m, n) it amounts to k | t, gcd(k, N/t) = 1, and k even
     when N is even with N/t odd (so that exactly one of N/m, N/n, N/k is
     even).  The cover is always orientable, orientation-preserving, of
-    algebraic genus 1 + N(1 - 1/m - 1/n).  With C the biggest divisor of
-    t/k coprime to Nk/t and B = t/(k*C), the class count is
-    phi(B)*psi(C) for m != n; for m = n the maps pair off under
+    algebraic genus 1 + N(1 - 1/m - 1/n).  The Maclachlan decomposition
+    (A, A1, A2, A3) of (m, n, N/k) has A = t/k and A1*A2*A3 = Nk/t.  With
+    C the biggest divisor of A coprime to A1*A2*A3 and B = A/C, the class
+    count is phi(B)*psi(C) for m != n; for m = n the maps pair off under
     inversion and the count follows _half_count with multiplier k.
     """
     q = QuotientType("d21", m=m, n=n)  # rejects m, n < 2 and 1/m + 1/n >= 1
     if k < 1:
         raise ValueError("need k >= 1")
     N = math.lcm(m, n)
-    t = math.gcd(m, n)
     if N % k != 0 or not harvey_check(m, n, N // k, N):
         return _absent(q, N)
-    C = biggest_coprime_divisor(t // k, N * k // t)
+    quad = maclachlan(m, n, N // k)
+    C = biggest_coprime_divisor(quad.a, quad.a1 * quad.a2 * quad.a3)
     assert C % 2 == 1, "C must be odd whenever the existence conditions hold"
-    B = t // (k * C)
+    B = quad.a // C
     count = euler_phi(B) * psi(C) if m != n else _half_count(B, C, k)
     p = 1 + N - N // m - N // n
     surf = SurfaceTopology.of_genus(True, p, k)

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 
 from . import extremal, oracle
 from .classify import ClassificationResult, actions_for_order, classify
@@ -249,6 +250,7 @@ def _add_mode(p) -> None:
     p.set_defaults(mode="both")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="necsurf",

@@ -21,16 +21,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bsk import (
-    BskMap,
-    Presentation,
-    action_reverses_orientation,
-    is_smooth,
-    presentation_of,
-    surface_of,
-)
+from .bsk import BskMap, action_reverses_orientation, is_smooth, presentation_of, surface_of
 from .classify import classification_buckets, parameter_space
-from .signatures import FAMILIES, QuotientType, SurfaceTopology
+from .signatures import FAMILIES, PresentationSpec, QuotientType, SurfaceTopology
 from .zmod import order_mod, units
 
 ORACLE_MAX_N = 96
@@ -43,7 +36,7 @@ class AutMove:
     Because the target is abelian, a substitution g -> word(generators)
     acts on an image vector linearly; ``rows[i]`` holds the
     (coefficient, source position) terms whose sum becomes the new image
-    of the generator at position i of ``Presentation.gens``.
+    of the generator at position i of ``PresentationSpec.gens``.
     """
 
     name: str
@@ -90,7 +83,7 @@ def moves_for(q: QuotientType) -> tuple[AutMove, ...]:
     return tuple(AutMove(name, tuple(row(m, g) for g in pres.gens)) for name, m in named)
 
 
-def _free_domains(pres: Presentation, N: int) -> list[tuple[int, ...]]:
+def _free_domains(pres: PresentationSpec, N: int) -> list[tuple[int, ...]]:
     reflections = set(pres.reflection_names)
     domains = []
     for g in pres.free:
@@ -147,7 +140,7 @@ class OrbitReport:
 
 
 def _invariants(bmap: BskMap) -> tuple[SurfaceTopology, bool | None, tuple[int, ...]]:
-    pres = presentation_of(bmap.quotient)
+    pres = FAMILIES[bmap.quotient.kind].presentation
     img = bmap.image_dict
     orders = tuple(
         sorted(order_mod(img[c.connector], bmap.N) for c in pres.cycles if c.connector)
@@ -287,11 +280,7 @@ def cross_check(kinds=None, n_max: int = 24, n_min: int = 2, jobs: int = 1) -> C
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_check_point_star, points, chunksize=8))
+            results = list(pool.map(check_point, *zip(*points), chunksize=8))
     else:
         results = [check_point(q, N) for q, N in points]
     return CrossCheckReport(tuple(results))
-
-
-def _check_point_star(point: tuple[QuotientType, int]) -> CheckPoint:
-    return check_point(*point)

@@ -34,6 +34,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""
     divs = [1]

@@ -37,12 +37,10 @@ def criterion(num, title):
     print(f"criterion {num} ({title}): PASS")
 
 
-def test_criterion_1_oracle_formula_agreement():
+def test_criterion_1_oracle_formula_agreement(sweep_48):
     """Exact orbit-count agreement for every family, N <= 48, single-threaded."""
     with criterion(1, "oracle vs closed form, N <= 48"):
-        start = time.time()
-        report = cross_check(n_max=48)
-        elapsed = time.time() - start
+        report, elapsed = sweep_48
         for fail in report.failures:
             print(fail.describe())
             print("  oracle:  ", fail.oracle_buckets)

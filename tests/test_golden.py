@@ -9,13 +9,22 @@ import json
 from pathlib import Path
 
 from necsurf import oracle
+from necsurf.bsk import presentation_of
 from necsurf.cli import main
 from necsurf.signatures import QuotientType
 
 _BENCH = Path(__file__).resolve().parent.parent / "bench"
-_spec = importlib.util.spec_from_file_location("bench_workloads", _BENCH / "workloads.py")
-W = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(W)
+
+
+def _load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", _BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+W = _load_bench("workloads")
+SPANS = _load_bench("spans")
 
 ORACLE = W.load_golden("oracle-sweep")
 
@@ -33,12 +42,16 @@ def test_check_points_in_golden_order():
     assert [_key(q, N) for q, N in points] == want
 
 
-def test_check_point_matches_golden_up_to_48():
+def test_check_point_matches_golden_up_to_48(sweep_48):
+    """The session's N <= 48 sweep, point by point; the order is the golden's
+    (see ``test_check_points_in_golden_order``)."""
+    report, _ = sweep_48
+    assert len(report.points) == len(ORACLE)
     checked = 0
-    for entry in ORACLE:
+    for p, entry in zip(report.points, ORACLE):
         point = entry["point"]
-        q = QuotientType(point["kind"], m=point["m"], n=point["n"])
-        p = oracle.check_point(q, point["N"])
+        want_key = (point["kind"], point["m"], point["n"], point["N"], point["quotient"])
+        assert _key(p.quotient, p.N) == want_key
         got = {
             "maps": p.map_count,
             "orbits": p.orbit_count,
@@ -49,6 +62,27 @@ def test_check_point_matches_golden_up_to_48():
         assert json.loads(json.dumps(got)) == entry["result"], point["quotient"]
         checked += 1
     assert checked == 1291
+
+
+def test_bench_spans_wrap_existing_names():
+    """``bench/run.py --trace 1`` wraps every name in ``spans.LAYERS``."""
+    for layer, names in SPANS.LAYERS.items():
+        module = importlib.import_module(f"necsurf.{layer}")
+        for name in names:
+            assert hasattr(module, name), f"necsurf.{layer}.{name}"
+
+
+def test_presentation_of_serves_the_bench_candidate_count():
+    """``worker.enumeration_candidates`` reads these three fields."""
+    pres = presentation_of(QuotientType("d21", m=2, n=3))
+    assert pres.free == ("x1", "x2", "c")
+    assert pres.reflection_names == ("c",)
+    assert pres.elliptic_orders == {"x1": 2, "x2": 3}
+    pres = presentation_of(QuotientType("d2c-3m", m=4))
+    assert pres.free == ("x1", "x2", "c0", "c1")
+    assert pres.reflection_names == ("c0", "c1", "c2")
+    assert pres.elliptic_orders == {"x1": 3, "x2": 4}
+    assert presentation_of(QuotientType("d6")).elliptic_orders == {}
 
 
 def test_enumerate_rows_match_golden(capsys):

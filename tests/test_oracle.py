@@ -1,10 +1,11 @@
 """Enumeration, orbit counting, and the oracle-vs-formula cross-check."""
 
 import itertools
+import math
 
 import pytest
 
-from necsurf.bsk import BskMap, is_smooth, orientability, orientability_case_rule, presentation_of
+from necsurf.bsk import BskMap, is_smooth, orientability, presentation_of
 from necsurf.oracle import (
     ORACLE_MAX_N,
     check_point,
@@ -17,6 +18,38 @@ from necsurf.oracle import (
 )
 from necsurf.signatures import QuotientType
 from necsurf.zmod import order_mod
+
+
+def orientability_case_rule(bmap: BskMap) -> bool:
+    """Per-family orientability criteria, as derived in the case analyses.
+
+    Redundant with the general non-orientable-word test in orientability();
+    kept as the reference it is checked against on every smooth map of the
+    oracle sweep.  True means the covered surface is orientable.
+    """
+    kind, N = bmap.quotient.kind, bmap.N
+    img = bmap.image_dict
+    if kind in ("d6", "d21", "d3-22m", "d3-23m"):
+        return True
+    if kind == "d2c-2m":
+        return False
+    if kind == "d2c-3m":
+        return bmap.quotient.m != 4
+    if kind in ("d12", "d14"):
+        return bmap.quotient.m % 2 == 1
+    if kind == "ann2":
+        return order_mod(img["e1"], N) != N
+    if kind == "mb2":
+        if order_mod(img["d"], N) == N:
+            return (N // 2) % 2 == 1
+        return False  # d^(N/2) lies in the kernel
+    if kind == "mb1":
+        return math.gcd(N, img["x"], img["e"]) != 1
+    if kind == "ann1":
+        if img["c1"] == 0 and img["c2"] == 0:
+            return True
+        return (N // 2) % math.gcd(N, img["x"], img["e1"]) != 0
+    raise ValueError(f"unknown quotient kind {kind!r}")
 
 
 def test_enumerate_two_cone_disc():

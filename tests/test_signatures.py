@@ -1,24 +1,157 @@
-"""Signature arithmetic, the catalog, and admissibility."""
+"""Signature arithmetic, the catalog, and admissibility.
 
+The Fuchsian-subgroup helpers, the admissibility test and the brute-force
+re-derivation of the catalog below are reference code for these checks
+only; the package itself does not need them.
+"""
+
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
 from necsurf.signatures import (
     FAMILIES,
+    Family,
     NecSignature,
     QuotientType,
     SurfaceTopology,
-    _canon,
     area,
-    canonical_fuchsian,
-    fuchsian_area,
-    generate_admissible_signatures,
-    is_admissible_quotient,
     kernel_algebraic_genus,
-    large_action_catalog,
-    quotient_of_signature,
 )
+
+
+@dataclass(frozen=True)
+class FuchsianSignature:
+    genus: int
+    periods: tuple[int, ...] = ()
+
+    def render(self) -> str:
+        if not self.periods:
+            return f"({self.genus}; -)"
+        return f"({self.genus}; " + ", ".join(str(m) for m in self.periods) + ")"
+
+    def __str__(self) -> str:
+        return self.render()
+
+
+def fuchsian_area(fsig: FuchsianSignature) -> Fraction:
+    total = Fraction(2 * fsig.genus - 2)
+    for m in fsig.periods:
+        total += 1 - Fraction(1, m)
+    return total
+
+
+def canonical_fuchsian(sig: NecSignature) -> FuchsianSignature:
+    """Signature of the orientation-preserving index-2 subgroup.
+
+    (eps*g + k - 1; m_1, m_1, ..., m_r, m_r, n_11, ..., n_ks_k).  Defined
+    whenever the group has orientation-reversing elements, i.e. sign '-'
+    or at least one period cycle.
+    """
+    if sig.orientable and sig.cycle_count == 0:
+        raise ValueError("signature has no orientation-reversing elements")
+    periods = []
+    for m in sig.proper_periods:
+        periods += [m, m]
+    for cycle in sig.period_cycles:
+        periods += list(cycle)
+    genus = sig.epsilon * sig.genus + sig.cycle_count - 1
+    return FuchsianSignature(genus, tuple(periods))
+
+
+def is_admissible_quotient(sig: NecSignature, N: int) -> bool:
+    """Can sig be the quotient signature of a cyclic-N bordered action?
+
+    Requires at least one period cycle, every non-empty cycle an even
+    number of periods equal to 2, and all cycles empty when N is odd.
+    """
+    if sig.cycle_count == 0:
+        return False
+    for cycle in sig.period_cycles:
+        if cycle and (len(cycle) % 2 != 0 or any(n != 2 for n in cycle)):
+            return False
+        if cycle and N % 2 != 0:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class CatalogFamily:
+    number: int
+    kinds: tuple[str, ...]
+    description: str
+
+
+def large_action_catalog() -> tuple[CatalogFamily, ...]:
+    """The ten quotient families admitting area < 1, in catalog order."""
+    groups: dict[int, list[Family]] = {}
+    for fam in FAMILIES.values():
+        groups.setdefault(fam.number, []).append(fam)
+    return tuple(
+        CatalogFamily(number, tuple(sorted(f.kind for f in fams)), fams[0].description)
+        for number, fams in sorted(groups.items())
+    )
+
+
+def _canon(sig: NecSignature):
+    return (
+        sig.genus,
+        sig.orientable,
+        tuple(sorted(sig.proper_periods)),
+        tuple(sorted(sig.period_cycles)),
+    )
+
+
+def generate_admissible_signatures(max_period: int) -> set[NecSignature]:
+    """Every admissible-shape signature with 0 < area < 1, by brute force.
+
+    Cycles are empty or even runs of 2s, so only the base (eps*g + k - 2),
+    the proper periods and the total cycle length matter.  Area < 1 bounds
+    everything: eps*g + k <= 2, at most 3 proper periods, total cycle
+    length at most 6.  Used as double-entry bookkeeping against the
+    hard-coded catalog.
+    """
+    out = set()
+    for orientable, g, k in ((True, 0, 1), (True, 0, 2), (False, 1, 1)):
+        for r in range(4):
+            for periods in _nondecreasing_tuples(r, 2, max_period):
+                for lengths in _cycle_length_choices(k):
+                    cycles = tuple((2,) * s for s in lengths)
+                    sig = NecSignature(g, orientable, periods, cycles)
+                    if 0 < area(sig) < 1:
+                        out.add(NecSignature(g, orientable, periods, cycles))
+    return out
+
+
+def _nondecreasing_tuples(r, lo, hi):
+    if r == 0:
+        yield ()
+        return
+    for first in range(lo, hi + 1):
+        for rest in _nondecreasing_tuples(r - 1, first, hi):
+            yield (first, *rest)
+
+
+def _cycle_length_choices(k):
+    per_cycle = (0, 2, 4, 6)
+    if k == 1:
+        return [(s,) for s in per_cycle]
+    return [(s1, s2) for s1 in per_cycle for s2 in per_cycle if s1 <= s2]
+
+
+def quotient_of_signature(sig: NecSignature) -> QuotientType | None:
+    """Match a signature against the catalog families (None if no match).
+
+    A family's cone-order parameters can only take the signature's periods.
+    """
+    key = _canon(sig)
+    for fam in FAMILIES.values():
+        for q in fam.instances(sorted(set(sig.proper_periods))):
+            if _canon(q.signature()) == key:
+                return q
+    return None
+
 
 D6 = NecSignature(0, True, (), ((2,) * 6,))
 ANN2 = NecSignature(0, True, (), ((), (2, 2)))
