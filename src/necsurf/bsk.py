@@ -19,9 +19,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .signatures import (
-    FAMILIES, PresentationSpec, QuotientType, SurfaceTopology, kernel_algebraic_genus,
-)
+from .signatures import FAMILIES, PresentationSpec, QuotientType, SurfaceTopology
 from .zmod import order_mod
 
 
@@ -67,33 +65,32 @@ class BskMap:
 
 def smoothness_failures(bmap: BskMap) -> list[str]:
     """All reasons the assignment fails to be a BSK epimorphism (empty = smooth)."""
-    q, N = bmap.quotient, bmap.N
+    q, N, vec = bmap.quotient, bmap.N, bmap.images
     fam = FAMILIES[q.kind]
-    pres = fam.presentation
-    img = bmap.image_dict
+    gens = fam.presentation.gens
+    slots = fam.presentation.slots
     bad = []
-    for name, want in zip(pres.elliptic, fam.proper_periods(q.m, q.n)):
-        got = order_mod(img[name], N)
+    for i, want in zip(slots.elliptic, fam.proper_periods(q.m, q.n)):
+        got = order_mod(vec[i], N)
         if got != want:
-            bad.append(f"{name} has order {got}, requires exact order {want}")
-    for c in pres.reflection_names:
-        if (2 * img[c]) % N != 0:
-            bad.append(f"reflection {c} image {img[c]} does not square to 0")
-    for cyc in pres.cycles:
-        names = cyc.reflections + ((cyc.tail,) if cyc.tail else (cyc.reflections[0],))
-        if cyc.tail and img[cyc.tail] != img[cyc.reflections[0]]:
-            bad.append(f"{cyc.tail} must equal the conjugate image of {cyc.reflections[0]}")
-        for j in range(cyc.length):
-            a, b = names[j], names[j + 1] if j + 1 < len(names) else names[0]
-            if order_mod(img[a] + img[b], N) != 2:
-                bad.append(f"corner ({a} {b}) has order {order_mod(img[a] + img[b], N)}, not 2")
-    if pres.long_relation is not None:
-        total = sum(c * img[g] for c, g in pres.long_relation) % N
+            bad.append(f"{gens[i]} has order {got}, requires exact order {want}")
+    for i in slots.reflections:
+        if (2 * vec[i]) % N != 0:
+            bad.append(f"reflection {gens[i]} image {vec[i]} does not square to 0")
+    for tail, corners in slots.cycles:
+        if tail and vec[tail[0]] != vec[tail[1]]:
+            bad.append(f"{gens[tail[0]]} must equal the conjugate image of {gens[tail[1]]}")
+        for a, b in corners:
+            got = order_mod(vec[a] + vec[b], N)
+            if got != 2:
+                bad.append(f"corner ({gens[a]} {gens[b]}) has order {got}, not 2")
+    if slots.long_relation is not None:
+        total = sum(c * vec[i] for c, i in slots.long_relation) % N
         if total != 0:
             bad.append(f"long relation evaluates to {total}")
-    if math.gcd(N, *[v for v in img.values()]) != 1:
+    if math.gcd(N, *vec) != 1:
         bad.append("images do not generate Z_N")
-    if not any(img[c] == 0 for c in pres.reflection_names):
+    if all(vec[i] != 0 for i in slots.reflections):
         bad.append("kernel contains no reflection (surface would be unbordered)")
     return bad
 
@@ -112,27 +109,29 @@ def orientability(bmap: BskMap) -> bool:
     generated by the included generators, so the test is membership of
     (0, -1): with w one included reversing image, the surface is
     non-orientable iff w lies in the subgroup generated by the preserving
-    images, the differences of reversing images, and 2w.
+    images, the differences of reversing images, and 2w.  (Which included
+    reversing image is w does not matter: any two differ by an element of
+    that subgroup.)
     """
-    pres = FAMILIES[bmap.quotient.kind].presentation
-    N = bmap.N
-    img = bmap.image_dict
-    refl = set(pres.reflection_names)
-    preserving = []
-    reversing = []
-    for g in pres.gens:
-        if pres.eps[g] == 1:
-            preserving.append(img[g])
-        elif g in refl and img[g] == 0:
-            continue  # kernel reflections may not appear in the word
-        else:
-            reversing.append(img[g])
+    slots = FAMILIES[bmap.quotient.kind].presentation.slots
+    vec = bmap.images
+    reversing = [vec[i] for i in slots.glides] + [vec[i] for i in slots.reflections if vec[i]]
     if not reversing:
         return True
     w = reversing[0]
-    gens = preserving + [x - w for x in reversing[1:]] + [2 * w]
-    d = math.gcd(N, *gens)
+    gens = [vec[i] for i in slots.preserving] + [x - w for x in reversing[1:]] + [2 * w]
+    d = math.gcd(bmap.N, *gens)
     return w % d != 0
+
+
+def has_reversing_image(bmap: BskMap) -> bool:
+    """Does an orientation-reversing canonical generator survive outside the kernel?
+
+    That is a glide, or a reflection with image N/2.  On an orientable
+    cover this says whether the action reverses orientation.
+    """
+    slots = FAMILIES[bmap.quotient.kind].presentation.slots
+    return bool(slots.glides) or any(bmap.images[i] for i in slots.reflections)
 
 
 def action_reverses_orientation(bmap: BskMap) -> bool | None:
@@ -140,17 +139,11 @@ def action_reverses_orientation(bmap: BskMap) -> bool | None:
 
     The orientation behaviour is a homomorphism Z_N -> Z_2; when it is
     non-trivial every generator of Z_N reverses.  It is non-trivial exactly
-    when some orientation-reversing canonical generator survives outside
-    the kernel reflections (a glide, or a reflection with image N/2).
-    Returns None for non-orientable covers.
+    when ``has_reversing_image``.  Returns None for non-orientable covers.
     """
     if not orientability(bmap):
         return None
-    pres = FAMILIES[bmap.quotient.kind].presentation
-    img = bmap.image_dict
-    if pres.glides:
-        return True
-    return any(img[c] != 0 for c in pres.reflection_names)
+    return has_reversing_image(bmap)
 
 
 def boundary_count(bmap: BskMap) -> int:
@@ -162,20 +155,16 @@ def boundary_count(bmap: BskMap) -> int:
     every smooth map (non-empty cycles force N even) and is asserted, not
     rounded.
     """
-    pres = FAMILIES[bmap.quotient.kind].presentation
-    N = bmap.N
-    img = bmap.image_dict
+    slots = FAMILIES[bmap.quotient.kind].presentation.slots
+    N, vec = bmap.N, bmap.images
     total = 0
-    for cyc in pres.cycles:
-        if cyc.length == 0:
-            if img[cyc.reflections[0]] != 0:
-                continue
-            assert cyc.connector is not None
-            total += N // order_mod(img[cyc.connector], N)
-        else:
-            s = cyc.length * N
-            assert s % 4 == 0, f"cycle contribution {cyc.length}*{N}/4 is not integral"
-            total += s // 4
+    for refl, connector in slots.empty_cycles:
+        if vec[refl] == 0:
+            total += N // order_mod(vec[connector], N)
+    for length in slots.cycle_lengths:
+        s = length * N
+        assert s % 4 == 0, f"cycle contribution {length}*{N}/4 is not integral"
+        total += s // 4
     return total
 
 
@@ -184,7 +173,6 @@ def surface_of(bmap: BskMap) -> SurfaceTopology:
     failures = smoothness_failures(bmap)
     if failures:
         raise ValueError(f"map is not smooth: {failures[0]}")
-    orientable = orientability(bmap)
-    k = boundary_count(bmap)
-    p = kernel_algebraic_genus(bmap.quotient.signature(), bmap.N)
-    return SurfaceTopology.of_genus(orientable, p, k)
+    q = bmap.quotient
+    p = FAMILIES[q.kind].kernel_genus(q.m, q.n, bmap.N)
+    return SurfaceTopology.of_genus(orientability(bmap), p, boundary_count(bmap))

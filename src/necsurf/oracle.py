@@ -14,17 +14,28 @@ move set generates the full outer automorphism group, so orbit counts are
 exact ground truth.  For the remaining families the moves are the ones the
 uniqueness arguments actually use (cycle rotation); a mismatch there is
 reported verbatim, never reconciled.
+
+The orbits are counted without a search.  Z_N^* acts freely on smooth
+maps, because their images generate Z_N, so every unit class has phi(N)
+members and a unit-canonical form; a union-find joins the classes along
+the move edges.  Closure of the enumerated set is asserted on the edges
+of a generating set, the generators of Z_N^* and the moves: a finite set
+closed under the generators is closed under the group they generate
+(Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+section 4.1).  The surface invariants are computed on every map and
+asserted constant on each orbit.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
-from .bsk import BskMap, action_reverses_orientation, is_smooth, presentation_of, surface_of
+from .bsk import BskMap, has_reversing_image, is_smooth, presentation_of, surface_of
 from .classify import classification_buckets, parameter_space
 from .signatures import FAMILIES, PresentationSpec, QuotientType, SurfaceTopology
-from .zmod import order_mod, units
+from .zmod import crt_solve, euler_phi, factorize, order_mod, unit_generators
 
 ORACLE_MAX_N = 96
 
@@ -140,55 +151,103 @@ class OrbitReport:
 
 
 def _invariants(bmap: BskMap) -> tuple[SurfaceTopology, bool | None, tuple[int, ...]]:
-    pres = FAMILIES[bmap.quotient.kind].presentation
-    img = bmap.image_dict
-    orders = tuple(
-        sorted(order_mod(img[c.connector], bmap.N) for c in pres.cycles if c.connector)
-    )
-    return surface_of(bmap), action_reverses_orientation(bmap), orders
+    """Surface, reversal and sorted connector orders of a map; raises if it is not smooth."""
+    surface = surface_of(bmap)
+    reversing = has_reversing_image(bmap) if surface.orientable else None
+    vec, N = bmap.images, bmap.N
+    connectors = FAMILIES[bmap.quotient.kind].presentation.slots.connectors
+    return surface, reversing, tuple(sorted(order_mod(vec[i], N) for i in connectors))
+
+
+def _unit_normaliser(N: int):
+    """The unit-canonical form of an image vector that generates Z_N.
+
+    Z_N splits by CRT into the Z_{p^a} over p^a || N.  In each component
+    the first image that is a unit mod p is scaled to 1; the unit doing
+    that is the CRT sum of the per-component inverses, each times the
+    idempotent that is 1 mod p^a and 0 mod N/p^a.  Two vectors get the
+    same form exactly when one is a unit multiple of the other.
+    """
+    parts = []
+    for p, a in factorize(N):
+        q = p**a
+        inverse = {r: pow(r, -1, q) for r in range(q) if r % p}
+        parts.append((p, q, crt_solve(1, q, 0, N // q), inverse))
+
+    def normalise(vec: tuple[int, ...]) -> tuple[int, ...]:
+        u = 0
+        for p, q, idempotent, inverse in parts:
+            first = next(v for v in vec if v % p)
+            u += idempotent * inverse[first % q]
+        return tuple(u * v % N for v in vec)
+
+    return normalise
 
 
 def orbit_count(maps: list[BskMap], moves: tuple[AutMove, ...], N: int) -> OrbitReport:
     """Orbits of theta ~ c * (theta o phi) over the finite smooth-map set.
 
-    Breadth-first closure under unit multiplication and the move set, so a
-    representative is available for every orbit.  Along the way it is
-    asserted that every unit multiple and every move image is again a
-    smooth map of the enumerated set, and that surface invariants are
-    constant on each orbit.
+    Z_N^* acts freely on smooth maps: u * theta = theta means (u - 1) kills
+    every image, and the images generate Z_N, so u = 1.  Each unit class
+    therefore has exactly phi(N) members and one unit-canonical form
+    (``_unit_normaliser``); the maps are grouped by it.  The moves are
+    Z-linear, so they commute with unit multiplication, and a union-find
+    joins the unit classes along the move edges.
+
+    Asserted on the way: every map's image under each generator of Z_N^*
+    (``unit_generators``) and under each move is again a map of the set,
+    so the set is closed under the whole group they generate; every unit
+    class has phi(N) members; and the invariants, computed on every map,
+    are constant on each orbit.  Orbits come in order of their smallest
+    member index, each represented by the member with the least images.
     """
     if not maps:
         return OrbitReport(None, N, 0, 0, ())
     q = maps[0].quotient
     index = {m.images: i for i, m in enumerate(maps)}
     assert len(index) == len(maps)
-    unit_list = units(N)
-    seen = [False] * len(maps)
+    # first, so that a map that is not smooth raises as surface_of does;
+    # equal invariants share one object, which keeps the list small
+    distinct: dict[tuple, tuple] = {}
+    invariants = [distinct.setdefault(inv, inv) for inv in map(_invariants, maps)]
+    normalise = _unit_normaliser(N)
+    class_of: dict[tuple[int, ...], int] = {}
+    unit_class = [class_of.setdefault(normalise(m.images), len(class_of)) for m in maps]
+    parent = list(range(len(class_of)))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    def member(vec: tuple[int, ...]) -> int:
+        j = index.get(vec)
+        assert j is not None, f"equivalence left the smooth set: {BskMap(q, N, vec)}"
+        return j
+
+    gens = unit_generators(N)
+    for i, m in enumerate(maps):
+        vec = m.images
+        for g in gens:
+            member(tuple(g * v % N for v in vec))
+        for move in moves:
+            j = member(move.apply(vec, N))
+            parent[find(unit_class[j])] = find(unit_class[i])
+    phi = euler_phi(N)
+    assert all(size == phi for size in Counter(unit_class).values()), (
+        f"a unit class of {q} at N={N} does not have phi(N) = {phi} members"
+    )
+    members: dict[int, list[int]] = {}
+    for i, c in enumerate(unit_class):
+        members.setdefault(find(c), []).append(i)
     orbits = []
-    for start in range(len(maps)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = [start]
-        members = [start]
-        while queue:
-            vec = maps[queue.pop()].images
-            neighbours = [tuple(u * v % N for v in vec) for u in unit_list]
-            neighbours += [move.apply(vec, N) for move in moves]
-            for nb in neighbours:
-                j = index.get(nb)
-                assert j is not None, f"equivalence left the smooth set: {BskMap(q, N, nb)}"
-                if not seen[j]:
-                    seen[j] = True
-                    queue.append(j)
-                    members.append(j)
-        inv = _invariants(maps[members[0]])
-        for i in members[1:]:
-            assert _invariants(maps[i]) == inv, (
-                f"orbit invariants vary within an orbit of {q} at N={N}"
-            )
-        rep = maps[min(members, key=lambda i: maps[i].images)]
-        orbits.append(OrbitInfo(rep, len(members), inv[0], inv[1], inv[2]))
+    for orbit in members.values():
+        inv = invariants[orbit[0]]
+        for i in orbit[1:]:
+            assert invariants[i] == inv, f"orbit invariants vary within an orbit of {q} at N={N}"
+        rep = maps[min(orbit, key=lambda i: maps[i].images)]
+        orbits.append(OrbitInfo(rep, len(orbit), inv[0], inv[1], inv[2]))
     return OrbitReport(q, N, len(maps), len(orbits), tuple(orbits))
 
 

@@ -113,6 +113,27 @@ class CycleSpec:
 
 
 @dataclass(frozen=True)
+class PresentationSlots:
+    """A ``PresentationSpec`` compiled to positions in its ``gens``.
+
+    The per-map rules of ``bsk`` read a map's residues through these
+    positions, so they build no name-keyed view of the map.
+    """
+
+    elliptic: tuple[int, ...]  # in the order of the proper periods
+    reflections: tuple[int, ...]  # of ``reflection_names``
+    # per period cycle: (tail, first reflection) or None, then its corners
+    # as pairs of consecutive reflections
+    cycles: tuple[tuple[tuple[int, int] | None, tuple[tuple[int, int], ...]], ...]
+    long_relation: tuple[tuple[int, int], ...] | None  # (coefficient, position)
+    preserving: tuple[int, ...]  # the orientation-preserving generators
+    glides: tuple[int, ...]
+    empty_cycles: tuple[tuple[int, int], ...]  # (reflection, connector) per empty cycle
+    cycle_lengths: tuple[int, ...]  # of the non-empty cycles
+    connectors: tuple[int, ...]  # of every cycle that keeps one
+
+
+@dataclass(frozen=True)
 class PresentationSpec:
     """A family's presentation; only the elliptic orders depend on its cone orders.
 
@@ -156,10 +177,33 @@ class PresentationSpec:
         return tuple(out)
 
     @cached_property
-    def eps(self) -> dict[str, int]:
-        """-1 on the reflections and glides (orientation-reversing), +1 elsewhere."""
+    def slots(self) -> PresentationSlots:
+        """The presentation compiled to positions in ``gens``, once per spec."""
+        pos = {g: i for i, g in enumerate(self.gens)}
+        cycles, empty, lengths = [], [], []
+        for cyc in self.cycles:
+            ring = [pos[c] for c in cyc.reflections]
+            ring.append(pos[cyc.tail] if cyc.tail else ring[0])
+            tail = (ring[-1], ring[0]) if cyc.tail else None
+            cycles.append((tail, tuple((ring[j], ring[j + 1]) for j in range(cyc.length))))
+            if cyc.length:
+                lengths.append(cyc.length)
+            else:
+                assert cyc.connector is not None, "an empty cycle needs its connector"
+                empty.append((ring[0], pos[cyc.connector]))
         reversing = {*self.reflection_names, *self.glides}
-        return {g: -1 if g in reversing else 1 for g in self.gens}
+        return PresentationSlots(
+            elliptic=tuple(pos[g] for g in self.elliptic),
+            reflections=tuple(pos[c] for c in self.reflection_names),
+            cycles=tuple(cycles),
+            long_relation=None if self.long_relation is None
+            else tuple((c, pos[g]) for c, g in self.long_relation),
+            preserving=tuple(i for g, i in pos.items() if g not in reversing),
+            glides=tuple(pos[g] for g in self.glides),
+            empty_cycles=tuple(empty),
+            cycle_lengths=tuple(lengths),
+            connectors=tuple(pos[c.connector] for c in self.cycles if c.connector),
+        )
 
 
 @dataclass(frozen=True)
@@ -201,6 +245,22 @@ class Family:
         base = area(NecSignature(self.genus, self.orientable, self.periods, self.cycles))
         base += len(self.params)
         return base.numerator, base.denominator
+
+    def kernel_genus(self, m: int | None, n: int | None, N: int) -> int:
+        """``kernel_algebraic_genus`` at cone orders m, n and order N, in integers.
+
+        The area is a/b - 1/m (- 1/n) (see ``admits``), so p - 1 = N * area
+        is N*(a*m*n - b*(m + n)) / (b*m*n).  Raises if that is not an
+        integer (no such subgroup).
+        """
+        num, den = self._area_base
+        for c in (m, n):
+            if c is not None:
+                num, den = num * c - den, den * c
+        p1, rem = divmod(N * num, den)
+        if num <= 0 or rem:
+            raise ValueError(f"order {N} is incompatible with {self.kind} at cone orders {m}, {n}")
+        return p1 + 1
 
     def proper_periods(self, m: int | None, n: int | None) -> tuple[int, ...]:
         if m is None:

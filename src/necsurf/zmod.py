@@ -1,10 +1,11 @@
 """Exact modular arithmetic underlying the class-counting formulas.
 
 Everything here is plain integer arithmetic, no floats: the Euler totient,
-its companion ``psi`` with psi(p^a) = (p-2)*p^(a-1), CRT solving, lifting
-units along reduction maps Z_N* -> Z_n*, Harvey's criterion for generating
-a cyclic group by three elements of prescribed orders summing to zero, and
-the Maclachlan decomposition of an order triple.
+its companion ``psi`` with psi(p^a) = (p-2)*p^(a-1), a generating set of
+the unit group, CRT solving, lifting units along reduction maps
+Z_N* -> Z_n*, Harvey's criterion for generating a cyclic group by three
+elements of prescribed orders summing to zero, and the Maclachlan
+decomposition of an order triple.
 """
 
 from __future__ import annotations
@@ -91,6 +92,36 @@ def units(n: int) -> tuple[int, ...]:
     if n == 1:
         return (0,)
     return tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
+
+
+def _primitive_root(p: int, q: int) -> int:
+    """Least generator of the cyclic group Z_q^*, for q a power of an odd prime p."""
+    phi = q // p * (p - 1)
+    return next(
+        g for g in range(2, q)
+        if g % p and all(pow(g, phi // r, q) != 1 for r, _ in factorize(phi))
+    )
+
+
+@lru_cache(maxsize=None)
+def unit_generators(n: int) -> tuple[int, ...]:
+    """A generating set of Z_n^*: one generator per cyclic factor of each Z_{p^a}^*.
+
+    Z_n^* is the product of the Z_{p^a}^* over p^a || n.  Each factor is
+    cyclic, generated by a primitive root, except for 2^a with a >= 3,
+    where it is <-1> x <5>; Z_4^* is <3> and Z_2^* is trivial.  Each
+    generator is lifted to Z_n as the unit that is 1 modulo the other
+    prime powers.  unit_generators(1) = unit_generators(2) = ().
+    """
+    out = []
+    for p, a in factorize(n):
+        q = p**a
+        if p != 2:
+            gens: tuple[int, ...] = (_primitive_root(p, q),)
+        else:
+            gens = () if a == 1 else (3,) if a == 2 else (q - 1, 5)
+        out.extend(crt_solve(g, q, 1, n // q) for g in gens)
+    return tuple(out)
 
 
 def crt_solve(a: int, m: int, b: int, n: int) -> int | None:

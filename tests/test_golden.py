@@ -5,6 +5,7 @@ these tests only read them.  A difference is a change of behaviour.
 """
 
 import importlib.util
+import inspect
 import json
 from pathlib import Path
 
@@ -70,6 +71,17 @@ def test_bench_spans_wrap_existing_names():
         module = importlib.import_module(f"necsurf.{layer}")
         for name in names:
             assert hasattr(module, name), f"necsurf.{layer}.{name}"
+
+
+def test_bench_span_hooks_bind_existing_parameters():
+    """The ``spans.Tracer`` hooks read these arguments by name under ``--trace 1``."""
+    read = {"oracle.enumerate_smooth": {"q", "N"}, "oracle.orbit_count": {"maps", "moves", "N"}}
+    hooks = SPANS.Tracer()._hooks()
+    for name, params in read.items():
+        assert name in hooks
+        layer, fn = name.split(".")
+        func = getattr(importlib.import_module(f"necsurf.{layer}"), fn)
+        assert params <= set(inspect.signature(func).parameters), name
 
 
 def test_presentation_of_serves_the_bench_candidate_count():

@@ -8,6 +8,9 @@ import pytest
 from necsurf.bsk import BskMap, is_smooth, orientability, presentation_of
 from necsurf.oracle import (
     ORACLE_MAX_N,
+    OrbitInfo,
+    OrbitReport,
+    _invariants,
     check_point,
     check_points,
     cross_check,
@@ -17,7 +20,49 @@ from necsurf.oracle import (
     orbit_count,
 )
 from necsurf.signatures import QuotientType
-from necsurf.zmod import order_mod
+from necsurf.zmod import order_mod, units
+
+
+def orbit_count_bfs(maps, moves, N):
+    """Orbits by breadth-first closure under every unit and every move.
+
+    The search ``orbit_count`` replaced, kept as its reference: it visits
+    all phi(N) unit multiples of every map, so it needs neither the
+    freeness of the unit action nor the generating set.
+    """
+    if not maps:
+        return OrbitReport(None, N, 0, 0, ())
+    q = maps[0].quotient
+    index = {m.images: i for i, m in enumerate(maps)}
+    assert len(index) == len(maps)
+    unit_list = units(N)
+    seen = [False] * len(maps)
+    orbits = []
+    for start in range(len(maps)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = [start]
+        members = [start]
+        while queue:
+            vec = maps[queue.pop()].images
+            neighbours = [tuple(u * v % N for v in vec) for u in unit_list]
+            neighbours += [move.apply(vec, N) for move in moves]
+            for nb in neighbours:
+                j = index.get(nb)
+                assert j is not None, f"equivalence left the smooth set: {BskMap(q, N, nb)}"
+                if not seen[j]:
+                    seen[j] = True
+                    queue.append(j)
+                    members.append(j)
+        inv = _invariants(maps[members[0]])
+        for i in members[1:]:
+            assert _invariants(maps[i]) == inv, (
+                f"orbit invariants vary within an orbit of {q} at N={N}"
+            )
+        rep = maps[min(members, key=lambda i: maps[i].images)]
+        orbits.append(OrbitInfo(rep, len(members), inv[0], inv[1], inv[2]))
+    return OrbitReport(q, N, len(maps), len(orbits), tuple(orbits))
 
 
 def orientability_case_rule(bmap: BskMap) -> bool:
@@ -91,6 +136,37 @@ def test_orbit_count_single_map_no_moves():
     maps = enumerate_smooth(q, 2)[:1]
     report = orbit_count(maps, (), 2)
     assert report.orbit_count == 1
+
+
+def test_orbit_count_matches_bfs_reference():
+    """Field for field, representatives included, at every point with N <= 24."""
+    points = check_points(None, 24)
+    for q, N in points:
+        maps, moves = enumerate_smooth(q, N), moves_for(q)
+        assert orbit_count(maps, moves, N) == orbit_count_bfs(maps, moves, N), (q, N)
+    assert len(points) == 527
+
+
+@pytest.mark.parametrize("kind, m, N, drop", [
+    ("mb1", 4, 8, 0), ("mb1", 4, 8, 5), ("mb1", 4, 8, -1),
+    ("d3-22m", 8, 8, 0), ("d3-22m", 8, 8, -1),  # no moves: only the unit generators see it
+])
+def test_orbit_count_rejects_a_set_not_closed_under_equivalence(kind, m, N, drop):
+    q = QuotientType(kind, m=m)
+    maps = enumerate_smooth(q, N)
+    del maps[drop]
+    with pytest.raises(AssertionError, match="equivalence left the smooth set"):
+        orbit_count(maps, moves_for(q), N)
+
+
+def test_orbit_count_rejects_a_map_that_is_not_smooth():
+    q = QuotientType("d6")
+    bmap = BskMap(q, 2, (0,) * 6)  # no image generates Z_2
+    assert not is_smooth(bmap)
+    with pytest.raises(ValueError, match="not smooth"):
+        orbit_count([bmap], (), 2)
+    with pytest.raises(ValueError, match="not smooth"):
+        orbit_count_bfs([bmap], (), 2)
 
 
 def test_annulus_worked_example_orbits():

@@ -282,6 +282,24 @@ def test_admits_is_the_exact_area_test():
                 assert fam.admits(m, n) == want, (fam.kind, m, n)
 
 
+def test_family_kernel_genus_is_the_exact_area_genus():
+    """The registry's integer genus equals kernel_algebraic_genus, raising where it raises."""
+    checked = 0
+    for fam in FAMILIES.values():
+        for q in fam.instances(range(2, 25)):
+            sig = q.signature()
+            for N in range(2, 49):
+                try:
+                    want = kernel_algebraic_genus(sig, N)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        fam.kernel_genus(q.m, q.n, N)
+                    continue
+                assert fam.kernel_genus(q.m, q.n, N) == want, (q, N)
+                checked += 1
+    assert checked > 1000
+
+
 def test_quotient_type_validation():
     with pytest.raises(ValueError):
         QuotientType("d12", m=2)  # zero area

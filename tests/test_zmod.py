@@ -15,6 +15,7 @@ from necsurf.zmod import (
     maclachlan,
     order_mod,
     psi,
+    unit_generators,
     units,
 )
 
@@ -95,6 +96,23 @@ def test_lift_unit_rejects():
         lift_unit(2, 4, 12)  # not a unit mod 4
     with pytest.raises(ValueError):
         lift_unit(1, 5, 12)  # 5 does not divide 12
+
+
+def test_unit_generators_generate_the_unit_group():
+    assert unit_generators(1) == unit_generators(2) == ()
+    assert unit_generators(8) == (7, 5)
+    assert unit_generators(12) == (7, 5)  # 3 mod 4 and 2 mod 3, each 1 mod the other
+    for n in range(1, 201):
+        group = {1 % n}
+        frontier = list(group)
+        while frontier:
+            x = frontier.pop()
+            for g in unit_generators(n):
+                y = g * x % n
+                if y not in group:
+                    group.add(y)
+                    frontier.append(y)
+        assert group == set(units(n)), n
 
 
 def brute_harvey(N):
