@@ -1,9 +1,14 @@
 """Closed-form classification of cyclic actions for the ten quotient families.
 
-Each function decides existence for a parameter tuple, returns the exact
-number of topological conjugacy classes, and lists the realized surfaces.
-Counts are expressed through the totient, its companion psi, and greatest
-common divisors; every division below is exact and asserted.
+One private formula per family, ``f(q, N, k, orientable) -> list[Realization]``,
+states the paper's conditions: existence (an empty list means no action),
+the class counts, through the totient, its companion psi and gcds, and the
+realized surfaces.  Every division is exact and asserted.  A formula gets a
+validated quotient, and N = ``q.forced_order()`` when the family forces one.
+``classify`` is the only gate: it validates the input, answers any other
+order of a forced family with the absent result, and builds the
+``ClassificationResult``.  The public ``classify_*`` functions call it; the
+sweep (``results_for``) skips those orders before any formula runs.
 """
 
 from __future__ import annotations
@@ -46,10 +51,6 @@ class ClassificationResult:
         assert self.class_count == sum(r.count for r in self.realizations)
 
 
-def _absent(q: QuotientType, N: int) -> ClassificationResult:
-    return ClassificationResult(q, N, False, 0)
-
-
 def _result(q, N, reals) -> ClassificationResult:
     reals = tuple(r for r in reals if r.count > 0)
     return ClassificationResult(q, N, bool(reals), sum(r.count for r in reals), reals)
@@ -57,6 +58,12 @@ def _result(q, N, reals) -> ClassificationResult:
 
 def _ceil_half(x: int) -> int:
     return (x + 1) // 2
+
+
+def _one_of(kinds: tuple[str, ...], kind: str, m: int) -> QuotientType:
+    if kind not in kinds:
+        raise ValueError(f"{kind!r} is not one of {kinds}")
+    return QuotientType(kind, m=m)
 
 
 def classify_corner_only(kind: str, N: int) -> ClassificationResult:
@@ -67,32 +74,29 @@ def classify_corner_only(kind: str, N: int) -> ClassificationResult:
     orientable surfaces (tori/spheres, only for odd N/2) carry
     orientation-reversing actions.
     """
-    if kind not in ("d6", "ann2", "mb2"):
-        raise ValueError(f"not a parameter-free family: {kind!r}")
-    q = QuotientType(kind)
-    if N < 2:
-        raise ValueError("the acting group must have order >= 2")
-    if kind == "d6":
-        if N != 2:
-            return _absent(q, N)
+    return classify(QuotientType(kind), N)  # only d6, ann2 and mb2 take no cone orders
+
+
+def _corner_only(q: QuotientType, N: int, k, orientable) -> list[Realization]:
+    if q.kind == "d6":
         surf = SurfaceTopology.of_genus(True, 2, 3)
-        return _result(q, N, [Realization(surf, 1, reversing=True)])
+        return [Realization(surf, 1, reversing=True)] if N == 2 else []
     if N % 2 != 0:
-        return _absent(q, N)
+        return []
     p = N // 2 + 1
     half_odd = (N // 2) % 2 == 1
     reals = []
-    if kind == "ann2":
-        for k in (N // 2, N // 2 + 1):  # Klein bottle, projective plane
-            reals.append(Realization(SurfaceTopology.of_genus(False, p, k), 1))
+    if q.kind == "ann2":
+        for b in (N // 2, N // 2 + 1):  # Klein bottle, projective plane
+            reals.append(Realization(SurfaceTopology.of_genus(False, p, b), 1))
         if half_odd:
-            for k in (N // 2, N // 2 + 2):
-                reals.append(Realization(SurfaceTopology.of_genus(True, p, k), 1, reversing=True))
+            for b in (N // 2, N // 2 + 2):
+                reals.append(Realization(SurfaceTopology.of_genus(True, p, b), 1, reversing=True))
     else:  # mb2
         reals.append(Realization(SurfaceTopology.of_genus(False, p, N // 2), 1))
         if half_odd:
             reals.append(Realization(SurfaceTopology.of_genus(True, p, N // 2), 1, reversing=True))
-    return _result(q, N, reals)
+    return reals
 
 
 def classify_disc_corners(kind: str, m: int) -> ClassificationResult:
@@ -101,17 +105,16 @@ def classify_disc_corners(kind: str, m: int) -> ClassificationResult:
     The order is forced: N = m for even m (non-orientable cover), N = 2m
     for odd m (orientable, orientation-reversing cover).  One class each.
     """
-    if kind not in ("d12", "d14"):
-        raise ValueError(f"not a one-cone disc family: {kind!r}")
-    q = QuotientType(kind, m=m)
-    N = m if m % 2 == 0 else 2 * m
+    q = _one_of(("d12", "d14"), kind, m)
+    return classify(q, q.forced_order())
+
+
+def _disc_corners(q: QuotientType, N: int, k, orientable) -> list[Realization]:
     p = kernel_algebraic_genus(q.signature(), N)
-    k = N // 2 if kind == "d12" else N
-    if m % 2 == 0:
-        real = Realization(SurfaceTopology.of_genus(False, p, k), 1)
-    else:
-        real = Realization(SurfaceTopology.of_genus(True, p, k), 1, reversing=True)
-    return _result(q, N, [real])
+    b = N // 2 if q.kind == "d12" else N
+    if q.m % 2 == 0:
+        return [Realization(SurfaceTopology.of_genus(False, p, b), 1)]
+    return [Realization(SurfaceTopology.of_genus(True, p, b), 1, reversing=True)]
 
 
 def classify_mb1(N: int, m: int, k: int, want_orientable: bool) -> ClassificationResult:
@@ -123,30 +126,27 @@ def classify_mb1(N: int, m: int, k: int, want_orientable: bool) -> Classificatio
     ceil(phi(t)/2) for odd N.  Either way the algebraic genus is
     1 + (m-1)N/m.
     """
-    if N < 2 or m < 2 or k < 1:
-        raise ValueError("need N >= 2, m >= 2, k >= 1")
-    return _mb1(QuotientType("mb1", m=m), N, k, want_orientable)
+    return classify(QuotientType("mb1", m=m), N, k, want_orientable)
 
 
-def _mb1(q: QuotientType, N: int, k: int, want_orientable: bool) -> ClassificationResult:
-    """``classify_mb1`` for an already validated quotient, N >= 2 and k >= 1."""
+def _mb1(q: QuotientType, N: int, k: int, want_orientable: bool) -> list[Realization]:
     m = q.m
     if N % k != 0:
-        return _absent(q, N)
+        return []
     t = math.gcd(m, N // k)
     if want_orientable:
         if N != 2 * math.lcm(m, N // k):
-            return _absent(q, N)
+            return []
         if t % 2 == 0 and (N // (2 * t)) % 2 != 0:
-            return _absent(q, N)
+            return []
         count = _ceil_half(euler_phi(t))
     else:
         if N != math.lcm(m, N // k) or (N // t) % 2 == 0:
-            return _absent(q, N)
+            return []
         count = euler_phi(t) if N % 2 == 0 else _ceil_half(euler_phi(t))
     p = 1 + (m - 1) * N // m
     surf = SurfaceTopology.of_genus(want_orientable, p, k)
-    return _result(q, N, [Realization(surf, count, reversing=True if want_orientable else None)])
+    return [Realization(surf, count, reversing=True if want_orientable else None)]
 
 
 def classify_d21(m: int, n: int, k: int) -> ClassificationResult:
@@ -164,19 +164,20 @@ def classify_d21(m: int, n: int, k: int) -> ClassificationResult:
     inversion and the count follows _half_count with multiplier k.
     """
     q = QuotientType("d21", m=m, n=n)  # rejects m, n < 2 and 1/m + 1/n >= 1
-    if k < 1:
-        raise ValueError("need k >= 1")
-    N = math.lcm(m, n)
+    return classify(q, q.forced_order(), k)
+
+
+def _d21(q: QuotientType, N: int, k: int, orientable) -> list[Realization]:
+    m, n = q.m, q.n
     if N % k != 0 or not harvey_check(m, n, N // k, N):
-        return _absent(q, N)
+        return []
     quad = maclachlan(m, n, N // k)
     C = biggest_coprime_divisor(quad.a, quad.a1 * quad.a2 * quad.a3)
     assert C % 2 == 1, "C must be odd whenever the existence conditions hold"
     B = quad.a // C
     count = euler_phi(B) * psi(C) if m != n else _half_count(B, C, k)
     p = 1 + N - N // m - N // n
-    surf = SurfaceTopology.of_genus(True, p, k)
-    return _result(q, N, [Realization(surf, count, reversing=False)])
+    return [Realization(SurfaceTopology.of_genus(True, p, k), count, reversing=False)]
 
 
 def _is_two_power_above_two(b: int) -> bool:
@@ -221,23 +222,20 @@ def classify_ann1(N: int, m: int, k: int, want_orientable: bool) -> Classificati
     can carry classes: the divisors of N up to 2m and the O(d(m)^2) sums of
     coprime divisor pairs of m.
     """
-    if N < 2 or m < 2 or k < 1:
-        raise ValueError("need N >= 2, m >= 2, k >= 1")
-    return _ann1(QuotientType("ann1", m=m), N, k, want_orientable)
+    return classify(QuotientType("ann1", m=m), N, k, want_orientable)
 
 
-def _ann1(q: QuotientType, N: int, k: int, want_orientable: bool) -> ClassificationResult:
-    """``classify_ann1`` for an already validated quotient, N >= 2 and k >= 1."""
+def _ann1(q: QuotientType, N: int, k: int, want_orientable: bool) -> list[Realization]:
     m = q.m
     if N % m != 0:
-        return _absent(q, N)  # no element of exact order m
+        return []  # no element of exact order m
     p = 1 + N * (m - 1) // m
 
     if not want_orientable:
         if N % 2 != 0 or N % k != 0 or N != math.lcm(m, N // k):
-            return _absent(q, N)
+            return []
         count = euler_phi(math.gcd(m, N // k))
-        return _result(q, N, [Realization(SurfaceTopology.of_genus(False, p, k), count)])
+        return [Realization(SurfaceTopology.of_genus(False, p, k), count)]
 
     reals = []
     if N % k == 0 and N == 2 * math.lcm(m, N // k) and (N // 2) % 2 == 1:
@@ -260,7 +258,7 @@ def _ann1(q: QuotientType, N: int, k: int, want_orientable: bool) -> Classificat
         count = euler_phi(B) * psi(C) if k != 2 else _half_count(B, C, N // m)
         surf = SurfaceTopology.of_genus(True, p, k)
         reals.append(Realization(surf, count, reversing=False, label=f"split{{{n1},{n2}}}"))
-    return _result(q, N, reals)
+    return reals
 
 
 def _ann1_boundary_counts(q: QuotientType, N: int) -> list[int]:
@@ -285,19 +283,18 @@ def classify_triangle(kind: str, m: int) -> ClassificationResult:
     and (2, 3); for m = 4, 5 one class on (6, 1) and (15, 1).
     All orientation-preserving.
     """
-    if kind not in ("d3-22m", "d3-23m"):
-        raise ValueError(f"not a three-cone disc family: {kind!r}")
-    q = QuotientType(kind, m=m)
-    if kind == "d3-22m":
-        N = math.lcm(2, m)
-        k = N // m
+    q = _one_of(("d3-22m", "d3-23m"), kind, m)
+    return classify(q, q.forced_order())
+
+
+def _triangle(q: QuotientType, N: int, k, orientable) -> list[Realization]:
+    m = q.m
+    if q.kind == "d3-22m":
         g = 1 + (m - 2) * N // (2 * m)
         assert (m - 2) * N % (2 * m) == 0
-        return _result(q, N, [Realization(SurfaceTopology(True, g, k), 1, reversing=False)])
-    N = math.lcm(6, m)
-    gk = {3: ((3, 1), (2, 3)), 4: ((6, 1),), 5: ((15, 1),)}[m]
-    reals = [Realization(SurfaceTopology(True, g, k), 1, reversing=False) for g, k in gk]
-    return _result(q, N, reals)
+        return [Realization(SurfaceTopology(True, g, N // m), 1, reversing=False)]
+    gb = {3: ((3, 1), (2, 3)), 4: ((6, 1),), 5: ((15, 1),)}[m]
+    return [Realization(SurfaceTopology(True, g, b), 1, reversing=False) for g, b in gb]
 
 
 def classify_corner_pair(kind: str, m: int) -> ClassificationResult:
@@ -309,50 +306,47 @@ def classify_corner_pair(kind: str, m: int) -> ClassificationResult:
     on the orientable genus-2 surface, m = 4 one class non-orientable of
     genus 7, m = 5 one class orientable of genus 8.
     """
-    if kind not in ("d2c-2m", "d2c-3m"):
-        raise ValueError(f"not a two-cone corner family: {kind!r}")
-    q = QuotientType(kind, m=m)
-    if kind == "d2c-2m":
-        N = math.lcm(2, m)
+    q = _one_of(("d2c-2m", "d2c-3m"), kind, m)
+    return classify(q, q.forced_order())
+
+
+def _corner_pair(q: QuotientType, N: int, k, orientable) -> list[Realization]:
+    m, b = q.m, N // 2
+    if q.kind == "d2c-2m":
         g = 2 + (m - 2) * N // (2 * m)
         assert (m - 2) * N % (2 * m) == 0
-        return _result(q, N, [Realization(SurfaceTopology(False, g, N // 2), 1)])
-    N = math.lcm(6, m)
-    k = N // 2
+        return [Realization(SurfaceTopology(False, g, b), 1)]
     if m == 3:
-        reals = [Realization(SurfaceTopology(True, 2, k), 2, reversing=True)]
-    elif m == 4:
-        reals = [Realization(SurfaceTopology(False, 7, k), 1)]
-    else:
-        reals = [Realization(SurfaceTopology(True, 8, k), 1, reversing=True)]
-    return _result(q, N, reals)
+        return [Realization(SurfaceTopology(True, 2, b), 2, reversing=True)]
+    if m == 4:
+        return [Realization(SurfaceTopology(False, 7, b), 1)]
+    return [Realization(SurfaceTopology(True, 8, b), 1, reversing=True)]
 
 
 # --- dispatch and sweeps ---------------------------------------------------
 
-_CORNER_ONLY = (lambda q, N, k, o: classify_corner_only(q.kind, N), None)
-_DISC_CORNERS = (lambda q, N, k, o: classify_disc_corners(q.kind, q.m), None)
-_TRIANGLE = (lambda q, N, k, o: classify_triangle(q.kind, q.m), None)
-_CORNER_PAIR = (lambda q, N, k, o: classify_corner_pair(q.kind, q.m), None)
+_CORNER_ONLY = (lambda *args: _corner_only(*args), None)
+_DISC_CORNERS = (lambda *args: _disc_corners(*args), None)
+_TRIANGLE = (lambda *args: _triangle(*args), None)
+_CORNER_PAIR = (lambda *args: _corner_pair(*args), None)
 
 #: kind -> (formula(q, N, k, orientable), the boundary counts k that can
-#: occur at order N, or None for a formula without k).  The formulas are
-#: looked up by module-level name at each call.  The ann1 k-set comes from
-#: divisors (``_ann1_boundary_counts``): the O(d(m)^2) split sums of m plus
-#: the divisors of N up to 2m, each classified in O(d(m)) steps.  Trying
-#: every k <= 2m and every split n1 <= k/2 took O(m^2) steps per divisor m.
+#: occur at order N, or None for a formula without k).  Each formula keeps
+#: the contract of the module docstring.  The lambdas look the formula up
+#: by module-level name at each call, so a wrapper patched onto the module
+#: is seen.  The ann1 k-set comes from divisors (``_ann1_boundary_counts``):
+#: the O(d(m)^2) split sums of m plus the divisors of N up to 2m, each
+#: classified in O(d(m)) steps.  Trying every k <= 2m and every split
+#: n1 <= k/2 took O(m^2) steps per divisor m.
 _FORMULAS = {
     "d6": _CORNER_ONLY,
     "ann2": _CORNER_ONLY,
     "mb2": _CORNER_ONLY,
     "d12": _DISC_CORNERS,
     "d14": _DISC_CORNERS,
-    "mb1": (lambda q, N, k, o: _mb1(q, N, k, o), lambda q, N: divisors(N)),
-    "d21": (
-        lambda q, N, k, o: classify_d21(q.m, q.n, k),
-        lambda q, N: divisors(math.gcd(q.m, q.n)),
-    ),
-    "ann1": (lambda q, N, k, o: _ann1(q, N, k, o), _ann1_boundary_counts),
+    "mb1": (lambda *args: _mb1(*args), lambda q, N: divisors(N)),
+    "d21": (lambda *args: _d21(*args), lambda q, N: divisors(math.gcd(q.m, q.n))),
+    "ann1": (lambda *args: _ann1(*args), _ann1_boundary_counts),
     "d3-23m": _TRIANGLE,
     "d3-22m": _TRIANGLE,
     "d2c-3m": _CORNER_PAIR,
@@ -363,7 +357,7 @@ _FORMULAS = {
 def classify(q: QuotientType, N: int, k: int | None = None, orientable: bool | None = None) -> ClassificationResult:
     """Classify actions of order N with quotient q (and boundary count k where needed).
 
-    For families whose order is forced by the cone orders, a mismatched N
+    For families whose order is forced by the cone orders, any other N
     yields a non-existence result.  The family's ``classify_args`` say
     which of k and the orientability of the covered surface it needs.
     """
@@ -374,8 +368,9 @@ def classify(q: QuotientType, N: int, k: int | None = None, orientable: bool | N
         raise ValueError(f"{q.kind} needs {' and '.join(needs)}")
     if "k" in needs and k < 1:
         raise ValueError("need k >= 1")
-    res = _FORMULAS[q.kind][0](q, N, k, orientable)
-    return res if res.order == N else _absent(q, N)
+    if q.forced_order() not in (None, N):
+        return _result(q, N, ())
+    return _result(q, N, _FORMULAS[q.kind][0](q, N, k, orientable))
 
 
 @dataclass(frozen=True)
@@ -401,15 +396,18 @@ def parameter_space(kind: str, N: int) -> list[QuotientType]:
     return FAMILIES[kind].instances([d for d in divisors(N) if d >= 2], order=N)
 
 
-def results_for(q: QuotientType, N: int) -> list[ClassificationResult]:
-    """Every classification result for quotient q at order N (all k, all flags)."""
+def results_for(q: QuotientType, N: int) -> list[Realization]:
+    """Every realization with classes for quotient q at order N (all k, all flags)."""
+    if q.forced_order() not in (None, N):
+        return []
     formula, k_range = _FORMULAS[q.kind]
     flags = (True, False) if "orientable" in FAMILIES[q.kind].classify_args else (None,)
     return [
-        res
+        real
         for k in (k_range(q, N) if k_range else (None,))
         for flag in flags
-        if (res := formula(q, N, k, flag)).order == N
+        for real in formula(q, N, k, flag)
+        if real.count > 0
     ]
 
 
@@ -420,9 +418,8 @@ def actions_for_order(N: int) -> list[ActionRecord]:
     out = []
     for kind in FAMILIES:
         for q in parameter_space(kind, N):
-            for res in results_for(q, N):
-                for real in res.realizations:
-                    out.append(ActionRecord(q, N, real))
+            for real in results_for(q, N):
+                out.append(ActionRecord(q, N, real))
     return out
 
 
@@ -433,12 +430,7 @@ def classification_buckets(q: QuotientType, N: int) -> dict[tuple, int]:
     the closed forms: equivalence preserves all three invariants.
     """
     buckets: dict[tuple, int] = {}
-    for res in results_for(q, N):
-        for real in res.realizations:
-            key = (
-                real.surface.orientable,
-                real.reversing,
-                real.surface.boundary_count,
-            )
-            buckets[key] = buckets.get(key, 0) + real.count
+    for real in results_for(q, N):
+        key = (real.surface.orientable, real.reversing, real.surface.boundary_count)
+        buckets[key] = buckets.get(key, 0) + real.count
     return buckets

@@ -258,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    def add_format(p, choices=("table", "json", "csv")):
+        p.add_argument("--format", choices=choices, default="table")
 
     p_cls = sub.add_parser("classify", help="classes for one quotient family")
     p_cls.add_argument("type", choices=KIND_CHOICES)
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated quotient kinds (default: all)")
     p_ver.add_argument("--jobs", type=int, default=1)
     p_ver.add_argument("--verbose", action="store_true")
-    add_format(p_ver)
+    add_format(p_ver, ("table", "json"))  # a sweep has no rows to write as CSV
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

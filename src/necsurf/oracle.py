@@ -311,30 +311,28 @@ def check_point(q: QuotientType, N: int) -> CheckPoint:
     )
 
 
-def check_points(kinds=None, n_max: int = 24, n_min: int = 2) -> list[tuple[QuotientType, int]]:
+def check_points(kinds=None, n_max: int = 24) -> list[tuple[QuotientType, int]]:
     """The (quotient, N) points of a sweep; bad bounds or kinds raise before any work.
 
     A kind named twice is swept once, in the order it was first named.
     """
-    if not 2 <= n_min <= n_max <= ORACLE_MAX_N:
-        raise ValueError(
-            f"need 2 <= n_min <= n_max <= {ORACLE_MAX_N}, got n_min={n_min}, n_max={n_max}"
-        )
+    if not 2 <= n_max <= ORACLE_MAX_N:
+        raise ValueError(f"need 2 <= n_max <= {ORACLE_MAX_N}, got n_max={n_max}")
     kinds = tuple(dict.fromkeys(kinds)) if kinds else tuple(FAMILIES)
     for kind in kinds:
         if kind not in FAMILIES:
             raise ValueError(f"unknown quotient kind {kind!r}")
     out = []
-    for N in range(n_min, n_max + 1):
+    for N in range(2, n_max + 1):
         for kind in kinds:
             for q in parameter_space(kind, N):
                 out.append((q, N))
     return out
 
 
-def cross_check(kinds=None, n_max: int = 24, n_min: int = 2, jobs: int = 1) -> CrossCheckReport:
+def cross_check(kinds=None, n_max: int = 24, jobs: int = 1) -> CrossCheckReport:
     """Sweep oracle vs closed form over every admissible parameter point."""
-    points = check_points(kinds, n_max, n_min)
+    points = check_points(kinds, n_max)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

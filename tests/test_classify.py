@@ -1,5 +1,6 @@
 """Closed-form class counts, family by family."""
 
+import importlib
 import math
 
 import pytest
@@ -19,9 +20,13 @@ from necsurf.classify import (
     classify_disc_corners,
     classify_mb1,
     classify_triangle,
+    results_for,
 )
 from necsurf.signatures import FAMILIES, QuotientType, SurfaceTopology
 from necsurf.zmod import biggest_coprime_divisor, euler_phi, psi
+
+# the package re-exports the function ``classify`` under the module's name
+classify_module = importlib.import_module("necsurf.classify")
 
 
 def surfaces(res):
@@ -252,14 +257,62 @@ def test_dispatcher_rejects_bad_input():
             classify(QuotientType(kind, m=3), 6, k=0, orientable=True)
 
 
-def test_formula_table_matches_registry():
-    """One formula per family; k-ranges exactly where classify takes k, and
-    a formula's own order is N unless the registry says the cone orders force it."""
+def test_formula_table_matches_registry(monkeypatch):
+    """One formula per family and k-ranges exactly where classify takes k.
+    Off a forced order nothing exists, and no formula runs: the table looks
+    its formulas up by module-level name, so a patched one is seen."""
     assert list(_FORMULAS) == list(FAMILIES)
-    for kind, (formula, k_range) in _FORMULAS.items():
+    for kind, (_, k_range) in _FORMULAS.items():
         assert (k_range is not None) == ("k" in FAMILIES[kind].classify_args)
+
+    def no_formula(q, N, k, orientable):
+        raise AssertionError(f"a formula ran for {q} at N={N}")
+
+    formulas = ("_corner_only", "_disc_corners", "_mb1", "_d21", "_ann1", "_triangle", "_corner_pair")
+    for name in formulas:
+        monkeypatch.setattr(classify_module, name, no_formula)
+    with pytest.raises(AssertionError):
+        results_for(QuotientType("d12", m=4), 4)
+    checked = 0
+    for kind in FAMILIES:
         for q in FAMILIES[kind].instances(range(2, 31)):
-            assert formula(q, 60, 1, True).order == (q.forced_order() or 60), q
+            for N in range(2, 61):
+                if q.forced_order() in (None, N):
+                    continue
+                assert results_for(q, N) == [], (q, N)
+                assert not classify(q, N, k=1, orientable=True).exists, (q, N)
+                checked += 1
+    assert checked > 1000
+
+
+def test_public_classifiers_reject_bad_input():
+    """N < 2, a cone order below the family minimum, k < 1, a missing
+    orientability flag and a kind the function does not serve."""
+    bad = [
+        (classify_corner_only, ("d6", 1)),
+        (classify_corner_only, ("d12", 4)),
+        (classify_disc_corners, ("d12", 1)),
+        (classify_disc_corners, ("mb1", 4)),
+        (classify_mb1, (1, 2, 1, True)),
+        (classify_mb1, (4, 1, 1, True)),
+        (classify_mb1, (4, 2, 0, True)),
+        (classify_mb1, (4, 2, 1, None)),
+        (classify_ann1, (1, 2, 1, True)),
+        (classify_ann1, (4, 1, 1, True)),
+        (classify_ann1, (4, 2, 0, False)),
+        (classify_ann1, (4, 2, 1, None)),
+        (classify_d21, (1, 3, 1)),
+        (classify_d21, (2, 3, 0)),
+        (classify_triangle, ("d3-23m", 2)),
+        (classify_triangle, ("d3-22m", 1)),
+        (classify_triangle, ("d2c-2m", 4)),
+        (classify_corner_pair, ("d2c-3m", 2)),
+        (classify_corner_pair, ("d2c-2m", 1)),
+        (classify_corner_pair, ("d3-22m", 4)),
+    ]
+    for fn, args in bad:
+        with pytest.raises(ValueError):
+            fn(*args)
 
 
 def test_enumeration_at_order_two():

@@ -166,3 +166,12 @@ def test_verify_rejects_jobs_below_one_before_any_work(capsys, monkeypatch):
     for jobs in ("0", "-3"):
         code, out, err = run(capsys, "verify", "--n-max", "4", "--jobs", jobs)
         assert code == 2 and "--jobs" in err and not out, jobs
+
+
+def test_verify_rejects_csv_before_any_work(capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(oracle, "cross_check", no_sweep)
+    code, out, err = run(capsys, "verify", "--n-max", "3", "--format", "csv")
+    assert code == 2 and "csv" in err and not out

@@ -4,9 +4,12 @@ The golden files in ``bench/golden/`` were recorded once from the program;
 these tests only read them.  A difference is a change of behaviour.
 """
 
+import ast
+import importlib
 import importlib.util
 import inspect
 import json
+from collections import Counter
 from pathlib import Path
 
 from necsurf import oracle
@@ -82,6 +85,43 @@ def test_bench_span_hooks_bind_existing_parameters():
         layer, fn = name.split(".")
         func = getattr(importlib.import_module(f"necsurf.{layer}"), fn)
         assert params <= set(inspect.signature(func).parameters), name
+
+
+def _selftest_reached() -> dict:
+    """``REACHED`` of ``bench/selftest.py``, read from its source (the script
+    imports its neighbours as top-level modules)."""
+    tree = ast.parse((_BENCH / "selftest.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["REACHED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/selftest.py defines no REACHED")
+
+
+def test_bench_selftest_layers_are_reached(capsys):
+    """Every function the bench selftest expects its tiny traced passes to
+    reach (the ``.calls`` entries of ``REACHED``) gets a span on those inputs."""
+    wanted = {
+        name.removesuffix(".calls")
+        for names in _selftest_reached().values()
+        for name in names
+        if name.endswith(".calls")
+    }
+    assert "signatures.kernel_algebraic_genus" in wanted
+    catalog = importlib.import_module("necsurf.classify")
+    cli = importlib.import_module("necsurf.cli")
+    tracer = SPANS.Tracer()
+    tracer.install()
+    try:
+        for q, N in oracle.check_points(None, 10):
+            oracle.check_point(q, N)
+        for N in (2, 12, 60, 97):
+            catalog.actions_for_order(N)
+        assert cli.main(W.extremal_argv("min-genus", 15, "p+")) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    spans = Counter(tracer.names[i] for i in tracer.name_id)
+    assert {name for name in wanted if not spans[name]} == set()
 
 
 def test_presentation_of_serves_the_bench_candidate_count():
