@@ -5,10 +5,14 @@ states the paper's conditions: existence (an empty list means no action),
 the class counts, through the totient, its companion psi and gcds, and the
 realized surfaces.  Every division is exact and asserted.  A formula gets a
 validated quotient, and N = ``q.forced_order()`` when the family forces one.
-``classify`` is the only gate: it validates the input, answers any other
-order of a forced family with the absent result, and builds the
-``ClassificationResult``.  The public ``classify_*`` functions call it; the
-sweep (``results_for``) skips those orders before any formula runs.
+``classify`` is the only gate and the only check of its input: N >= 2,
+defaulting to the forced order; k (>= 1) and the orientability flag
+exactly where the family's ``classify_args`` name them, so an argument a
+family does not take raises ``ValueError`` like a missing one.  It answers
+any other order of a forced family with the absent result and builds the
+``ClassificationResult``.  The public ``classify_*`` functions and the CLI
+only forward their input to it; the sweep (``results_for``) calls the
+formulas directly and skips off-order points before any formula runs.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .signatures import FAMILIES, QuotientType, SurfaceTopology, kernel_algebraic_genus
+from .signatures import (
+    FAMILIES, QuotientType, SurfaceTopology, check_arguments, kernel_algebraic_genus,
+)
 from .zmod import (
     biggest_coprime_divisor, divisors, euler_phi, factorize, harvey_check, maclachlan, psi,
 )
@@ -105,8 +111,7 @@ def classify_disc_corners(kind: str, m: int) -> ClassificationResult:
     The order is forced: N = m for even m (non-orientable cover), N = 2m
     for odd m (orientable, orientation-reversing cover).  One class each.
     """
-    q = _one_of(("d12", "d14"), kind, m)
-    return classify(q, q.forced_order())
+    return classify(_one_of(("d12", "d14"), kind, m))
 
 
 def _disc_corners(q: QuotientType, N: int, k, orientable) -> list[Realization]:
@@ -163,8 +168,7 @@ def classify_d21(m: int, n: int, k: int) -> ClassificationResult:
     count is phi(B)*psi(C) for m != n; for m = n the maps pair off under
     inversion and the count follows _half_count with multiplier k.
     """
-    q = QuotientType("d21", m=m, n=n)  # rejects m, n < 2 and 1/m + 1/n >= 1
-    return classify(q, q.forced_order(), k)
+    return classify(QuotientType("d21", m=m, n=n), k=k)  # rejects m, n < 2 and 1/m + 1/n >= 1
 
 
 def _d21(q: QuotientType, N: int, k: int, orientable) -> list[Realization]:
@@ -283,8 +287,7 @@ def classify_triangle(kind: str, m: int) -> ClassificationResult:
     and (2, 3); for m = 4, 5 one class on (6, 1) and (15, 1).
     All orientation-preserving.
     """
-    q = _one_of(("d3-22m", "d3-23m"), kind, m)
-    return classify(q, q.forced_order())
+    return classify(_one_of(("d3-22m", "d3-23m"), kind, m))
 
 
 def _triangle(q: QuotientType, N: int, k, orientable) -> list[Realization]:
@@ -306,8 +309,7 @@ def classify_corner_pair(kind: str, m: int) -> ClassificationResult:
     on the orientable genus-2 surface, m = 4 one class non-orientable of
     genus 7, m = 5 one class orientable of genus 8.
     """
-    q = _one_of(("d2c-2m", "d2c-3m"), kind, m)
-    return classify(q, q.forced_order())
+    return classify(_one_of(("d2c-2m", "d2c-3m"), kind, m))
 
 
 def _corner_pair(q: QuotientType, N: int, k, orientable) -> list[Realization]:
@@ -354,21 +356,29 @@ _FORMULAS = {
 }
 
 
-def classify(q: QuotientType, N: int, k: int | None = None, orientable: bool | None = None) -> ClassificationResult:
+def classify(
+    q: QuotientType, N: int | None = None, k: int | None = None, orientable: bool | None = None
+) -> ClassificationResult:
     """Classify actions of order N with quotient q (and boundary count k where needed).
 
-    For families whose order is forced by the cone orders, any other N
-    yields a non-existence result.  The family's ``classify_args`` say
-    which of k and the orientability of the covered surface it needs.
+    N defaults to the order the cone orders force; a family with a free
+    order requires it.  For a forced family any other N yields a
+    non-existence result.  The family's ``classify_args`` say which of k
+    and the orientability of the covered surface it takes: each of them
+    is required there and rejected elsewhere.  Bad input raises
+    ``ValueError`` before any formula runs.
     """
+    forced = q.forced_order()
+    if N is None:
+        if forced is None:
+            raise ValueError(f"{q.kind} requires N")
+        N = forced
     if N < 2:
         raise ValueError("the acting group must have order >= 2")
-    needs = FAMILIES[q.kind].classify_args
-    if ("k" in needs and k is None) or ("orientable" in needs and orientable is None):
-        raise ValueError(f"{q.kind} needs {' and '.join(needs)}")
-    if "k" in needs and k < 1:
+    check_arguments(q.kind, FAMILIES[q.kind].classify_args, k=k, orientable=orientable)
+    if k is not None and k < 1:
         raise ValueError("need k >= 1")
-    if q.forced_order() not in (None, N):
+    if forced not in (None, N):
         return _result(q, N, ())
     return _result(q, N, _FORMULAS[q.kind][0](q, N, k, orientable))
 

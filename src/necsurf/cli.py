@@ -90,19 +90,8 @@ ROW_HEADERS = [
 
 
 def cmd_classify(args) -> int:
-    kind = args.type
-    fam = FAMILIES[kind]
-    given = {"N": args.N, "m": args.m, "n": args.n, "k": args.k, "orientable": args.orientable}
-    needs = fam.params + fam.classify_args
-    for opt, value in given.items():
-        if value is not None and opt != "N" and opt not in needs:
-            raise UsageError(f"{kind} does not take {_flag(opt)}")
-    for opt in (needs if fam.order_is_forced else ("N",) + needs):
-        if given[opt] is None:
-            raise UsageError(f"{kind} requires {_flag(opt)}")
-    q = QuotientType(kind, m=args.m, n=args.n)
-    N = args.N if args.N is not None else q.forced_order()
-    res = classify(q, N, k=args.k, orientable=args.orientable)
+    q = QuotientType(args.type, m=args.m, n=args.n)
+    res = classify(q, args.N, k=args.k, orientable=args.orientable)
     payload = _classification_payload(res)
     rows = payload["realizations"]
     _emit(_record("classify", _params_dict(args), payload), rows, args.format, ROW_HEADERS)
@@ -110,10 +99,6 @@ def cmd_classify(args) -> int:
         word = "exists" if res.exists else "does not exist"
         print(f"-> action {word}; {res.class_count} conjugacy class(es) at N={res.order}")
     return 0
-
-
-def _flag(opt: str) -> str:
-    return "--orientable or --non-orientable" if opt == "orientable" else f"--{opt}"
 
 
 def _params_dict(args) -> dict:

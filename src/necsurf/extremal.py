@@ -53,10 +53,14 @@ def _matches(record: ActionRecord, flavour: str) -> bool:
     raise ValueError(f"unknown variant {flavour!r}")
 
 
-def _check_variant(query: str, variant: str) -> None:
+def _check(query: str, variant: str, argument: int) -> None:
+    """Reject a variant the query does not have, and an order N or genus p below 2."""
     allowed = MIN_GENUS_VARIANTS if query == "min-genus" else MAX_ORDER_VARIANTS
     if variant not in allowed:
         raise ValueError(f"{query} variant must be one of {allowed}, got {variant!r}")
+    if argument < 2:
+        what = "order" if query == "min-genus" else "algebraic genus"
+        raise ValueError(f"{what} must be >= 2")
 
 
 def _reject_odd_reversing(variant: str, N: int) -> None:
@@ -111,9 +115,7 @@ def _min_genus_value(N: int, variant: str) -> int:
 
 def min_genus_closed(N: int, variant: str) -> ExtremalAnswer:
     """Least algebraic genus of a bordered surface with an order-N action."""
-    _check_variant("min-genus", variant)
-    if N < 2:
-        raise ValueError("order must be >= 2")
+    _check("min-genus", variant, N)
     _reject_odd_reversing(variant, N)
     value = _min_genus_value(N, variant)
     realizers = _realizers_at(N, variant, value)
@@ -124,9 +126,7 @@ def min_genus_closed(N: int, variant: str) -> ExtremalAnswer:
 
 def min_genus_search(N: int, variant: str) -> ExtremalAnswer:
     """Exhaustive minimum over the quotient catalog (empty when unattained)."""
-    _check_variant("min-genus", variant)
-    if N < 2:
-        raise ValueError("order must be >= 2")
+    _check("min-genus", variant, N)
     records = [r for r in actions_for_order(N) if _matches(r, variant)]
     if not records:
         return ExtremalAnswer("min-genus", variant, N, None, ())
@@ -151,9 +151,7 @@ def _max_order_value(p: int, variant: str) -> int:
 
 def max_order_closed(p: int, variant: str) -> ExtremalAnswer:
     """Largest cyclic order acting on a bordered surface of algebraic genus p."""
-    _check_variant("max-order", variant)
-    if p < 2:
-        raise ValueError("algebraic genus must be >= 2")
+    _check("max-order", variant, p)
     value = _max_order_value(p, variant)
     realizers = _realizers_at(value, _min_variant_for(variant), p)
     assert realizers, f"closed-form maximum {value} for {variant}({p}) has no realizer"
@@ -167,9 +165,7 @@ def _min_variant_for(max_variant: str) -> str:
 
 def max_order_search(p: int, variant: str) -> ExtremalAnswer:
     """Scan orders downward from the proven ceiling 2(p+1)."""
-    _check_variant("max-order", variant)
-    if p < 2:
-        raise ValueError("algebraic genus must be >= 2")
+    _check("max-order", variant, p)
     flavour = _min_variant_for(variant)
     for N in range(2 * (p + 1), max(p, 2) - 1, -1):
         # stays within N > p - 1, where the catalog is exhaustive

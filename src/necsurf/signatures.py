@@ -88,6 +88,13 @@ def kernel_algebraic_genus(sig: NecSignature, N: int) -> int:
     return int(p)
 
 
+def check_arguments(kind: str, takes: tuple[str, ...], **given) -> None:
+    """Raise unless exactly the arguments named in ``takes`` are given (not None)."""
+    for name, value in given.items():
+        if (value is None) == (name in takes):
+            raise ValueError(f"{kind} {'requires' if value is None else 'does not take'} {name}")
+
+
 # --- the ten large-action quotient families ------------------------------
 
 Term = tuple[int, str]  # (coefficient, generator) in an additive expression
@@ -148,7 +155,6 @@ class PresentationSpec:
     """
 
     gens: tuple[str, ...]
-    free: tuple[str, ...]
     elliptic: tuple[str, ...]
     cycles: tuple[CycleSpec, ...]
     glides: tuple[str, ...] = ()
@@ -166,6 +172,11 @@ class PresentationSpec:
         for name, expr in self.derived.items():
             images[name] = sum(c * images[g] for c, g in expr) % N
         return {g: images[g] % N for g in self.gens}
+
+    @cached_property
+    def free(self) -> tuple[str, ...]:
+        """The generators whose images are chosen freely: all but ``derived``, in ``gens`` order."""
+        return tuple(g for g in self.gens if g not in self.derived)
 
     @cached_property
     def reflection_names(self) -> tuple[str, ...]:
@@ -310,8 +321,7 @@ class QuotientType:
         fam = FAMILIES.get(self.kind)
         if fam is None:
             raise ValueError(f"unknown quotient kind {self.kind!r}")
-        if (self.m is None) == ("m" in fam.params) or (self.n is None) == ("n" in fam.params):
-            raise ValueError(f"kind {self.kind!r} takes parameters {fam.params}")
+        check_arguments(self.kind, fam.params, m=self.m, n=self.n)
         if self.m is not None and not fam.admits(self.m, self.n):
             raise ValueError(
                 f"{self.label()} is outside the catalog: cone orders must be "
@@ -324,10 +334,10 @@ class QuotientType:
 
     def forced_order(self) -> int | None:
         """The order N that the cone orders force, or None when N is free."""
-        if not FAMILIES[self.kind].order_is_forced:
+        fam = FAMILIES[self.kind]
+        if not fam.order_is_forced:
             return None
-        sig = self.signature()
-        return math.lcm(*sig.proper_periods, *(n for cyc in sig.period_cycles for n in cyc))
+        return math.lcm(*fam.proper_periods(self.m, self.n), *(n for cyc in fam.cycles for n in cyc))
 
     def label(self) -> str:
         if self.n is not None:
@@ -357,7 +367,6 @@ _EMPTY_CYCLE = (CycleSpec(("c",), 0, connector="e"),)
 
 _THREE_CONES = PresentationSpec(
     gens=("x1", "x2", "x3", "e", "c"),
-    free=("x1", "x2", "x3", "c"),
     elliptic=("x1", "x2", "x3"),
     cycles=_EMPTY_CYCLE,
     long_relation=((1, "x1"), (1, "x2"), (1, "x3"), (1, "e")),
@@ -366,7 +375,6 @@ _THREE_CONES = PresentationSpec(
 )
 _TWO_CONES_CORNERS = PresentationSpec(
     gens=("x1", "x2", "e", "c0", "c1", "c2"),
-    free=("x1", "x2", "c0", "c1"),
     elliptic=("x1", "x2"),
     cycles=(CycleSpec(("c0", "c1"), 2, connector="e", tail="c2"),),
     long_relation=((1, "x1"), (1, "x2"), (1, "e")),
@@ -380,7 +388,6 @@ FAMILIES: dict[str, Family] = {f.kind: f for f in (
         "d6", 1, "disc with 6 corner points", 0, True, (), (), ((2,) * 6,),
         PresentationSpec(
             gens=_C6,
-            free=_C6,
             elliptic=(),
             cycles=(CycleSpec(_C6, 6),),
             # e1 = 1 eliminates the connector and the long relation entirely
@@ -392,7 +399,6 @@ FAMILIES: dict[str, Family] = {f.kind: f for f in (
         "ann2", 2, "annulus with 2 corner points", 0, True, (), (), ((), (2, 2)),
         PresentationSpec(
             gens=("e1", "e2", "c10", "c20", "c21", "c22"),
-            free=("e1", "c10", "c20", "c21"),
             elliptic=(),
             cycles=(
                 CycleSpec(("c10",), 0, connector="e1"),
@@ -410,7 +416,6 @@ FAMILIES: dict[str, Family] = {f.kind: f for f in (
         "mb2", 3, "Moebius band with 2 corner points", 1, False, (), (), ((2, 2),),
         PresentationSpec(
             gens=("d", "c0", "c1", "c2"),
-            free=("d", "c0", "c1"),
             elliptic=(),
             cycles=_CORNER_PAIR,
             glides=("d",),
@@ -423,7 +428,6 @@ FAMILIES: dict[str, Family] = {f.kind: f for f in (
         "d12", 4, "disc with 1 cone point and 2 corner points", 0, True, (), ("m",), ((2, 2),),
         PresentationSpec(
             gens=("x", "c0", "c1", "c2"),
-            free=("x", "c0", "c1"),
             elliptic=("x",),
             cycles=_CORNER_PAIR,
             # e1 = x^-1
@@ -436,7 +440,6 @@ FAMILIES: dict[str, Family] = {f.kind: f for f in (
         "d14", 5, "disc with 1 cone point and 4 corner points", 0, True, (), ("m",), ((2,) * 4,),
         PresentationSpec(
             gens=("x",) + _C5,
-            free=("x",) + _C5[:4],
             elliptic=("x",),
             cycles=(CycleSpec(_C5[:4], 4, tail="c4"),),
             # e1 = x^-1
@@ -451,7 +454,6 @@ FAMILIES: dict[str, Family] = {f.kind: f for f in (
         "mb1", 6, "Moebius band with 1 cone point", 1, False, (), ("m",), ((),),
         PresentationSpec(
             gens=("x", "d", "c", "e"),
-            free=("x", "d", "c"),
             elliptic=("x",),
             cycles=_EMPTY_CYCLE,
             glides=("d",),
@@ -471,7 +473,6 @@ FAMILIES: dict[str, Family] = {f.kind: f for f in (
         "d21", 7, "disc with 2 cone points", 0, True, (), ("m", "n"), ((),),
         PresentationSpec(
             gens=("x1", "x2", "c", "e"),
-            free=("x1", "x2", "c"),
             elliptic=("x1", "x2"),
             cycles=_EMPTY_CYCLE,
             long_relation=((1, "x1"), (1, "x2"), (1, "e")),
@@ -488,7 +489,6 @@ FAMILIES: dict[str, Family] = {f.kind: f for f in (
         "ann1", 8, "annulus with 1 cone point", 0, True, (), ("m",), ((), ()),
         PresentationSpec(
             gens=("x", "e1", "e2", "c1", "c2"),
-            free=("x", "e1", "c1", "c2"),
             elliptic=("x",),
             cycles=(
                 CycleSpec(("c1",), 0, connector="e1"),

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from necsurf.oracle import cross_check
+from necsurf.oracle import check_points, cross_check, enumerate_smooth
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +16,13 @@ def sweep_48():
     start = time.time()
     report = cross_check(n_max=48)
     return report, time.time() - start
+
+
+@pytest.fixture(scope="session")
+def smooth_maps_48():
+    """``{(q, N): enumerate_smooth(q, N)}`` over every point of the N <= 48 sweep.
+
+    Enumerated once per session; the orientability sweep reads all of it
+    and criterion 6 the points with N <= 24.
+    """
+    return {(q, N): enumerate_smooth(q, N) for q, N in check_points(None, 48)}

@@ -22,7 +22,7 @@ from necsurf.extremal import (
     min_genus_closed,
     min_genus_search,
 )
-from necsurf.oracle import cross_check, enumerate_smooth, moves_for, oracle_report
+from necsurf.oracle import cross_check, moves_for, oracle_report
 from necsurf.signatures import QuotientType, area, kernel_algebraic_genus
 from necsurf.zmod import biggest_coprime_divisor, euler_phi, psi, unit_generators, units
 
@@ -232,7 +232,7 @@ def test_criterion_5_extremal_closed_vs_search():
         assert elapsed < 120, f"extremal sweep took {elapsed:.1f}s, budget is 2 minutes"
 
 
-def test_criterion_6_structural_invariants():
+def test_criterion_6_structural_invariants(smooth_maps_48):
     """Per-map invariants for every smooth map at N <= 24, zero violations.
 
     Unit invariance is checked on the generators of Z_N^* from
@@ -241,44 +241,38 @@ def test_criterion_6_structural_invariants():
     carries by induction on word length over the whole unit group.
     """
     with criterion(6, "structural invariant suite N <= 24"):
-        from necsurf.classify import parameter_space
-        from necsurf.signatures import FAMILIES
-
         checked_maps = 0
-        for N in range(2, 25):
+        for (q, N), maps in smooth_maps_48.items():
+            if N > 24 or not maps:
+                continue
             gens = unit_generators(N)
-            for kind in FAMILIES:
-                for q in parameter_space(kind, N):
-                    maps = enumerate_smooth(q, N)
-                    if not maps:
+            pres = presentation_of(q)
+            enumerated = {bmap.images for bmap in maps}
+            moves = moves_for(q)
+            p = kernel_algebraic_genus(q.signature(), N)
+            assert p == N * area(q.signature()) + 1
+            for bmap in maps:
+                checked_maps += 1
+                surf = surface_of(bmap)
+                # (a) Hurwitz-Riemann genus equals eps*g + k - 1
+                assert p == surf.algebraic_genus
+                # (b) invariance under units and automorphism moves
+                for g in gens:
+                    scaled = tuple(g * v % N for v in bmap.images)
+                    assert scaled in enumerated
+                    assert surface_of(BskMap(q, N, scaled)) == surf
+                for move in moves:
+                    moved = BskMap(q, N, move.apply(bmap.images, N))
+                    assert is_smooth(moved)
+                    assert surface_of(moved) == surf
+                # (c) consecutive reflections have distinct images
+                img = bmap.image_dict
+                for cyc in pres.cycles:
+                    if cyc.length == 0:
                         continue
-                    pres = presentation_of(q)
-                    enumerated = {bmap.images for bmap in maps}
-                    moves = moves_for(q)
-                    p = kernel_algebraic_genus(q.signature(), N)
-                    assert p == N * area(q.signature()) + 1
-                    for bmap in maps:
-                        checked_maps += 1
-                        surf = surface_of(bmap)
-                        # (a) Hurwitz-Riemann genus equals eps*g + k - 1
-                        assert p == surf.algebraic_genus
-                        # (b) invariance under units and automorphism moves
-                        for g in gens:
-                            scaled = tuple(g * v % N for v in bmap.images)
-                            assert scaled in enumerated
-                            assert surface_of(BskMap(q, N, scaled)) == surf
-                        for move in moves:
-                            moved = BskMap(q, N, move.apply(bmap.images, N))
-                            assert is_smooth(moved)
-                            assert surface_of(moved) == surf
-                        # (c) consecutive reflections have distinct images
-                        img = bmap.image_dict
-                        for cyc in pres.cycles:
-                            if cyc.length == 0:
-                                continue
-                            ring = [img[c] for c in cyc.reflections]
-                            for j, value in enumerate(ring):
-                                assert value != ring[(j + 1) % len(ring)]
+                    ring = [img[c] for c in cyc.reflections]
+                    for j, value in enumerate(ring):
+                        assert value != ring[(j + 1) % len(ring)]
         assert checked_maps > 5000
 
 

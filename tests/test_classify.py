@@ -255,6 +255,18 @@ def test_dispatcher_rejects_bad_input():
     for kind in ("mb1", "ann1"):
         with pytest.raises(ValueError):
             classify(QuotientType(kind, m=3), 6, k=0, orientable=True)
+    # arguments a family does not take are rejected, whatever their value
+    with pytest.raises(ValueError, match="d12 does not take k"):
+        classify(QuotientType("d12", m=4), 4, k=-5, orientable=False)
+    with pytest.raises(ValueError, match="d12 does not take orientable"):
+        classify(QuotientType("d12", m=3), 6, orientable=False)
+    with pytest.raises(ValueError, match="d21 does not take orientable"):
+        classify(QuotientType("d21", m=2, n=3), 6, k=1, orientable=True)
+    with pytest.raises(ValueError, match="mb1 requires N"):
+        classify(QuotientType("mb1", m=4), k=4, orientable=True)
+    # a forced order is the default N
+    q = QuotientType("d12", m=3)
+    assert classify(q) == classify(q, 6)
 
 
 def test_formula_table_matches_registry(monkeypatch):
@@ -274,13 +286,15 @@ def test_formula_table_matches_registry(monkeypatch):
     with pytest.raises(AssertionError):
         results_for(QuotientType("d12", m=4), 4)
     checked = 0
+    given = {"k": 1, "orientable": True}
     for kind in FAMILIES:
+        args = {a: given[a] for a in FAMILIES[kind].classify_args}  # only what it takes
         for q in FAMILIES[kind].instances(range(2, 31)):
             for N in range(2, 61):
                 if q.forced_order() in (None, N):
                     continue
                 assert results_for(q, N) == [], (q, N)
-                assert not classify(q, N, k=1, orientable=True).exists, (q, N)
+                assert not classify(q, N, **args).exists, (q, N)
                 checked += 1
     assert checked > 1000
 

@@ -280,12 +280,12 @@ def test_check_points_sweeps_a_repeated_kind_once():
     assert check_points(["mb2", "d6", "mb2"], 6) == check_points(["mb2", "d6"], 6)
 
 
-def test_orientability_matches_case_rule_on_sweep():
+def test_orientability_matches_case_rule_on_sweep(smooth_maps_48):
     """The non-orientable-word test agrees with the per-family case rule
     on every smooth map of the N <= 48 sweep."""
     checked = 0
-    for q, N in check_points(None, 48):
-        for bmap in enumerate_smooth(q, N):
+    for maps in smooth_maps_48.values():
+        for bmap in maps:
             assert orientability(bmap) == orientability_case_rule(bmap), bmap
             checked += 1
     assert checked == 120887
