@@ -13,6 +13,8 @@ any other order of a forced family with the absent result and builds the
 ``ClassificationResult``.  The public ``classify_*`` functions and the CLI
 only forward their input to it; the sweep (``results_for``) calls the
 formulas directly and skips off-order points before any formula runs.
+Asked for one genus, ``actions_for_order`` also skips every point whose
+Hurwitz-Riemann genus is another.
 """
 
 from __future__ import annotations
@@ -421,15 +423,53 @@ def results_for(q: QuotientType, N: int) -> list[Realization]:
     ]
 
 
-def actions_for_order(N: int) -> list[ActionRecord]:
-    """All conjugacy-class families of order-N actions across the catalog."""
+def _point_genus(q: QuotientType, N: int) -> int | None:
+    """The algebraic genus every order-N action with quotient q has, or None.
+
+    Hurwitz-Riemann gives p = 1 + N*area(q), whatever k and the
+    orientability; it is ``Family.kernel_genus`` in integers.  None means
+    that q carries no order-N action: its family forces another order, or
+    N*area(q) is not an integer.
+    """
+    if q.forced_order() not in (None, N):
+        return None
+    try:
+        return FAMILIES[q.kind].kernel_genus(q.m, q.n, N)
+    except ValueError:
+        return None
+
+
+def genera_for_order(N: int) -> list[int]:
+    """The distinct integer genera ``_point_genus`` gives at order N, ascending."""
+    return sorted({
+        p
+        for kind in FAMILIES
+        for q in parameter_space(kind, N)
+        if (p := _point_genus(q, N)) is not None
+    })
+
+
+def actions_for_order(N: int, genus: int | None = None) -> list[ActionRecord]:
+    """All conjugacy-class families of order-N actions across the catalog.
+
+    With ``genus`` p, only those on surfaces of algebraic genus p, in the
+    same order: a parameter point is classified only if its integer
+    kernel genus (``_point_genus``, the exact ``Family.kernel_genus`` test)
+    is p, so a point where N*area(q) is not an integer is never
+    classified; each realization kept is asserted to have genus p (the
+    Hurwitz-Riemann cross-check).
+    """
     if N < 2:
         raise ValueError("the acting group must have order >= 2")
     out = []
     for kind in FAMILIES:
         for q in parameter_space(kind, N):
+            if genus is not None and _point_genus(q, N) != genus:
+                continue
             for real in results_for(q, N):
                 out.append(ActionRecord(q, N, real))
+    if genus is not None:
+        assert all(r.surface.algebraic_genus == genus for r in out), f"genus {genus} at N={N}"
     return out
 
 

@@ -10,15 +10,19 @@ for odd orders: an orientation-reversing homeomorphism has even order.
 The closed forms give the extremal value directly; realizers are always
 enumerated from the quotient catalog through the classification formulas,
 so closed form and exhaustive search can be compared realizer by realizer.
-Every answer satisfies N > p - 1, which is what makes the ten-family
-catalog exhaustive for these problems.
+The realizers of genus p at order N come from the catalog points at that
+genus alone (``actions_for_order(N, genus=p)``): by Hurwitz-Riemann every
+action with quotient q has genus 1 + N*area(q), so no other point is
+classified.  ``min_genus_search`` walks the genera at N upward and stops
+at the first with a matching record.  Every answer satisfies N > p - 1,
+which is what makes the ten-family catalog exhaustive for these problems.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import ActionRecord, actions_for_order
+from .classify import ActionRecord, actions_for_order, genera_for_order
 from .zmod import is_prime, smallest_prime_factor
 
 MIN_GENUS_VARIANTS = ("p", "p+", "p-", "p++", "p+-")
@@ -72,11 +76,7 @@ def _reject_odd_reversing(variant: str, N: int) -> None:
 
 
 def _realizers_at(N: int, flavour: str, p: int) -> tuple[ActionRecord, ...]:
-    return tuple(
-        r
-        for r in actions_for_order(N)
-        if _matches(r, flavour) and r.surface.algebraic_genus == p
-    )
+    return tuple(r for r in actions_for_order(N, genus=p) if _matches(r, flavour))
 
 
 # --- closed forms -----------------------------------------------------------
@@ -127,13 +127,12 @@ def min_genus_closed(N: int, variant: str) -> ExtremalAnswer:
 def min_genus_search(N: int, variant: str) -> ExtremalAnswer:
     """Exhaustive minimum over the quotient catalog (empty when unattained)."""
     _check("min-genus", variant, N)
-    records = [r for r in actions_for_order(N) if _matches(r, variant)]
-    if not records:
-        return ExtremalAnswer("min-genus", variant, N, None, ())
-    value = min(r.surface.algebraic_genus for r in records)
-    assert N > value - 1, "catalog sweep only covers N > p - 1"
-    realizers = tuple(r for r in records if r.surface.algebraic_genus == value)
-    return ExtremalAnswer("min-genus", variant, N, value, realizers)
+    for value in genera_for_order(N):
+        realizers = _realizers_at(N, variant, value)
+        if realizers:
+            assert N > value - 1, "catalog sweep only covers N > p - 1"
+            return ExtremalAnswer("min-genus", variant, N, value, realizers)
+    return ExtremalAnswer("min-genus", variant, N, None, ())
 
 
 def _max_order_value(p: int, variant: str) -> int:

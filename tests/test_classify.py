@@ -1,6 +1,7 @@
 """Closed-form class counts, family by family."""
 
 import importlib
+import itertools
 import math
 
 import pytest
@@ -20,6 +21,7 @@ from necsurf.classify import (
     classify_disc_corners,
     classify_mb1,
     classify_triangle,
+    genera_for_order,
     results_for,
 )
 from necsurf.signatures import FAMILIES, QuotientType, SurfaceTopology
@@ -352,6 +354,21 @@ def test_realized_counts_satisfy_harvey():
                     res = classify_d21(m, n, k)
                     if res.exists:
                         assert harvey_check(m, n, N // k, N), (m, n, k)
+
+
+@pytest.mark.parametrize("orders", [range(2, 401), (720, 2520, 5040)], ids=["2-400", "tail"])
+def test_genus_sweep_equals_filtered_full_sweep(orders):
+    """``actions_for_order(N, genus=p)`` is the full sweep kept at genus p, in
+    the same order, for every genus that occurs and one that does not; and
+    every genus that occurs is one of ``genera_for_order(N)``."""
+    for N in orders:
+        full = actions_for_order(N)
+        genera = {r.surface.algebraic_genus for r in full}
+        assert genera <= set(genera_for_order(N)), N
+        absent = next(p for p in itertools.count(2) if p not in genera)
+        for p in sorted(genera) + [absent]:
+            want = [r for r in full if r.surface.algebraic_genus == p]
+            assert actions_for_order(N, genus=p) == want, (N, p)
 
 
 def test_large_action_bound():

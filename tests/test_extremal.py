@@ -1,13 +1,20 @@
 """Minimum genus and maximum order: closed forms, search, realizers."""
 
+import importlib
+
 import pytest
 
 from necsurf.extremal import (
+    MAX_ORDER_VARIANTS,
+    MIN_GENUS_VARIANTS,
     max_order_closed,
     max_order_search,
     min_genus_closed,
     min_genus_search,
 )
+from necsurf.signatures import FAMILIES
+
+classify_module = importlib.import_module("necsurf.classify")
 
 
 def kinds_of(ans):
@@ -116,3 +123,34 @@ def test_every_realizer_in_large_action_range():
     for N in range(2, 21):
         ans = min_genus_search(N, "p")
         assert ans.value is not None and N > ans.value - 1
+
+
+def test_solvers_classify_only_points_at_the_answer_genus(monkeypatch):
+    """``results_for`` runs only on parameter points whose kernel genus is the
+    answer's genus (below or at it for the ascending ``min_genus_search``)."""
+    seen = []
+    results_for = classify_module.results_for
+
+    def recorder(q, N):
+        seen.append((q, N))
+        return results_for(q, N)
+
+    def genera():
+        out = [FAMILIES[q.kind].kernel_genus(q.m, q.n, N) for q, N in seen]
+        seen.clear()
+        assert out
+        return set(out)
+
+    monkeypatch.setattr(classify_module, "results_for", recorder)
+    for p in range(2, 41):
+        for variant in MAX_ORDER_VARIANTS:
+            max_order_search(p, variant)
+            assert genera() == {p}, (p, variant)
+    for N in range(2, 81):
+        for variant in MIN_GENUS_VARIANTS:
+            if variant == "p+-" and N % 2:
+                continue
+            ans = min_genus_closed(N, variant)
+            assert genera() == {ans.value}, (N, variant)
+            ans = min_genus_search(N, variant)
+            assert max(genera()) == ans.value, (N, variant)
