@@ -314,11 +314,14 @@ def check_point(q: QuotientType, N: int) -> CheckPoint:
 def check_points(kinds=None, n_max: int = 24) -> list[tuple[QuotientType, int]]:
     """The (quotient, N) points of a sweep; bad bounds or kinds raise before any work.
 
-    A kind named twice is swept once, in the order it was first named.
+    Only ``kinds=None`` means every kind; an empty list raises.  A kind
+    named twice is swept once, in the order it was first named.
     """
     if not 2 <= n_max <= ORACLE_MAX_N:
         raise ValueError(f"need 2 <= n_max <= {ORACLE_MAX_N}, got n_max={n_max}")
-    kinds = tuple(dict.fromkeys(kinds)) if kinds else tuple(FAMILIES)
+    kinds = tuple(FAMILIES) if kinds is None else tuple(dict.fromkeys(kinds))
+    if not kinds:
+        raise ValueError("no quotient kind to sweep")
     for kind in kinds:
         if kind not in FAMILIES:
             raise ValueError(f"unknown quotient kind {kind!r}")

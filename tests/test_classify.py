@@ -11,6 +11,7 @@ from necsurf.classify import (
     ClassificationResult,
     Realization,
     _half_count,
+    _point_genus,
     actions_for_order,
     classification_buckets,
     classify,
@@ -24,11 +25,25 @@ from necsurf.classify import (
     genera_for_order,
     results_for,
 )
-from necsurf.signatures import FAMILIES, QuotientType, SurfaceTopology
-from necsurf.zmod import biggest_coprime_divisor, euler_phi, psi
+from necsurf.signatures import FAMILIES, QuotientType, SurfaceTopology, kernel_algebraic_genus
+from necsurf.zmod import biggest_coprime_divisor, divisors, euler_phi, psi
 
 # the package re-exports the function ``classify`` under the module's name
 classify_module = importlib.import_module("necsurf.classify")
+
+FORMULA_NAMES = (
+    "_corner_only", "_disc_corners", "_mb1", "_d21", "_ann1", "_triangle", "_corner_pair",
+)
+
+
+@pytest.fixture
+def no_formulas(monkeypatch):
+    """Every family formula patched to raise if it runs."""
+    def no_formula(q, N, p, k, orientable):
+        raise AssertionError(f"a formula ran for {q} at N={N}")
+
+    for name in FORMULA_NAMES:
+        monkeypatch.setattr(classify_module, name, no_formula)
 
 
 def surfaces(res):
@@ -208,6 +223,22 @@ def test_ann1_divisor_search_matches_linear_reference():
     assert checked > 1000
 
 
+def test_mb1_boundary_counts_miss_no_class():
+    """Every k | N outside the mb1 k-set (``_cover_boundary_counts``: the k
+    with N // lcm(m, N/k) <= 2) carries no mb1 class, for either flag."""
+    k_set = _FORMULAS["mb1"][1]
+    skipped = 0
+    for N in range(2, 151):
+        for m in (d for d in range(2, N + 1) if N % d == 0):
+            ks = set(k_set(QuotientType("mb1", m=m), N))
+            assert ks <= set(divisors(N)), (N, m)
+            for k in (d for d in divisors(N) if d not in ks):
+                for orientable in (True, False):
+                    assert not classify_mb1(N, m, k, orientable).exists, (N, m, k, orientable)
+                    skipped += 1
+    assert skipped == 4144
+
+
 def test_triangle():
     res = classify_triangle("d3-22m", 3)
     assert (res.order, res.class_count) == (6, 1)
@@ -271,34 +302,34 @@ def test_dispatcher_rejects_bad_input():
     assert classify(q) == classify(q, 6)
 
 
-def test_formula_table_matches_registry(monkeypatch):
+def test_formula_table_matches_registry(no_formulas):
     """One formula per family and k-ranges exactly where classify takes k.
-    Off a forced order nothing exists, and no formula runs: the table looks
-    its formulas up by module-level name, so a patched one is seen."""
+    Where ``_point_genus`` finds no genus, nothing exists and no formula
+    runs: off a forced order, and where N*area(q) is not an integer, as for
+    mb1(4) and ann1(4) at N = 6 and the parameter-free families at odd N.
+    The table looks its formulas up by module-level name, so a patched one
+    is seen."""
     assert list(_FORMULAS) == list(FAMILIES)
     for kind, (_, k_range) in _FORMULAS.items():
         assert (k_range is not None) == ("k" in FAMILIES[kind].classify_args)
-
-    def no_formula(q, N, k, orientable):
-        raise AssertionError(f"a formula ran for {q} at N={N}")
-
-    formulas = ("_corner_only", "_disc_corners", "_mb1", "_d21", "_ann1", "_triangle", "_corner_pair")
-    for name in formulas:
-        monkeypatch.setattr(classify_module, name, no_formula)
     with pytest.raises(AssertionError):
         results_for(QuotientType("d12", m=4), 4)
-    checked = 0
+    gated = [
+        (q, N)
+        for kind in FAMILIES
+        for q in FAMILIES[kind].instances(range(2, 31))
+        for N in range(2, 61)
+        if _point_genus(q, N) is None
+    ]
+    named = [(QuotientType("mb1", m=4), 6), (QuotientType("ann1", m=4), 6)]
+    named += [(QuotientType(kind), N) for kind in ("ann2", "mb2", "d6") for N in (3, 5, 9, 15)]
+    assert set(named) <= set(gated)
+    assert sum(q.forced_order() not in (None, N) for q, N in gated) > 1000
     given = {"k": 1, "orientable": True}
-    for kind in FAMILIES:
-        args = {a: given[a] for a in FAMILIES[kind].classify_args}  # only what it takes
-        for q in FAMILIES[kind].instances(range(2, 31)):
-            for N in range(2, 61):
-                if q.forced_order() in (None, N):
-                    continue
-                assert results_for(q, N) == [], (q, N)
-                assert not classify(q, N, **args).exists, (q, N)
-                checked += 1
-    assert checked > 1000
+    for q, N in gated:
+        args = {a: given[a] for a in FAMILIES[q.kind].classify_args}  # only what it takes
+        assert results_for(q, N) == [], (q, N)
+        assert not classify(q, N, **args).exists, (q, N)
 
 
 def test_public_classifiers_reject_bad_input():
@@ -369,6 +400,60 @@ def test_genus_sweep_equals_filtered_full_sweep(orders):
         for p in sorted(genera) + [absent]:
             want = [r for r in full if r.surface.algebraic_genus == p]
             assert actions_for_order(N, genus=p) == want, (N, p)
+
+
+def _reference_genus(q, N):
+    """The algebraic genus each family's formula once wrote out by hand."""
+    m, n = q.m, q.n
+    if q.kind == "d6":
+        return 2
+    if q.kind in ("ann2", "mb2"):
+        return N // 2 + 1
+    if q.kind in ("d12", "d14"):
+        return kernel_algebraic_genus(q.signature(), N)
+    if q.kind in ("mb1", "ann1"):
+        assert N % m == 0
+        return 1 + (m - 1) * N // m
+    assert q.kind == "d21"
+    return 1 + N - N // m - N // n
+
+
+def _reference_surfaces(q, N):
+    """The (orientable, genus, boundary count) tables of the forced
+    three-period families, as their formulas once wrote them out."""
+    m = q.m
+    if q.kind == "d3-22m":
+        assert (m - 2) * N % (2 * m) == 0
+        return {(True, 1 + (m - 2) * N // (2 * m), N // m)}
+    if q.kind == "d3-23m":
+        return {(True, g, b) for g, b in {3: ((3, 1), (2, 3)), 4: ((6, 1),), 5: ((15, 1),)}[m]}
+    if q.kind == "d2c-2m":
+        assert (m - 2) * N % (2 * m) == 0
+        return {(False, 2 + (m - 2) * N // (2 * m), N // 2)}
+    assert q.kind == "d2c-3m"
+    return {{3: (True, 2, N // 2), 4: (False, 7, N // 2), 5: (True, 8, N // 2)}[m]}
+
+
+@pytest.mark.parametrize("orders", [range(2, 401), (720, 2520, 5040)], ids=["2-400", "tail"])
+def test_surfaces_match_hand_written_genera(orders):
+    """Every record's surface has the genus the family's own formula once
+    stated by hand, and the forced three-period families give exactly
+    their old (orientable, g, b) tables: the gate's genus
+    (``Family.kernel_genus``) agrees with each family's paper statement."""
+    tables = ("d3-22m", "d3-23m", "d2c-2m", "d2c-3m")
+    checked = 0
+    for N in orders:
+        by_point: dict[QuotientType, set] = {}
+        for rec in actions_for_order(N):
+            s = rec.surface
+            by_point.setdefault(rec.quotient, set()).add((s.orientable, s.genus, s.boundary_count))
+            if rec.quotient.kind not in tables:
+                assert s.algebraic_genus == _reference_genus(rec.quotient, N), (rec, N)
+            checked += 1
+        for q, seen in by_point.items():
+            if q.kind in tables:
+                assert seen == _reference_surfaces(q, N), (q, N)
+    assert checked > 4000
 
 
 def test_large_action_bound():

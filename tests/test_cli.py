@@ -158,6 +158,17 @@ def test_verify_rejects_bounds_before_any_work(capsys, monkeypatch):
         assert code == 2 and "n_max" in err and not out, n_max
 
 
+def test_verify_rejects_empty_types_before_any_work(capsys, monkeypatch):
+    """Only a missing --types means every kind; an empty value is an error."""
+    def no_point(q, N):
+        raise AssertionError(f"check point {q} at N={N} ran")
+
+    monkeypatch.setattr(oracle, "check_point", no_point)
+    for types in ("", ","):
+        code, out, err = run(capsys, "verify", "--n-max", "4", "--types", types)
+        assert code == 2 and "kind" in err and not out, repr(types)
+
+
 def test_verify_rejects_jobs_below_one_before_any_work(capsys, monkeypatch):
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep started")

@@ -275,6 +275,13 @@ def test_check_points_rejects_bad_bounds(n_max):
         check_points(None, n_max)
 
 
+def test_check_points_rejects_an_empty_kind_list():
+    """Only ``kinds=None`` means every kind."""
+    for kinds in ([], (), [""]):
+        with pytest.raises(ValueError, match="kind"):
+            check_points(kinds, 4)
+
+
 def test_check_points_sweeps_a_repeated_kind_once():
     assert check_points(["d6", "d6"], 4) == check_points(["d6"], 4)
     assert check_points(["mb2", "d6", "mb2"], 6) == check_points(["mb2", "d6"], 6)
