@@ -15,12 +15,6 @@ from .classify import (
     actions_for_order,
     classify,
     classify_ann1,
-    classify_corner_only,
-    classify_corner_pair,
-    classify_d21,
-    classify_disc_corners,
-    classify_mb1,
-    classify_triangle,
 )
 from .extremal import (
     ExtremalAnswer,

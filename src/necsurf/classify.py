@@ -1,8 +1,9 @@
 """Closed-form classification of cyclic actions for the ten quotient families.
 
 One private formula per family, ``f(q, N, p, k, orientable) -> list[Realization]``,
-states the paper's conditions: existence (an empty list means no action),
-the class counts, through the totient, its companion psi and gcds, and the
+states the paper's conditions, and its docstring states the paper's
+result for the family: existence (an empty list means no action), the
+class counts, through the totient, its companion psi and gcds, and the
 boundary counts of the realized surfaces.  Every division is exact and
 asserted.  No formula computes a genus: by Hurwitz-Riemann every order-N
 action with quotient q lives on a surface of algebraic genus
@@ -13,10 +14,11 @@ integer and N is the family's forced order, if it has one.
 ``classify`` checks its input: N >= 2, defaulting to the forced order;
 k (>= 1) and the orientability flag exactly where the family's
 ``classify_args`` name them, so an argument a family does not take
-raises ``ValueError`` like a missing one.  The public ``classify_*``
-functions and the CLI only forward their input to it; the sweep
-(``results_for``) calls the formulas behind the same gate.  Asked for one
-genus, ``actions_for_order`` also skips every point whose genus is another.
+raises ``ValueError`` like a missing one.  It is the one way in: the CLI
+forwards its input to it, and ``classify_ann1`` is a named forwarder kept
+for the benchmark tracer.  The sweep (``results_for``) calls the formulas
+behind the same gate.  Asked for one genus, ``actions_for_order`` also
+skips every point whose genus is another.
 """
 
 from __future__ import annotations
@@ -70,13 +72,7 @@ def _ceil_half(x: int) -> int:
     return (x + 1) // 2
 
 
-def _one_of(kinds: tuple[str, ...], kind: str, m: int) -> QuotientType:
-    if kind not in kinds:
-        raise ValueError(f"{kind!r} is not one of {kinds}")
-    return QuotientType(kind, m=m)
-
-
-def classify_corner_only(kind: str, N: int) -> ClassificationResult:
+def _corner_only(q: QuotientType, N: int, p: int, k, orientable) -> list[Realization]:
     """The parameter-free families: d6, ann2, mb2.
 
     d6 exists only for N = 2 (one class, 3-holed sphere).  ann2 and mb2
@@ -84,10 +80,6 @@ def classify_corner_only(kind: str, N: int) -> ClassificationResult:
     orientable surfaces (tori/spheres, only for odd N/2) carry
     orientation-reversing actions.
     """
-    return classify(QuotientType(kind), N)  # only d6, ann2 and mb2 take no cone orders
-
-
-def _corner_only(q: QuotientType, N: int, p: int, k, orientable) -> list[Realization]:
     if q.kind == "d6":
         if N != 2:
             return []
@@ -107,16 +99,12 @@ def _corner_only(q: QuotientType, N: int, p: int, k, orientable) -> list[Realiza
     return reals
 
 
-def classify_disc_corners(kind: str, m: int) -> ClassificationResult:
+def _disc_corners(q: QuotientType, N: int, p: int, k, orientable) -> list[Realization]:
     """Disc quotients with one cone point and 2 or 4 corners (d12, d14).
 
     The order is forced: N = m for even m (non-orientable cover), N = 2m
     for odd m (orientable, orientation-reversing cover).  One class each.
     """
-    return classify(_one_of(("d12", "d14"), kind, m))
-
-
-def _disc_corners(q: QuotientType, N: int, p: int, k, orientable) -> list[Realization]:
     # the exact Fraction rule; it keeps kernel_algebraic_genus reached, as bench/selftest.py needs
     assert p == kernel_algebraic_genus(q.signature(), N)
     b = N // 2 if q.kind == "d12" else N
@@ -125,7 +113,7 @@ def _disc_corners(q: QuotientType, N: int, p: int, k, orientable) -> list[Realiz
     return [Realization(SurfaceTopology.of_genus(True, p, b), 1, reversing=True)]
 
 
-def classify_mb1(N: int, m: int, k: int, want_orientable: bool) -> ClassificationResult:
+def _mb1(q: QuotientType, N: int, p: int, k: int, want_orientable: bool) -> list[Realization]:
     """Once-punctured Moebius band quotients.
 
     Orientable covers need N = 2*lcm(m, N/k) with t = gcd(m, N/k) odd or
@@ -133,10 +121,6 @@ def classify_mb1(N: int, m: int, k: int, want_orientable: bool) -> Classificatio
     need N = lcm(m, N/k) with N/t odd, and carry phi(t) classes for even N,
     ceil(phi(t)/2) for odd N.
     """
-    return classify(QuotientType("mb1", m=m), N, k, want_orientable)
-
-
-def _mb1(q: QuotientType, N: int, p: int, k: int, want_orientable: bool) -> list[Realization]:
     m = q.m
     if N % k != 0:
         return []
@@ -155,7 +139,7 @@ def _mb1(q: QuotientType, N: int, p: int, k: int, want_orientable: bool) -> list
     return [Realization(surf, count, reversing=True if want_orientable else None)]
 
 
-def classify_d21(m: int, n: int, k: int) -> ClassificationResult:
+def _d21(q: QuotientType, N: int, p: int, k: int, orientable) -> list[Realization]:
     """Twice-punctured disc quotients; N = lcm(m, n) is forced.
 
     The boundary generator e has order N/k, so existence is Harvey's test
@@ -169,10 +153,6 @@ def classify_d21(m: int, n: int, k: int) -> ClassificationResult:
     for m = n the maps pair off under inversion and the count follows
     _half_count with multiplier k.
     """
-    return classify(QuotientType("d21", m=m, n=n), k=k)  # rejects m, n < 2 and 1/m + 1/n >= 1
-
-
-def _d21(q: QuotientType, N: int, p: int, k: int, orientable) -> list[Realization]:
     m, n = q.m, q.n
     if N % k != 0 or not harvey_check(m, n, N // k, N):
         return []
@@ -204,7 +184,7 @@ def _half_count(B: int, C: int, multiplier: int) -> int:
     return _ceil_half(base)
 
 
-def classify_ann1(N: int, m: int, k: int, want_orientable: bool) -> ClassificationResult:
+def _ann1(q: QuotientType, N: int, p: int, k: int, want_orientable: bool) -> list[Realization]:
     """Once-punctured annulus quotients.
 
     Non-orientable covers exist iff N is even, k | N and N = lcm(m, N/k);
@@ -225,10 +205,6 @@ def classify_ann1(N: int, m: int, k: int, want_orientable: bool) -> Classificati
     can carry classes: those of ``_cover_boundary_counts`` and the
     O(d(m)^2) sums of coprime divisor pairs of m.
     """
-    return classify(QuotientType("ann1", m=m), N, k, want_orientable)
-
-
-def _ann1(q: QuotientType, N: int, p: int, k: int, want_orientable: bool) -> list[Realization]:
     m = q.m
     if not want_orientable:
         if N % 2 != 0 or N % k != 0 or N != math.lcm(m, N // k):
@@ -282,7 +258,7 @@ def _ann1_boundary_counts(q: QuotientType, N: int) -> list[int]:
     return sorted(ks)
 
 
-def classify_triangle(kind: str, m: int) -> ClassificationResult:
+def _triangle(q: QuotientType, N: int, p: int, k, orientable) -> list[Realization]:
     """Thrice-punctured disc quotients (cone orders 2,2,m or 2,3,m).
 
     Orders 2,2,m: N = lcm(2, m), orientable, N/m boundary components,
@@ -290,15 +266,11 @@ def classify_triangle(kind: str, m: int) -> ClassificationResult:
     m = 3 there are two classes, with 1 and 3 boundary components; for
     m = 4, 5 one class with 1.  All orientable and orientation-preserving.
     """
-    return classify(_one_of(("d3-22m", "d3-23m"), kind, m))
-
-
-def _triangle(q: QuotientType, N: int, p: int, k, orientable) -> list[Realization]:
     bs = (N // q.m,) if q.kind == "d3-22m" else {3: (1, 3), 4: (1,), 5: (1,)}[q.m]
     return [Realization(SurfaceTopology.of_genus(True, p, b), 1, reversing=False) for b in bs]
 
 
-def classify_corner_pair(kind: str, m: int) -> ClassificationResult:
+def _corner_pair(q: QuotientType, N: int, p: int, k, orientable) -> list[Realization]:
     """Twice-punctured disc with two corner points (cone orders 2,m or 3,m).
 
     Orders 2,m: N = lcm(2, m), non-orientable with N/2 boundary
@@ -307,10 +279,6 @@ def classify_corner_pair(kind: str, m: int) -> ClassificationResult:
     surface, m = 4 one class on a non-orientable one, m = 5 one class on
     an orientable one.
     """
-    return classify(_one_of(("d2c-2m", "d2c-3m"), kind, m))
-
-
-def _corner_pair(q: QuotientType, N: int, p: int, k, orientable) -> list[Realization]:
     if q.kind == "d2c-2m":
         covered_orientable, count = False, 1
     else:
@@ -321,33 +289,27 @@ def _corner_pair(q: QuotientType, N: int, p: int, k, orientable) -> list[Realiza
 
 # --- dispatch and sweeps ---------------------------------------------------
 
-_CORNER_ONLY = (lambda *args: _corner_only(*args), None)
-_DISC_CORNERS = (lambda *args: _disc_corners(*args), None)
-_TRIANGLE = (lambda *args: _triangle(*args), None)
-_CORNER_PAIR = (lambda *args: _corner_pair(*args), None)
-
 #: kind -> (formula(q, N, p, k, orientable), the boundary counts k that can
 #: occur at order N, or None for a formula without k).  Each formula keeps
 #: the contract of the module docstring and runs only behind the gate of
-#: ``_point_genus``, which hands it the genus p.  The lambdas look the
-#: formula up by module-level name at each call, so a wrapper patched onto
-#: the module is seen.  The mb1 and ann1 k-sets come from divisors: the
-#: k | N of ``_cover_boundary_counts``, plus for ann1 the O(d(m)^2) split
-#: sums of m, each classified in O(d(m)) steps.  Trying every k <= 2m and
-#: every split n1 <= k/2 took O(m^2) steps per divisor m.
+#: ``_point_genus``, which hands it the genus p.  The mb1 and ann1 k-sets
+#: come from divisors: the k | N of ``_cover_boundary_counts``, plus for
+#: ann1 the O(d(m)^2) split sums of m, each classified in O(d(m)) steps.
+#: Trying every k <= 2m and every split n1 <= k/2 took O(m^2) steps per
+#: divisor m.
 _FORMULAS = {
-    "d6": _CORNER_ONLY,
-    "ann2": _CORNER_ONLY,
-    "mb2": _CORNER_ONLY,
-    "d12": _DISC_CORNERS,
-    "d14": _DISC_CORNERS,
-    "mb1": (lambda *args: _mb1(*args), _cover_boundary_counts),
-    "d21": (lambda *args: _d21(*args), lambda q, N: divisors(math.gcd(q.m, q.n))),
-    "ann1": (lambda *args: _ann1(*args), _ann1_boundary_counts),
-    "d3-23m": _TRIANGLE,
-    "d3-22m": _TRIANGLE,
-    "d2c-3m": _CORNER_PAIR,
-    "d2c-2m": _CORNER_PAIR,
+    "d6": (_corner_only, None),
+    "ann2": (_corner_only, None),
+    "mb2": (_corner_only, None),
+    "d12": (_disc_corners, None),
+    "d14": (_disc_corners, None),
+    "mb1": (_mb1, _cover_boundary_counts),
+    "d21": (_d21, lambda q, N: divisors(math.gcd(q.m, q.n))),
+    "ann1": (_ann1, _ann1_boundary_counts),
+    "d3-23m": (_triangle, None),
+    "d3-22m": (_triangle, None),
+    "d2c-3m": (_corner_pair, None),
+    "d2c-2m": (_corner_pair, None),
 }
 
 
@@ -375,6 +337,11 @@ def classify(
         raise ValueError("need k >= 1")
     p = _point_genus(q, N)
     return _result(q, N, () if p is None else _FORMULAS[q.kind][0](q, N, p, k, orientable))
+
+
+def classify_ann1(N: int, m: int, k: int, want_orientable: bool) -> ClassificationResult:
+    """``classify`` at ann1(m), kept by name because bench/spans.py wraps it."""
+    return classify(QuotientType("ann1", m=m), N, k, want_orientable)
 
 
 @dataclass(frozen=True)

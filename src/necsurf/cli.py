@@ -206,8 +206,7 @@ def cmd_verify(args) -> int:
                 for p in report.points
             ],
         }
-        print(json.dumps(_record("verify", {"n_max": args.n_max}, payload),
-                         sort_keys=True, indent=2))
+        _emit(_record("verify", {"n_max": args.n_max}, payload), [], "json", [])
     else:
         for p in report.points:
             if not p.ok or args.verbose:

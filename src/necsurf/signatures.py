@@ -322,6 +322,8 @@ class QuotientType:
         if fam is None:
             raise ValueError(f"unknown quotient kind {self.kind!r}")
         check_arguments(self.kind, fam.params, m=self.m, n=self.n)
+        if self.n is not None and self.m > self.n:
+            raise ValueError(f"{self.label()}: the cone orders of {self.kind} are given as m <= n")
         if self.m is not None and not fam.admits(self.m, self.n):
             raise ValueError(
                 f"{self.label()} is outside the catalog: cone orders must be "

@@ -134,7 +134,7 @@ def test_criterion_4_odd_prime_nonorientable():
     a conjugate of e^(+-1), so +-theta(e)/theta(x) is an invariant; the
     oracle's delta move (e -> -e, d -> -d - x) identifies the two signs.
     Hence exactly 1 class at k = N and (N-1)/2 at k = 1, the
-    ceil(phi(t)/2) of ``classify_mb1`` with t = gcd(N, N/k), in the same
+    ceil(phi(t)/2) of the mb1 formula with t = gcd(N, N/k), in the same
     shape as the orientable sibling above.  The test checks the invariant
     on the oracle's orbit representatives, so the counts rest on this
     argument and not on the oracle's move set alone.

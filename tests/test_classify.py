@@ -1,6 +1,5 @@
 """Closed-form class counts, family by family."""
 
-import importlib
 import itertools
 import math
 
@@ -16,34 +15,23 @@ from necsurf.classify import (
     classification_buckets,
     classify,
     classify_ann1,
-    classify_corner_only,
-    classify_corner_pair,
-    classify_d21,
-    classify_disc_corners,
-    classify_mb1,
-    classify_triangle,
     genera_for_order,
     results_for,
 )
 from necsurf.signatures import FAMILIES, QuotientType, SurfaceTopology, kernel_algebraic_genus
 from necsurf.zmod import biggest_coprime_divisor, divisors, euler_phi, psi
 
-# the package re-exports the function ``classify`` under the module's name
-classify_module = importlib.import_module("necsurf.classify")
-
-FORMULA_NAMES = (
-    "_corner_only", "_disc_corners", "_mb1", "_d21", "_ann1", "_triangle", "_corner_pair",
-)
-
 
 @pytest.fixture
 def no_formulas(monkeypatch):
-    """Every family formula patched to raise if it runs."""
+    """Every formula in ``_FORMULAS`` patched to raise if it runs; returns the table as it was."""
     def no_formula(q, N, p, k, orientable):
         raise AssertionError(f"a formula ran for {q} at N={N}")
 
-    for name in FORMULA_NAMES:
-        monkeypatch.setattr(classify_module, name, no_formula)
+    table = dict(_FORMULAS)
+    for kind, (_, k_range) in table.items():
+        monkeypatch.setitem(_FORMULAS, kind, (no_formula, k_range))
+    return table
 
 
 def surfaces(res):
@@ -51,16 +39,16 @@ def surfaces(res):
 
 
 def test_d6():
-    res = classify_corner_only("d6", 2)
+    res = classify(QuotientType("d6"), 2)
     assert res.exists and res.class_count == 1
     assert surfaces(res) == [("3-holed sphere", 1)]
     assert res.realizations[0].reversing is True
-    assert not classify_corner_only("d6", 3).exists
-    assert not classify_corner_only("d6", 4).exists
+    assert not classify(QuotientType("d6"), 3).exists
+    assert not classify(QuotientType("d6"), 4).exists
 
 
 def test_ann2():
-    res = classify_corner_only("ann2", 6)
+    res = classify(QuotientType("ann2"), 6)
     assert res.class_count == 4
     assert surfaces(res) == [
         ("3-holed Klein bottle", 1),
@@ -68,93 +56,93 @@ def test_ann2():
         ("4-holed projective plane", 1),
         ("5-holed sphere", 1),
     ]
-    res = classify_corner_only("ann2", 8)
+    res = classify(QuotientType("ann2"), 8)
     assert res.class_count == 2
     assert surfaces(res) == [("4-holed Klein bottle", 1), ("5-holed projective plane", 1)]
-    assert not classify_corner_only("ann2", 5).exists
+    assert not classify(QuotientType("ann2"), 5).exists
 
 
 def test_mb2():
-    res = classify_corner_only("mb2", 6)
+    res = classify(QuotientType("mb2"), 6)
     assert surfaces(res) == [("3-holed Klein bottle", 1), ("3-holed torus", 1)]
-    res = classify_corner_only("mb2", 8)
+    res = classify(QuotientType("mb2"), 8)
     assert surfaces(res) == [("4-holed Klein bottle", 1)]
 
 
 def test_disc_corners():
-    res = classify_disc_corners("d12", 4)
+    res = classify(QuotientType("d12", m=4))
     assert (res.order, res.class_count) == (4, 1)
     assert surfaces(res) == [("2-holed projective plane", 1)]
-    res = classify_disc_corners("d12", 3)
+    res = classify(QuotientType("d12", m=3))
     assert (res.order, res.class_count) == (6, 1)
     assert surfaces(res) == [("3-holed sphere", 1)]
-    res = classify_disc_corners("d14", 3)
+    res = classify(QuotientType("d14", m=3))
     assert (res.order, res.class_count) == (6, 1)
     assert surfaces(res) == [("6-holed sphere", 1)]
-    res = classify_disc_corners("d14", 4)
+    res = classify(QuotientType("d14", m=4))
     assert (res.order, res.class_count) == (4, 1)
     assert surfaces(res) == [("4-holed projective plane", 1)]
 
 
 def test_mb1_orientable():
-    res = classify_mb1(8, 4, 4, True)
+    res = classify(QuotientType("mb1", m=4), 8, 4, True)
     assert res.exists and res.class_count == 1
     assert res.realizations[0].surface.algebraic_genus == 7
-    assert not classify_mb1(4, 2, 2, True).exists  # t = 2 even, N/2t odd
+    assert not classify(QuotientType("mb1", m=2), 4, 2, True).exists  # t = 2 even, N/2t odd
     # k = 2 needs 8 | N, k = 4 needs N/4 odd
-    assert classify_mb1(16, 2, 2, True).exists
-    assert not classify_mb1(12, 2, 2, True).exists
-    assert classify_mb1(12, 2, 4, True).exists
+    assert classify(QuotientType("mb1", m=2), 16, 2, True).exists
+    assert not classify(QuotientType("mb1", m=2), 12, 2, True).exists
+    assert classify(QuotientType("mb1", m=2), 12, 4, True).exists
 
 
 def test_mb1_non_orientable():
-    res = classify_mb1(9, 9, 3, False)
+    res = classify(QuotientType("mb1", m=9), 9, 3, False)
     assert res.exists and res.class_count == 1
     assert res.realizations[0].surface.algebraic_genus == 1 + 8 * 9 // 9
-    res = classify_mb1(2, 2, 1, False)
+    res = classify(QuotientType("mb1", m=2), 2, 1, False)
     assert res.class_count == 1
     assert surfaces(res) == [("1-holed Klein bottle", 1)]
     # odd N: halved count
-    assert classify_mb1(9, 9, 1, False).class_count == 3  # ceil(phi(9)/2)
+    assert classify(QuotientType("mb1", m=9), 9, 1, False).class_count == 3  # ceil(phi(9)/2)
     # even N: full phi(t)
-    assert classify_mb1(4, 4, 1, False).class_count == 2
+    assert classify(QuotientType("mb1", m=4), 4, 1, False).class_count == 2
 
 
 def test_d21():
-    assert classify_d21(2, 3, 1).class_count == 1
+    assert classify(QuotientType("d21", m=2, n=3), k=1).class_count == 1
     for N in (5, 7, 11):
-        assert classify_d21(N, N, 1).class_count == (N - 1) // 2
-        assert classify_d21(N, N, N).class_count == 1
+        assert classify(QuotientType("d21", m=N, n=N), k=1).class_count == (N - 1) // 2
+        assert classify(QuotientType("d21", m=N, n=N), k=N).class_count == 1
     # parity clause: N even with N/t odd forces k even
-    assert not classify_d21(2, 6, 1).exists
-    assert classify_d21(2, 6, 2).exists
+    assert not classify(QuotientType("d21", m=2, n=6), k=1).exists
+    assert classify(QuotientType("d21", m=2, n=6), k=2).exists
     # k must be a unitary-style divisor: k | t with gcd(k, N/t) = 1
-    assert not classify_d21(12, 24, 2).exists  # gcd(2, N/t = 2) != 1
-    assert not classify_d21(4, 4, 3).exists
+    assert not classify(QuotientType("d21", m=12, n=24), k=2).exists  # gcd(2, N/t = 2) != 1
+    assert not classify(QuotientType("d21", m=4, n=4), k=3).exists
 
 
 def test_d21_half_count_two_power_branch():
     # the +1 self-pairing correction needs k = 2 (mod 4)
-    assert classify_d21(8, 8, 2).class_count == 2  # phi(4)/2 + 1
-    assert classify_d21(16, 16, 2).class_count == 3  # phi(8)/2 + 1
-    assert classify_d21(16, 16, 4).class_count == 1  # phi(4)/2, no self-paired maps
-    assert classify_d21(32, 32, 8).class_count == 1
-    assert classify_d21(32, 32, 4).class_count == 2
+    assert classify(QuotientType("d21", m=8, n=8), k=2).class_count == 2  # phi(4)/2 + 1
+    assert classify(QuotientType("d21", m=16, n=16), k=2).class_count == 3  # phi(8)/2 + 1
+    assert classify(QuotientType("d21", m=16, n=16), k=4).class_count == 1  # phi(4)/2, no self-paired maps
+    assert classify(QuotientType("d21", m=32, n=32), k=8).class_count == 1
+    assert classify(QuotientType("d21", m=32, n=32), k=4).class_count == 2
 
 
 def test_d21_rejects_zero_area():
     with pytest.raises(ValueError):
-        classify_d21(2, 2, 1)
+        classify(QuotientType("d21", m=2, n=2), k=1)
 
 
 def test_ann1_orientable():
-    res = classify_ann1(12, 12, 7, True)
+    res = classify(QuotientType("ann1", m=12), 12, 7, True)
     assert res.class_count == 2
     assert {r.label for r in res.realizations} == {"split{1,6}", "split{3,4}"}
     surf = res.realizations[0].surface
     assert (surf.orientable, surf.genus, surf.boundary_count) == (True, 3, 7)
     # mirror-kind and split-kind coexist: N = 2m with N/2 odd, k = 2
-    res = classify_ann1(6, 3, 2, True)
+    res = classify(QuotientType("ann1", m=3), 6, 2, True)
     assert res.class_count == 3
     by_label = {r.label: r for r in res.realizations}
     assert by_label["mirror"].count == 2 and by_label["mirror"].reversing is True
@@ -162,12 +150,12 @@ def test_ann1_orientable():
 
 
 def test_ann1_non_orientable():
-    res = classify_ann1(6, 6, 2, False)
+    res = classify(QuotientType("ann1", m=6), 6, 2, False)
     assert res.class_count == 2  # phi(gcd(6, 3))
     # no non-orientable covers for odd N: both reflections would lie in the
     # kernel, leaving no non-orientable word
     for N, m, k in ((3, 3, 1), (9, 9, 1), (7, 7, 7)):
-        assert not classify_ann1(N, m, k, False).exists
+        assert not classify(QuotientType("ann1", m=m), N, k, False).exists
 
 
 def _ann1_linear_reference(N, m, k, want_orientable):
@@ -214,7 +202,7 @@ def test_ann1_divisor_search_matches_linear_reference():
             for k in range(1, 2 * m + 1):
                 for orientable in (True, False):
                     want = _ann1_linear_reference(N, m, k, orientable)
-                    got = classify_ann1(N, m, k, orientable)
+                    got = classify(QuotientType("ann1", m=m), N, k, orientable)
                     if k not in ks:
                         assert not want.exists and not got.exists, (N, m, k, orientable)
                     else:
@@ -234,38 +222,38 @@ def test_mb1_boundary_counts_miss_no_class():
             assert ks <= set(divisors(N)), (N, m)
             for k in (d for d in divisors(N) if d not in ks):
                 for orientable in (True, False):
-                    assert not classify_mb1(N, m, k, orientable).exists, (N, m, k, orientable)
+                    assert not classify(QuotientType("mb1", m=m), N, k, orientable).exists, (N, m, k, orientable)
                     skipped += 1
     assert skipped == 4144
 
 
 def test_triangle():
-    res = classify_triangle("d3-22m", 3)
+    res = classify(QuotientType("d3-22m", m=3))
     assert (res.order, res.class_count) == (6, 1)
     surf = res.realizations[0].surface
     assert (surf.orientable, surf.genus, surf.boundary_count) == (True, 2, 2)
-    res = classify_triangle("d3-23m", 3)
+    res = classify(QuotientType("d3-23m", m=3))
     assert (res.order, res.class_count) == (6, 2)
     assert sorted((r.surface.genus, r.surface.boundary_count) for r in res.realizations) == [
         (2, 3), (3, 1)
     ]
-    res = classify_triangle("d3-23m", 4)
+    res = classify(QuotientType("d3-23m", m=4))
     assert (res.order, surfaces(res)) == (12, [("1-holed genus-6 surface", 1)])
-    res = classify_triangle("d3-23m", 5)
+    res = classify(QuotientType("d3-23m", m=5))
     assert (res.order, surfaces(res)) == (30, [("1-holed genus-15 surface", 1)])
 
 
 def test_corner_pair():
-    res = classify_corner_pair("d2c-2m", 4)
+    res = classify(QuotientType("d2c-2m", m=4))
     assert (res.order, res.class_count) == (4, 1)
     surf = res.realizations[0].surface
     assert (surf.orientable, surf.genus, surf.boundary_count) == (False, 3, 2)
-    res = classify_corner_pair("d2c-3m", 3)
+    res = classify(QuotientType("d2c-3m", m=3))
     assert (res.order, res.class_count) == (6, 2)
     assert res.realizations[0].surface.genus == 2
-    res = classify_corner_pair("d2c-3m", 4)
+    res = classify(QuotientType("d2c-3m", m=4))
     assert (res.order, surfaces(res)) == (12, [("6-holed non-orientable genus-7 surface", 1)])
-    res = classify_corner_pair("d2c-3m", 5)
+    res = classify(QuotientType("d2c-3m", m=5))
     assert res.realizations[0].surface.orientable and res.realizations[0].surface.genus == 8
 
 
@@ -302,13 +290,43 @@ def test_dispatcher_rejects_bad_input():
     assert classify(q) == classify(q, 6)
 
 
+def test_public_classifiers_reject_bad_input():
+    """N < 2, a cone order below the family minimum, k < 1 and a missing
+    orientability flag, through classify() and classify_ann1."""
+    bad = [
+        # N < 2
+        (("d6",), {"N": 1}),
+        (("mb1", 2), {"N": 1, "k": 1, "orientable": True}),
+        # a cone order below the family minimum
+        (("d12", 1), {}),
+        (("mb1", 1), {"N": 4, "k": 1, "orientable": True}),
+        (("d21", 1, 3), {"k": 1}),
+        (("d3-23m", 2), {}),
+        (("d3-22m", 1), {}),
+        (("d2c-3m", 2), {}),
+        (("d2c-2m", 1), {}),
+        # k < 1
+        (("mb1", 2), {"N": 4, "k": 0, "orientable": True}),
+        (("d21", 2, 3), {"k": 0}),
+        # no orientability flag
+        (("mb1", 2), {"N": 4, "k": 1}),
+        (("ann1", 2), {"N": 4, "k": 1}),
+    ]
+    for (kind, *orders), args in bad:
+        with pytest.raises(ValueError):
+            classify(QuotientType(kind, *orders), **args)
+    for args in ((1, 2, 1, True), (4, 1, 1, True), (4, 2, 0, False), (4, 2, 1, None)):
+        with pytest.raises(ValueError):
+            classify_ann1(*args)
+
+
 def test_formula_table_matches_registry(no_formulas):
     """One formula per family and k-ranges exactly where classify takes k.
     Where ``_point_genus`` finds no genus, nothing exists and no formula
     runs: off a forced order, and where N*area(q) is not an integer, as for
     mb1(4) and ann1(4) at N = 6 and the parameter-free families at odd N.
-    The table looks its formulas up by module-level name, so a patched one
-    is seen."""
+    Every formula carries its family's statement as its docstring."""
+    assert all(formula.__doc__ for formula, _ in no_formulas.values())
     assert list(_FORMULAS) == list(FAMILIES)
     for kind, (_, k_range) in _FORMULAS.items():
         assert (k_range is not None) == ("k" in FAMILIES[kind].classify_args)
@@ -332,36 +350,6 @@ def test_formula_table_matches_registry(no_formulas):
         assert not classify(q, N, **args).exists, (q, N)
 
 
-def test_public_classifiers_reject_bad_input():
-    """N < 2, a cone order below the family minimum, k < 1, a missing
-    orientability flag and a kind the function does not serve."""
-    bad = [
-        (classify_corner_only, ("d6", 1)),
-        (classify_corner_only, ("d12", 4)),
-        (classify_disc_corners, ("d12", 1)),
-        (classify_disc_corners, ("mb1", 4)),
-        (classify_mb1, (1, 2, 1, True)),
-        (classify_mb1, (4, 1, 1, True)),
-        (classify_mb1, (4, 2, 0, True)),
-        (classify_mb1, (4, 2, 1, None)),
-        (classify_ann1, (1, 2, 1, True)),
-        (classify_ann1, (4, 1, 1, True)),
-        (classify_ann1, (4, 2, 0, False)),
-        (classify_ann1, (4, 2, 1, None)),
-        (classify_d21, (1, 3, 1)),
-        (classify_d21, (2, 3, 0)),
-        (classify_triangle, ("d3-23m", 2)),
-        (classify_triangle, ("d3-22m", 1)),
-        (classify_triangle, ("d2c-2m", 4)),
-        (classify_corner_pair, ("d2c-3m", 2)),
-        (classify_corner_pair, ("d2c-2m", 1)),
-        (classify_corner_pair, ("d3-22m", 4)),
-    ]
-    for fn, args in bad:
-        with pytest.raises(ValueError):
-            fn(*args)
-
-
 def test_enumeration_at_order_two():
     records = actions_for_order(2)
     assert len(records) == 14
@@ -376,13 +364,13 @@ def test_realized_counts_satisfy_harvey():
 
     for N in range(2, 41):
         for m in (d for d in range(2, N + 1) if N % d == 0):
-            for n in (d for d in range(2, N + 1) if N % d == 0):
+            for n in (d for d in range(m, N + 1) if N % d == 0):  # d21 takes m <= n
                 if math.lcm(m, n) != N or (m, n) == (2, 2):
                     continue
                 for k in range(1, math.gcd(m, n) + 1):
                     if math.gcd(m, n) % k != 0:
                         continue
-                    res = classify_d21(m, n, k)
+                    res = classify(QuotientType("d21", m=m, n=n), k=k)
                     if res.exists:
                         assert harvey_check(m, n, N // k, N), (m, n, k)
 

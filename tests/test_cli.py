@@ -62,6 +62,11 @@ def test_classify_rejects_bad_input(capsys):
         assert code == 2 and "does not take" in err and not out, argv
 
 
+def test_classify_rejects_unordered_d21_cone_orders(capsys):
+    code, out, err = run(capsys, "classify", "d21", "--m", "3", "--n", "2", "--k", "1")
+    assert code == 2 and "m <= n" in err and not out
+
+
 def test_bad_flag_usage(capsys):
     assert run(capsys, "classify", "nope", "--N", "2")[0] == 2
     assert run(capsys, "min-genus", "--N", "9", "--variant", "p+-")[0] == 2

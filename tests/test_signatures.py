@@ -311,6 +311,13 @@ def test_quotient_type_validation():
         QuotientType("d6", m=3)
 
 
+def test_quotient_type_rejects_unordered_cone_orders():
+    """d21(3,2) would be a second name for d21(2,3): the pair is given as m <= n."""
+    with pytest.raises(ValueError, match="m <= n"):
+        QuotientType("d21", m=3, n=2)
+    assert QuotientType("d21", m=3, n=3).label() == "d21(3,3)"
+
+
 def test_surface_topology():
     s = SurfaceTopology(True, 0, 3)
     assert s.algebraic_genus == 2
