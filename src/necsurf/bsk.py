@@ -2,6 +2,8 @@
 
 A BSK epimorphism theta: Lambda -> Z_N assigns residues to the canonical
 generators of an NEC group so that the kernel is a bordered surface group.
+The generators and relations are the family's ``presentation``, derived
+from its signature; a map is a residue vector in its ``gens`` order.
 Working additively in Z_N this means: every relation evaluates to zero,
 every elliptic generator keeps its exact order, every pair of consecutive
 canonical reflections keeps exact order 2 for its product, the images
@@ -32,11 +34,17 @@ def presentation_of(q: QuotientType) -> PresentationSpec:
 
 @dataclass(frozen=True)
 class BskMap:
-    """Residues mod N assigned to the canonical generators, in ``gens`` order."""
+    """Residues mod N for the canonical generators, in ``gens`` order: one each, in 0..N-1."""
 
     quotient: QuotientType
     N: int
     images: tuple[int, ...]
+
+    def __post_init__(self):
+        vec, gens = self.images, FAMILIES[self.quotient.kind].presentation.gens
+        if len(vec) != len(gens) or min(vec) < 0 or max(vec) >= self.N:
+            want = f"one residue in 0..{self.N - 1} per generator {gens}"
+            raise ValueError(f"{self.quotient} needs {want}, got {vec}")
 
     @classmethod
     def from_dict(cls, quotient: QuotientType, N: int, images: dict[str, int]) -> "BskMap":
@@ -84,10 +92,9 @@ def smoothness_failures(bmap: BskMap) -> list[str]:
             got = order_mod(vec[a] + vec[b], N)
             if got != 2:
                 bad.append(f"corner ({gens[a]} {gens[b]}) has order {got}, not 2")
-    if slots.long_relation is not None:
-        total = sum(c * vec[i] for c, i in slots.long_relation) % N
-        if total != 0:
-            bad.append(f"long relation evaluates to {total}")
+    total = sum(c * vec[i] for c, i in slots.long_relation) % N
+    if total != 0:
+        bad.append(f"long relation evaluates to {total}")
     if math.gcd(N, *vec) != 1:
         bad.append("images do not generate Z_N")
     if all(vec[i] != 0 for i in slots.reflections):

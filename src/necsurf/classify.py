@@ -75,14 +75,12 @@ def _ceil_half(x: int) -> int:
 def _corner_only(q: QuotientType, N: int, p: int, k, orientable) -> list[Realization]:
     """The parameter-free families: d6, ann2, mb2.
 
-    d6 exists only for N = 2 (one class, 3-holed sphere).  ann2 and mb2
-    exist for even N; each realized surface carries a single class, and the
-    orientable surfaces (tori/spheres, only for odd N/2) carry
+    d6 has the forced order N = 2 (one class, 3-holed sphere).  ann2 and
+    mb2 exist for even N; each realized surface carries a single class, and
+    the orientable surfaces (tori/spheres, only for odd N/2) carry
     orientation-reversing actions.
     """
     if q.kind == "d6":
-        if N != 2:
-            return []
         return [Realization(SurfaceTopology.of_genus(True, p, 3), 1, reversing=True)]
     half_odd = (N // 2) % 2 == 1
     reals = []

@@ -102,20 +102,18 @@ Term = tuple[int, str]  # (coefficient, generator) in an additive expression
 
 @dataclass(frozen=True)
 class CycleSpec:
-    """One period cycle: its distinct reflection names in cycle order.
+    """One period cycle: its distinct reflection names in cycle order, and its connector.
 
-    ``length`` is the number of link periods (0 for an empty cycle, in
-    which case there is a single reflection).  ``tail`` names the extra
-    generator identified with the conjugate of the first reflection, when
-    the presentation keeps it (e.g. c2 in c0*x = x*c2).  ``connector``
-    names the e-generator attached to the cycle, when one survives in the
-    presentation; its image order drives the boundary count of empty
-    cycles.
+    ``length`` is the number of link periods; an empty cycle has a single
+    reflection.  A non-empty cycle of length s also has the ``tail`` c_s,
+    which c_s = e^-1 c_0 e makes equal to c_0 in an abelian image.  The
+    image order of the ``connector`` e drives the boundary count of an
+    empty cycle.
     """
 
     reflections: tuple[str, ...]
     length: int
-    connector: str | None = None
+    connector: str
     tail: str | None = None
 
 
@@ -132,38 +130,37 @@ class PresentationSlots:
     # per period cycle: (tail, first reflection) or None, then its corners
     # as pairs of consecutive reflections
     cycles: tuple[tuple[tuple[int, int] | None, tuple[tuple[int, int], ...]], ...]
-    long_relation: tuple[tuple[int, int], ...] | None  # (coefficient, position)
+    long_relation: tuple[tuple[int, int], ...]  # (coefficient, position)
     preserving: tuple[int, ...]  # the orientation-preserving generators
     glides: tuple[int, ...]
     empty_cycles: tuple[tuple[int, int], ...]  # (reflection, connector) per empty cycle
     cycle_lengths: tuple[int, ...]  # of the non-empty cycles
-    connectors: tuple[int, ...]  # of every cycle that keeps one
+    connectors: tuple[int, ...]  # one per cycle
 
 
 @dataclass(frozen=True)
 class PresentationSpec:
-    """A family's presentation; only the elliptic orders depend on its cone orders.
+    """The canonical presentation of a family's NEC group, abelianised for Z_N.
 
-    Generator names follow the usual conventions: x (elliptic), e
-    (connector), c (reflection), d (glide).  Redundant connectors are
-    eliminated exactly as in the standard presentations, e.g. e = (x*d^2)^-1
-    for the once-punctured Moebius band.  ``elliptic`` names the elliptic
-    generators in the order of the proper periods.  Their relations x^m
-    are ``elliptic_orders``, empty in the family's record and filled in
-    at a quotient's cone orders by ``bsk.presentation_of``; ``relations``
-    holds the others.
+    ``Family.presentation`` builds it from the signature.  ``elliptic``
+    names the elliptic generators in the order of the proper periods.
+    Their relations x^m are ``elliptic_orders``, empty in the family's
+    record and filled in at a quotient's cone orders by
+    ``bsk.presentation_of``.  The other relations are the reflections'
+    squares and corners, read off ``cycles``, and ``long_relation``.
+    ``derived`` expresses the generators those relations determine (the
+    last connector and each cycle's tail) through the free ones.
     """
 
     gens: tuple[str, ...]
     elliptic: tuple[str, ...]
     cycles: tuple[CycleSpec, ...]
-    glides: tuple[str, ...] = ()
-    # sum over (coef, gen) must vanish mod N (the long relation), or None
-    # when eliminating a redundant connector consumed it
-    long_relation: tuple[Term, ...] | None = None
-    # dependent generator -> linear expression in terms of earlier ones
-    derived: dict[str, tuple[Term, ...]] = field(default_factory=dict)
-    relations: tuple[str, ...] = ()
+    reflection_names: tuple[str, ...]  # of every cycle in turn, tails included
+    glides: tuple[str, ...]
+    # sum over (coef, gen) must vanish mod N
+    long_relation: tuple[Term, ...]
+    # dependent generator -> linear expression in terms of free ones
+    derived: dict[str, tuple[Term, ...]]
     elliptic_orders: dict[str, int] = field(default_factory=dict)
 
     def complete(self, free_images: dict[str, int], N: int) -> dict[str, int]:
@@ -179,15 +176,6 @@ class PresentationSpec:
         return tuple(g for g in self.gens if g not in self.derived)
 
     @cached_property
-    def reflection_names(self) -> tuple[str, ...]:
-        out = []
-        for cyc in self.cycles:
-            out.extend(cyc.reflections)
-            if cyc.tail:
-                out.append(cyc.tail)
-        return tuple(out)
-
-    @cached_property
     def slots(self) -> PresentationSlots:
         """The presentation compiled to positions in ``gens``, once per spec."""
         pos = {g: i for i, g in enumerate(self.gens)}
@@ -200,21 +188,24 @@ class PresentationSpec:
             if cyc.length:
                 lengths.append(cyc.length)
             else:
-                assert cyc.connector is not None, "an empty cycle needs its connector"
                 empty.append((ring[0], pos[cyc.connector]))
         reversing = {*self.reflection_names, *self.glides}
         return PresentationSlots(
             elliptic=tuple(pos[g] for g in self.elliptic),
             reflections=tuple(pos[c] for c in self.reflection_names),
             cycles=tuple(cycles),
-            long_relation=None if self.long_relation is None
-            else tuple((c, pos[g]) for c, g in self.long_relation),
+            long_relation=tuple((c, pos[g]) for c, g in self.long_relation),
             preserving=tuple(i for g, i in pos.items() if g not in reversing),
             glides=tuple(pos[g] for g in self.glides),
             empty_cycles=tuple(empty),
             cycle_lengths=tuple(lengths),
-            connectors=tuple(pos[c.connector] for c in self.cycles if c.connector),
+            connectors=tuple(pos[c.connector] for c in self.cycles),
         )
+
+
+def _indexed(stem: str, count: int) -> tuple[str, ...]:
+    """Names for ``count`` generators of one kind: the bare ``stem`` when there is one."""
+    return (stem,) if count == 1 else tuple(f"{stem}{i}" for i in range(1, count + 1))
 
 
 @dataclass(frozen=True)
@@ -223,14 +214,14 @@ class Family:
 
     The quotient signature is (genus; sign; periods; cycles); its proper
     periods are the fixed ``periods`` followed by the cone orders named in
-    ``params`` ("m", or "m" and "n").
-    ``moves`` are outer automorphisms as substitutions on generator
-    images; a move that sends an elliptic generator to one of another
-    order does not apply.  ``full_moves`` says they generate the whole
-    outer automorphism group.  When ``order_is_forced``, N is the lcm of
-    all periods and link periods.  ``classify_args`` are the extra
-    arguments ``classify`` needs: the boundary count "k" and the
-    "orientable" flag of the covered surface.
+    ``params`` ("m", or "m" and "n").  They ascend, so that every
+    signature has one name (see ``admits``).  The ``presentation`` is
+    derived from the signature.  ``moves`` are outer automorphisms as
+    substitutions on generator images; a move that sends an elliptic
+    generator to one of another order does not apply.  ``full_moves`` says
+    they generate the whole outer automorphism group.  ``classify_args``
+    are the extra arguments ``classify`` needs: the boundary count "k" and
+    the "orientable" flag of the covered surface.
     """
 
     kind: str
@@ -241,14 +232,65 @@ class Family:
     periods: tuple[int, ...]
     params: tuple[str, ...]
     cycles: tuple[tuple[int, ...], ...]
-    presentation: PresentationSpec
     moves: tuple[tuple[str, dict[str, tuple[Term, ...]]], ...] = ()
     full_moves: bool = False
-    order_is_forced: bool = False
     classify_args: tuple[str, ...] = ()
-    # 3 where m = 2 would repeat the signature of the family with a 2 in
-    # place of this family's 3
-    m_min: int = 2
+
+    @cached_property
+    def presentation(self) -> PresentationSpec:
+        """The canonical presentation of the signature, abelianised for Z_N.
+
+        The generators (Wilkie, Math. Z. 91, 1966; Macbeath, Canad. J.
+        Math. 19, 1967) come in the order x (elliptic, one per proper
+        period), e (connector, one per cycle), c (reflection), d (glide,
+        one per unit of genus for sign '-'); a kind with one member drops
+        the index.  The reflections of cycle i are c_i0, c_i1, ..., or c_i
+        alone for an empty cycle; with one cycle i is dropped too.  In an
+        abelian image each non-empty cycle's tail c_is equals c_i0, and
+        the long relation sum x + sum e + 2 sum d = 0 derives the last
+        connector.  Sign '+' with genus > 0 would add hyperbolic
+        generators, which no catalog family has.
+        """
+        assert self.genus == 0 or not self.orientable, f"{self.kind} has hyperbolic generators"
+        elliptic = _indexed("x", len(self.periods) + len(self.params))
+        connectors = _indexed("e", len(self.cycles))
+        glides = () if self.orientable else _indexed("d", self.genus)
+        long_relation = tuple((1, g) for g in elliptic + connectors) + tuple((2, d) for d in glides)
+        derived = {connectors[-1]: tuple((-c, g) for c, g in long_relation if g != connectors[-1])}
+        cycles, reflections = [], []
+        for i, (e, links) in enumerate(zip(connectors, self.cycles), 1):
+            stem = "c" if len(self.cycles) == 1 else f"c{i}"
+            if links:
+                names = tuple(f"{stem}{j}" for j in range(len(links) + 1))
+                derived[names[-1]] = ((1, names[0]),)
+                cycles.append(CycleSpec(names[:-1], len(links), e, names[-1]))
+            else:
+                names = (stem,)
+                cycles.append(CycleSpec(names, 0, e))
+            reflections.extend(names)
+        return PresentationSpec(
+            gens=elliptic + connectors + tuple(reflections) + glides,
+            elliptic=elliptic,
+            cycles=tuple(cycles),
+            reflection_names=tuple(reflections),
+            glides=glides,
+            long_relation=long_relation,
+            derived=derived,
+        )
+
+    @cached_property
+    def order_is_forced(self) -> bool:
+        """Is N the lcm of all periods and link periods?  True for a disc quotient.
+
+        With orbit genus 0 and one period cycle the long relation derives
+        the connector, so elliptic elements and reflections generate the group.
+        """
+        return self.genus == 0 and len(self.cycles) == 1
+
+    @cached_property
+    def least_cone(self) -> int:
+        """The least cone order m: the proper periods ascend from the fixed ones."""
+        return max(self.periods, default=2)
 
     @cached_property
     def _area_base(self) -> tuple[int, int]:
@@ -279,20 +321,23 @@ class Family:
         return self.periods + ((m,) if n is None else (m, n))
 
     def admits(self, m: int | None = None, n: int | None = None) -> bool:
-        """Do these cone orders give a catalog quotient (m >= m_min, n >= 2, 0 < area < 1)?
+        """Do these cone orders give a catalog quotient?
 
-        The area is a/b - 1/m (- 1/n), so the test is an integer comparison:
+        The proper periods must ascend, fixed ones first (least_cone <= m,
+        and m <= n), so that d21(3,2) and d3-23m(2), say, do not rename
+        d21(2,3) and d3-22m(3); and the area must lie in (0, 1).  The
+        area is a/b - 1/m (- 1/n), so that test is an integer comparison:
         (a - b)*m < b < a*m, or (a - b)*m*n < b*(m + n) < a*m*n.
         """
         if m is None:
             return True
         a, b = self._area_base
         if n is None:
-            return m >= self.m_min and (a - b) * m < b < a * m
-        return m >= self.m_min and n >= 2 and (a - b) * m * n < b * (m + n) < a * m * n
+            return m >= self.least_cone and (a - b) * m < b < a * m
+        return self.least_cone <= m <= n and (a - b) * m * n < b * (m + n) < a * m * n
 
     def instances(self, values, order: int | None = None) -> list[QuotientType]:
-        """Every admitted choice of cone orders from ``values`` (ascending), pairs with m <= n.
+        """Every admitted choice of cone orders from the ascending sequence ``values``.
 
         With ``order`` a pair must have lcm equal to it, the condition for
         two cone points alone to carry a surjection onto Z_order.
@@ -303,9 +348,9 @@ class Family:
             return [QuotientType(self.kind, m=m) for m in values if self.admits(m)]
         return [
             QuotientType(self.kind, m=m, n=n)
-            for m in values
-            for n in values
-            if m <= n and (order is None or math.lcm(m, n) == order) and self.admits(m, n)
+            for i, m in enumerate(values)
+            for n in values[i:]
+            if (order is None or math.lcm(m, n) == order) and self.admits(m, n)
         ]
 
 
@@ -322,12 +367,11 @@ class QuotientType:
         if fam is None:
             raise ValueError(f"unknown quotient kind {self.kind!r}")
         check_arguments(self.kind, fam.params, m=self.m, n=self.n)
-        if self.n is not None and self.m > self.n:
-            raise ValueError(f"{self.label()}: the cone orders of {self.kind} are given as m <= n")
         if self.m is not None and not fam.admits(self.m, self.n):
+            order = f"{fam.least_cone} <= m" + (" <= n" if self.n is not None else "")
             raise ValueError(
-                f"{self.label()} is outside the catalog: cone orders must be "
-                f">= {fam.m_min} and the area in (0, 1)"
+                f"{self.label()} is outside the catalog: the cone orders of {self.kind} "
+                f"ascend ({order}) and the area lies in (0, 1)"
             )
 
     def signature(self) -> NecSignature:
@@ -360,109 +404,19 @@ def _swap(a: str, b: str) -> dict[str, tuple[Term, ...]]:
     return {a: ((1, b),), b: ((1, a),)}
 
 
-_C6 = tuple(f"c{i}" for i in range(6))
-_C5 = _C6[:5]
-# a corner pair closed by the tail c2, a conjugate of c0 (mb2, d12)
-_CORNER_PAIR = (CycleSpec(("c0", "c1"), 2, tail="c2"),)
-_CORNER_PAIR_RELATIONS = ("c0^2", "c1^2", "c2^2", "(c0 c1)^2", "(c1 c2)^2")
-_EMPTY_CYCLE = (CycleSpec(("c",), 0, connector="e"),)
-
-_THREE_CONES = PresentationSpec(
-    gens=("x1", "x2", "x3", "e", "c"),
-    elliptic=("x1", "x2", "x3"),
-    cycles=_EMPTY_CYCLE,
-    long_relation=((1, "x1"), (1, "x2"), (1, "x3"), (1, "e")),
-    derived={"e": ((-1, "x1"), (-1, "x2"), (-1, "x3"))},
-    relations=("c^2", "x1 x2 x3 e", "c e = e c"),
-)
-_TWO_CONES_CORNERS = PresentationSpec(
-    gens=("x1", "x2", "e", "c0", "c1", "c2"),
-    elliptic=("x1", "x2"),
-    cycles=(CycleSpec(("c0", "c1"), 2, connector="e", tail="c2"),),
-    long_relation=((1, "x1"), (1, "x2"), (1, "e")),
-    derived={"e": ((-1, "x1"), (-1, "x2")), "c2": ((1, "c0"),)},
-    relations=_CORNER_PAIR_RELATIONS + ("x1 x2 e", "c2 e = e c0"),
-)
-
 #: kind -> Family, in catalog order
 FAMILIES: dict[str, Family] = {f.kind: f for f in (
-    Family(
-        "d6", 1, "disc with 6 corner points", 0, True, (), (), ((2,) * 6,),
-        PresentationSpec(
-            gens=_C6,
-            elliptic=(),
-            cycles=(CycleSpec(_C6, 6),),
-            # e1 = 1 eliminates the connector and the long relation entirely
-            relations=tuple(f"{c}^2" for c in _C6)
-            + tuple(f"({_C6[i]} {_C6[(i + 1) % 6]})^2" for i in range(6)),
-        ),
-    ),
-    Family(
-        "ann2", 2, "annulus with 2 corner points", 0, True, (), (), ((), (2, 2)),
-        PresentationSpec(
-            gens=("e1", "e2", "c10", "c20", "c21", "c22"),
-            elliptic=(),
-            cycles=(
-                CycleSpec(("c10",), 0, connector="e1"),
-                CycleSpec(("c20", "c21"), 2, connector="e2", tail="c22"),
-            ),
-            long_relation=((1, "e1"), (1, "e2")),
-            derived={"e2": ((-1, "e1"),), "c22": ((1, "c20"),)},
-            relations=(
-                "e1 e2", "c10^2", "c20^2", "c21^2", "c22^2", "(c20 c21)^2", "(c21 c22)^2",
-                "e1 c10 = c10 e1", "e2 c20 = c22 e2",
-            ),
-        ),
-    ),
-    Family(
-        "mb2", 3, "Moebius band with 2 corner points", 1, False, (), (), ((2, 2),),
-        PresentationSpec(
-            gens=("d", "c0", "c1", "c2"),
-            elliptic=(),
-            cycles=_CORNER_PAIR,
-            glides=("d",),
-            # e1 = d^-2
-            derived={"c2": ((1, "c0"),)},
-            relations=_CORNER_PAIR_RELATIONS + ("c0 d^2 = d^2 c2",),
-        ),
-    ),
+    Family("d6", 1, "disc with 6 corner points", 0, True, (), (), ((2,) * 6,)),
+    Family("ann2", 2, "annulus with 2 corner points", 0, True, (), (), ((), (2, 2))),
+    Family("mb2", 3, "Moebius band with 2 corner points", 1, False, (), (), ((2, 2),)),
     Family(
         "d12", 4, "disc with 1 cone point and 2 corner points", 0, True, (), ("m",), ((2, 2),),
-        PresentationSpec(
-            gens=("x", "c0", "c1", "c2"),
-            elliptic=("x",),
-            cycles=_CORNER_PAIR,
-            # e1 = x^-1
-            derived={"c2": ((1, "c0"),)},
-            relations=_CORNER_PAIR_RELATIONS + ("c0 x = x c2",),
-        ),
-        order_is_forced=True,
     ),
     Family(
         "d14", 5, "disc with 1 cone point and 4 corner points", 0, True, (), ("m",), ((2,) * 4,),
-        PresentationSpec(
-            gens=("x",) + _C5,
-            elliptic=("x",),
-            cycles=(CycleSpec(_C5[:4], 4, tail="c4"),),
-            # e1 = x^-1
-            derived={"c4": ((1, "c0"),)},
-            relations=tuple(f"{c}^2" for c in _C5)
-            + tuple(f"({_C5[i]} {_C5[i + 1]})^2" for i in range(4))
-            + ("c0 x = x c4",),
-        ),
-        order_is_forced=True,
     ),
     Family(
         "mb1", 6, "Moebius band with 1 cone point", 1, False, (), ("m",), ((),),
-        PresentationSpec(
-            gens=("x", "d", "c", "e"),
-            elliptic=("x",),
-            cycles=_EMPTY_CYCLE,
-            glides=("d",),
-            long_relation=((1, "x"), (1, "e"), (2, "d")),
-            derived={"e": ((-1, "x"), (-2, "d"))},
-            relations=("c^2", "x e d^2", "e c = c e"),
-        ),
         # the two involutions generating its Klein-four outer group
         moves=(
             ("gamma", _negate("x", "e", "d")),
@@ -473,33 +427,13 @@ FAMILIES: dict[str, Family] = {f.kind: f for f in (
     ),
     Family(
         "d21", 7, "disc with 2 cone points", 0, True, (), ("m", "n"), ((),),
-        PresentationSpec(
-            gens=("x1", "x2", "c", "e"),
-            elliptic=("x1", "x2"),
-            cycles=_EMPTY_CYCLE,
-            long_relation=((1, "x1"), (1, "x2"), (1, "e")),
-            derived={"e": ((-1, "x1"), (-1, "x2"))},
-            relations=("c^2", "x1 x2 e", "e c = c e"),
-        ),
         # the boundary reflection, and the cone swap when m = n
         moves=(("alpha", _negate("x1", "x2", "e")), ("beta", _swap("x1", "x2"))),
         full_moves=True,
-        order_is_forced=True,
         classify_args=("k",),
     ),
     Family(
         "ann1", 8, "annulus with 1 cone point", 0, True, (), ("m",), ((), ()),
-        PresentationSpec(
-            gens=("x", "e1", "e2", "c1", "c2"),
-            elliptic=("x",),
-            cycles=(
-                CycleSpec(("c1",), 0, connector="e1"),
-                CycleSpec(("c2",), 0, connector="e2"),
-            ),
-            long_relation=((1, "x"), (1, "e1"), (1, "e2")),
-            derived={"e2": ((-1, "x"), (-1, "e1"))},
-            relations=("c1^2", "c2^2", "x e1 e2", "e1 c1 = c1 e1", "e2 c2 = c2 e2"),
-        ),
         # as for mb1; beta swaps the two boundary cycles
         moves=(
             ("alpha", _negate("x", "e1", "e2")),
@@ -508,25 +442,15 @@ FAMILIES: dict[str, Family] = {f.kind: f for f in (
         full_moves=True,
         classify_args=("k", "orientable"),
     ),
-    Family(
-        "d3-23m", 9, "disc with 3 cone points", 0, True, (2, 3), ("m",), ((),), _THREE_CONES,
-        order_is_forced=True,
-        m_min=3,
-    ),
-    Family(
-        "d3-22m", 9, "disc with 3 cone points", 0, True, (2, 2), ("m",), ((),), _THREE_CONES,
-        order_is_forced=True,
-    ),
+    Family("d3-23m", 9, "disc with 3 cone points", 0, True, (2, 3), ("m",), ((),)),
+    Family("d3-22m", 9, "disc with 3 cone points", 0, True, (2, 2), ("m",), ((),)),
     Family(
         "d2c-3m", 10, "disc with 2 cone points and 2 corner points", 0, True, (3,), ("m",),
-        ((2, 2),), _TWO_CONES_CORNERS,
-        order_is_forced=True,
-        m_min=3,
+        ((2, 2),),
     ),
     Family(
         "d2c-2m", 10, "disc with 2 cone points and 2 corner points", 0, True, (2,), ("m",),
-        ((2, 2),), _TWO_CONES_CORNERS,
-        order_is_forced=True,
+        ((2, 2),),
     ),
 )}
 

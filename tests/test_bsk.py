@@ -14,25 +14,53 @@ from necsurf.bsk import (
     smoothness_failures,
     surface_of,
 )
-from necsurf.signatures import QuotientType
+from necsurf.signatures import FAMILIES, QuotientType
 
 
 def bmap(kind, N, images, **params):
     return BskMap.from_dict(QuotientType(kind, **params), N, images)
 
 
+# d6 at N = 2: reflections alternating 1, 0, ..., the tail c6 equal to c0
+ALTERNATING = {"e": 0, **{f"c{i}": (i + 1) % 2 for i in range(7)}}
+
+C = tuple(f"c{i}" for i in range(7))
+
+#: kind -> (gens, free) of the presentation derived from the signature
+PRESENTATIONS = {
+    "d6": (("e",) + C, C[:6]),
+    "ann2": (("e1", "e2", "c1", "c20", "c21", "c22"), ("e1", "c1", "c20", "c21")),
+    "mb2": (("e",) + C[:3] + ("d",), C[:2] + ("d",)),
+    "d12": (("x", "e") + C[:3], ("x",) + C[:2]),
+    "d14": (("x", "e") + C[:5], ("x",) + C[:4]),
+    "mb1": (("x", "e", "c", "d"), ("x", "c", "d")),
+    "d21": (("x1", "x2", "e", "c"), ("x1", "x2", "c")),
+    "ann1": (("x", "e1", "e2", "c1", "c2"), ("x", "e1", "c1", "c2")),
+    "d3-23m": (("x1", "x2", "x3", "e", "c"), ("x1", "x2", "x3", "c")),
+    "d3-22m": (("x1", "x2", "x3", "e", "c"), ("x1", "x2", "x3", "c")),
+    "d2c-3m": (("x1", "x2", "e") + C[:3], ("x1", "x2") + C[:2]),
+    "d2c-2m": (("x1", "x2", "e") + C[:3], ("x1", "x2") + C[:2]),
+}
+
+
 def test_presentation_generator_names():
+    """Every family's generators and free generators, as built from its signature."""
+    assert set(PRESENTATIONS) == set(FAMILIES)
+    for kind, (gens, free) in PRESENTATIONS.items():
+        pres = FAMILIES[kind].presentation
+        assert (pres.gens, pres.free) == (gens, free), kind
     pres = presentation_of(QuotientType("ann1", m=5))
-    assert pres.gens == ("x", "e1", "e2", "c1", "c2")
     assert pres.elliptic_orders == {"x": 5}
     pres = presentation_of(QuotientType("mb1", m=4))
-    assert pres.gens == ("x", "d", "c", "e")
     assert pres.glides == ("d",)
-    assert ("x e d^2" in pres.relations) and ("e c = c e" in pres.relations)
+    assert pres.long_relation == ((1, "x"), (1, "e"), (2, "d"))
+    assert pres.derived == {"e": ((-1, "x"), (-2, "d"))}
     pres = presentation_of(QuotientType("d6"))
-    assert pres.gens == tuple(f"c{i}" for i in range(6))
-    # six corner relations, closing around the cycle
-    assert "(c5 c0)^2" in pres.relations
+    # six corners, the last one closing the ring through the tail c6 = c0
+    (tail, corners), = pres.slots.cycles
+    assert [(pres.gens[a], pres.gens[b]) for a, b in corners] == list(zip(C[:6], C[1:]))
+    assert tail == (pres.gens.index("c6"), pres.gens.index("c0"))
+    assert pres.derived == {"e": (), "c6": ((1, "c0"),)}
 
 
 def test_completion_fills_dependents():
@@ -57,38 +85,37 @@ def test_smoothness_rejects_relation_violations():
     m = bmap("d21", 6, {"x1": 3, "x2": 2, "e": 1, "c": 3}, m=2, n=3)
     assert any("unbordered" in msg for msg in smoothness_failures(m))
     # consecutive reflections with equal images
-    m = bmap("d12", 4, {"x": 1, "c0": 2, "c1": 2, "c2": 2}, m=4)
+    m = bmap("d12", 4, {"x": 1, "e": 3, "c0": 2, "c1": 2, "c2": 2}, m=4)
     assert any("corner" in msg for msg in smoothness_failures(m))
 
 
 def test_orientability_examples():
-    alternating = bmap("d6", 2, {f"c{i}": (i + 1) % 2 for i in range(6)})
+    alternating = bmap("d6", 2, ALTERNATING)
     assert is_smooth(alternating)
     assert orientability(alternating)
     assert action_reverses_orientation(alternating) is True
 
-    mb2_8 = bmap("mb2", 8, {"d": 1, "c0": 4, "c1": 0, "c2": 4})
+    mb2_8 = bmap("mb2", 8, {"e": 6, "d": 1, "c0": 4, "c1": 0, "c2": 4})
     assert is_smooth(mb2_8)
     assert not orientability(mb2_8)  # N/2 even: non-orientable
     assert action_reverses_orientation(mb2_8) is None
 
-    mb2_6 = bmap("mb2", 6, {"d": 1, "c0": 3, "c1": 0, "c2": 3})
+    mb2_6 = bmap("mb2", 6, {"e": 4, "d": 1, "c0": 3, "c1": 0, "c2": 3})
     assert is_smooth(mb2_6)
     assert orientability(mb2_6)  # N/2 odd: orientable
     assert action_reverses_orientation(mb2_6) is True
 
 
 def test_boundary_count_examples():
-    ann2_a = bmap("ann2", 6, {"e1": 1, "e2": 5, "c10": 0, "c20": 3, "c21": 0, "c22": 3})
+    ann2_a = bmap("ann2", 6, {"e1": 1, "e2": 5, "c1": 0, "c20": 3, "c21": 0, "c22": 3})
     assert boundary_count(ann2_a) == 1 + 3  # kernel reflection plus cycle cells
-    ann2_b = bmap("ann2", 6, {"e1": 1, "e2": 5, "c10": 3, "c20": 3, "c21": 0, "c22": 3})
+    ann2_b = bmap("ann2", 6, {"e1": 1, "e2": 5, "c1": 3, "c20": 3, "c21": 0, "c22": 3})
     assert boundary_count(ann2_b) == 3
-    alternating = bmap("d6", 2, {f"c{i}": (i + 1) % 2 for i in range(6)})
-    assert boundary_count(alternating) == 3
+    assert boundary_count(bmap("d6", 2, ALTERNATING)) == 3
 
 
 def test_surface_of_examples():
-    mb2_8 = bmap("mb2", 8, {"d": 1, "c0": 4, "c1": 0, "c2": 4})
+    mb2_8 = bmap("mb2", 8, {"e": 6, "d": 1, "c0": 4, "c1": 0, "c2": 4})
     s = surface_of(mb2_8)
     # 4-holed Klein bottle: algebraic genus 2 + 4 - 1 = 5 = 8 * 1/2 + 1
     assert (s.orientable, s.genus, s.boundary_count, s.algebraic_genus) == (False, 2, 4, 5)
@@ -98,7 +125,7 @@ def test_surface_of_examples():
     s = surface_of(d3)
     assert (s.orientable, s.genus, s.boundary_count) == (True, 2, 2)
 
-    d12 = bmap("d12", 6, {"x": 2, "c0": 3, "c1": 0, "c2": 3}, m=3)
+    d12 = bmap("d12", 6, {"x": 2, "e": 4, "c0": 3, "c1": 0, "c2": 3}, m=3)
     s = surface_of(d12)
     assert s.describe() == "3-holed sphere"
     assert action_reverses_orientation(d12) is True
@@ -119,3 +146,17 @@ def test_json_serialization():
 def test_from_dict_requires_all_generators():
     with pytest.raises(ValueError):
         BskMap.from_dict(QuotientType("d21", m=2, n=3), 6, {"x1": 3, "x2": 2})
+
+
+@pytest.mark.parametrize("kind, params, N, images", [
+    ("d21", {"m": 2, "n": 3}, 6, (3, 2, 1, 6)),  # 6 is no residue mod 6
+    ("d21", {"m": 2, "n": 3}, 6, (3, 2, 1, -1)),
+    ("d21", {"m": 2, "n": 3}, 6, (3, 2, 1, 0, 5)),  # one residue too many
+    ("d21", {"m": 2, "n": 3}, 6, (3, 2, 1)),
+    ("d6", {}, 2, (0, 1, 0, 1, 0)),
+])
+def test_map_rejects_a_malformed_residue_vector(kind, params, N, images):
+    """One residue in 0..N-1 per generator, or the constructor raises."""
+    with pytest.raises(ValueError, match="one residue"):
+        BskMap(QuotientType(kind, **params), N, images)
+    assert is_smooth(BskMap(QuotientType("d21", m=2, n=3), 6, (3, 2, 1, 0)))

@@ -30,6 +30,8 @@ def test_classify_six_corner_disc(capsys):
     code, out, _ = run(capsys, "classify", "d6", "--N", "2")
     assert code == 0
     assert "3-holed sphere" in out and "1 conjugacy class(es)" in out
+    # the order is forced, so --N defaults to 2
+    assert run(capsys, "classify", "d6") == (code, out, "")
 
 
 def test_classify_forced_order(capsys):

@@ -161,7 +161,7 @@ def test_orbit_count_rejects_a_set_not_closed_under_equivalence(kind, m, N, drop
 
 def test_orbit_count_rejects_a_map_that_is_not_smooth():
     q = QuotientType("d6")
-    bmap = BskMap(q, 2, (0,) * 6)  # no image generates Z_2
+    bmap = BskMap(q, 2, (0,) * 8)  # no image generates Z_2
     assert not is_smooth(bmap)
     with pytest.raises(ValueError, match="not smooth"):
         orbit_count([bmap], (), 2)

@@ -278,8 +278,30 @@ def test_admits_is_the_exact_area_test():
         for m in ms:
             for n in ns:
                 sig = NecSignature(fam.genus, fam.orientable, fam.proper_periods(m, n), fam.cycles)
-                want = (m is None or m >= fam.m_min) and 0 < area(sig) < 1
+                ascending = list(sig.proper_periods) == sorted(sig.proper_periods)
+                want = (m is None or ascending) and 0 < area(sig) < 1
                 assert fam.admits(m, n) == want, (fam.kind, m, n)
+
+
+def test_every_catalog_signature_has_one_name():
+    """No two admitted parameter choices give the same signature up to order.
+
+    d3-23m(2) would rename d3-22m(3), d2c-3m(2) d2c-2m(3), d21(3,2) d21(2,3).
+    """
+    names = {}
+    for fam in FAMILIES.values():
+        for q in fam.instances(range(2, 31)):
+            other = names.setdefault(_canon(q.signature()), q)
+            assert other == q, (other, q)
+    assert len(names) == 616
+
+
+def test_disc_quotients_force_the_order():
+    forced = {kind for kind, fam in FAMILIES.items() if fam.order_is_forced}
+    assert forced == {"d6", "d12", "d14", "d21", "d3-23m", "d3-22m", "d2c-3m", "d2c-2m"}
+    assert QuotientType("d6").forced_order() == 2
+    assert QuotientType("d2c-3m", m=4).forced_order() == 12
+    assert QuotientType("mb1", m=4).forced_order() is None
 
 
 def test_family_kernel_genus_is_the_exact_area_genus():
