@@ -3,7 +3,8 @@
 A BSK epimorphism theta: Lambda -> Z_N assigns residues to the canonical
 generators of an NEC group so that the kernel is a bordered surface group.
 The generators and relations are the family's ``presentation``, derived
-from its signature; a map is a residue vector in its ``gens`` order.
+from its signature; a map is a residue vector in its ``gens`` order, and
+the rules read the relations as positions in that vector.
 Working additively in Z_N this means: every relation evaluates to zero,
 every elliptic generator keeps its exact order, every pair of consecutive
 canonical reflections keeps exact order 2 for its product, the images
@@ -29,7 +30,8 @@ def presentation_of(q: QuotientType) -> PresentationSpec:
     """The family's spec at the cone orders of ``q``: its ``elliptic_orders`` filled in."""
     fam = FAMILIES[q.kind]
     spec = fam.presentation
-    return replace(spec, elliptic_orders=dict(zip(spec.elliptic, fam.proper_periods(q.m, q.n))))
+    names = (spec.gens[i] for i in spec.elliptic)
+    return replace(spec, elliptic_orders=dict(zip(names, fam.proper_periods(q.m, q.n))))
 
 
 @dataclass(frozen=True)
@@ -75,29 +77,29 @@ def smoothness_failures(bmap: BskMap) -> list[str]:
     """All reasons the assignment fails to be a BSK epimorphism (empty = smooth)."""
     q, N, vec = bmap.quotient, bmap.N, bmap.images
     fam = FAMILIES[q.kind]
-    gens = fam.presentation.gens
-    slots = fam.presentation.slots
+    pres = fam.presentation
+    gens = pres.gens
     bad = []
-    for i, want in zip(slots.elliptic, fam.proper_periods(q.m, q.n)):
+    for i, want in zip(pres.elliptic, fam.proper_periods(q.m, q.n)):
         got = order_mod(vec[i], N)
         if got != want:
             bad.append(f"{gens[i]} has order {got}, requires exact order {want}")
-    for i in slots.reflections:
+    for i in pres.reflections:
         if (2 * vec[i]) % N != 0:
             bad.append(f"reflection {gens[i]} image {vec[i]} does not square to 0")
-    for tail, corners in slots.cycles:
-        if tail and vec[tail[0]] != vec[tail[1]]:
-            bad.append(f"{gens[tail[0]]} must equal the conjugate image of {gens[tail[1]]}")
-        for a, b in corners:
-            got = order_mod(vec[a] + vec[b], N)
-            if got != 2:
-                bad.append(f"corner ({gens[a]} {gens[b]}) has order {got}, not 2")
-    total = sum(c * vec[i] for c, i in slots.long_relation) % N
+    for ring in pres.rings:  # an empty cycle's ring, its one reflection, has no tail
+        if vec[ring[-1]] != vec[ring[0]]:
+            bad.append(f"{gens[ring[-1]]} must equal the conjugate image of {gens[ring[0]]}")
+    for a, b in pres.corners:
+        got = order_mod(vec[a] + vec[b], N)
+        if got != 2:
+            bad.append(f"corner ({gens[a]} {gens[b]}) has order {got}, not 2")
+    total = sum(c * vec[i] for c, i in pres.long_relation) % N
     if total != 0:
         bad.append(f"long relation evaluates to {total}")
     if math.gcd(N, *vec) != 1:
         bad.append("images do not generate Z_N")
-    if all(vec[i] != 0 for i in slots.reflections):
+    if all(vec[i] != 0 for i in pres.reflections):
         bad.append("kernel contains no reflection (surface would be unbordered)")
     return bad
 
@@ -120,13 +122,13 @@ def orientability(bmap: BskMap) -> bool:
     reversing image is w does not matter: any two differ by an element of
     that subgroup.)
     """
-    slots = FAMILIES[bmap.quotient.kind].presentation.slots
+    pres = FAMILIES[bmap.quotient.kind].presentation
     vec = bmap.images
-    reversing = [vec[i] for i in slots.glides] + [vec[i] for i in slots.reflections if vec[i]]
+    reversing = [vec[i] for i in pres.glides] + [vec[i] for i in pres.reflections if vec[i]]
     if not reversing:
         return True
     w = reversing[0]
-    gens = [vec[i] for i in slots.preserving] + [x - w for x in reversing[1:]] + [2 * w]
+    gens = [vec[i] for i in pres.preserving] + [x - w for x in reversing[1:]] + [2 * w]
     d = math.gcd(bmap.N, *gens)
     return w % d != 0
 
@@ -137,8 +139,8 @@ def has_reversing_image(bmap: BskMap) -> bool:
     That is a glide, or a reflection with image N/2.  On an orientable
     cover this says whether the action reverses orientation.
     """
-    slots = FAMILIES[bmap.quotient.kind].presentation.slots
-    return bool(slots.glides) or any(bmap.images[i] for i in slots.reflections)
+    pres = FAMILIES[bmap.quotient.kind].presentation
+    return bool(pres.glides) or any(bmap.images[i] for i in pres.reflections)
 
 
 def action_reverses_orientation(bmap: BskMap) -> bool | None:
@@ -162,16 +164,16 @@ def boundary_count(bmap: BskMap) -> int:
     every smooth map (non-empty cycles force N even) and is asserted, not
     rounded.
     """
-    slots = FAMILIES[bmap.quotient.kind].presentation.slots
+    pres = FAMILIES[bmap.quotient.kind].presentation
     N, vec = bmap.N, bmap.images
     total = 0
-    for refl, connector in slots.empty_cycles:
-        if vec[refl] == 0:
+    for ring, connector in zip(pres.rings, pres.connectors):
+        length = len(ring) - 1
+        if length:
+            assert length * N % 4 == 0, f"cycle contribution {length}*{N}/4 is not integral"
+            total += length * N // 4
+        elif vec[ring[0]] == 0:
             total += N // order_mod(vec[connector], N)
-    for length in slots.cycle_lengths:
-        s = length * N
-        assert s % 4 == 0, f"cycle contribution {length}*{N}/4 is not integral"
-        total += s // 4
     return total
 
 

@@ -185,8 +185,6 @@ def cmd_minmax_max(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.jobs < 1:
-        raise UsageError("--jobs must be >= 1")
     kinds = None if args.types is None else args.types.split(",")
     report = oracle.cross_check(kinds=kinds, n_max=args.n_max, jobs=args.jobs)
     if args.format == "json":

@@ -62,14 +62,15 @@ def moves_for(q: QuotientType) -> tuple[AutMove, ...]:
 
     The family's outer moves (``Family.moves``), less any that would send
     an elliptic generator to one of another order (the d21 cone swap when
-    m != n).  Every family with a non-empty period cycle also gets the
-    rotation that shifts the cycle's reflections by one.  Generators a
-    move does not name keep their image.
+    m != n).  Every family with a period cycle of two or more corners
+    also gets the rotation that shifts the cycle's ring by one.
+    Generators a move does not name keep their image.
     """
     pres = presentation_of(q)
     orders = pres.elliptic_orders
-    named = [
-        (name, mapping)
+    pos = {g: i for i, g in enumerate(pres.gens)}
+    moves = [
+        (name, {pos[g]: tuple((c, pos[src]) for c, src in expr) for g, expr in mapping.items()})
         for name, mapping in FAMILIES[q.kind].moves
         if all(
             orders[g] == orders.get(src)
@@ -78,20 +79,16 @@ def moves_for(q: QuotientType) -> tuple[AutMove, ...]:
             for _, src in expr
         )
     ]
-    for idx, cyc in enumerate(pres.cycles):
-        if cyc.length < 2:
-            continue
-        names = cyc.reflections
-        mapping = {names[j]: ((1, names[j - 1]),) for j in range(len(names))}
-        if cyc.tail:
-            mapping[cyc.tail] = ((1, names[-1]),)
-        named.append((f"shift{idx}", mapping))
-    pos = {g: i for i, g in enumerate(pres.gens)}
-
-    def row(mapping, g):
-        return tuple((c, pos[src]) for c, src in mapping.get(g, ((1, g),)))
-
-    return tuple(AutMove(name, tuple(row(m, g) for g in pres.gens)) for name, m in named)
+    for idx, ring in enumerate(pres.rings):
+        if len(ring) > 2:
+            *reflections, tail = ring  # the tail stays equal to the new c_0
+            rows = {r: ((1, reflections[j - 1]),) for j, r in enumerate(reflections)}
+            rows[tail] = ((1, reflections[-1]),)
+            moves.append((f"shift{idx}", rows))
+    return tuple(
+        AutMove(name, tuple(rows.get(i, ((1, i),)) for i in range(len(pres.gens))))
+        for name, rows in moves
+    )
 
 
 def _free_domains(pres: PresentationSpec, N: int) -> list[tuple[int, ...]]:
@@ -119,7 +116,7 @@ def enumerate_smooth(q: QuotientType, N: int) -> list[BskMap]:
     pres = presentation_of(q)
     out = []
     for combo in itertools.product(*_free_domains(pres, N)):
-        bmap = BskMap(q, N, tuple(pres.complete(dict(zip(pres.free, combo)), N).values()))
+        bmap = BskMap(q, N, pres.complete(combo, N))
         if is_smooth(bmap):
             out.append(bmap)
     return out
@@ -155,7 +152,7 @@ def _invariants(bmap: BskMap) -> tuple[SurfaceTopology, bool | None, tuple[int, 
     surface = surface_of(bmap)
     reversing = has_reversing_image(bmap) if surface.orientable else None
     vec, N = bmap.images, bmap.N
-    connectors = FAMILIES[bmap.quotient.kind].presentation.slots.connectors
+    connectors = FAMILIES[bmap.quotient.kind].presentation.connectors
     return surface, reversing, tuple(sorted(order_mod(vec[i], N) for i in connectors))
 
 
@@ -200,10 +197,14 @@ def orbit_count(maps: list[BskMap], moves: tuple[AutMove, ...], N: int) -> Orbit
     class has phi(N) members; and the invariants, computed on every map,
     are constant on each orbit.  Orbits come in order of their smallest
     member index, each represented by the member with the least images.
+    Maps of another order than N, or of two quotients, raise ValueError.
     """
     if not maps:
         return OrbitReport(None, N, 0, 0, ())
     q = maps[0].quotient
+    for m in maps:
+        if m.N != N or m.quotient != q:
+            raise ValueError(f"orbit_count of {q} at N={N} was given the map {m}")
     index = {m.images: i for i, m in enumerate(maps)}
     assert len(index) == len(maps)
     # first, so that a map that is not smooth raises as surface_of does;
@@ -335,6 +336,8 @@ def check_points(kinds=None, n_max: int = 24) -> list[tuple[QuotientType, int]]:
 
 def cross_check(kinds=None, n_max: int = 24, jobs: int = 1) -> CrossCheckReport:
     """Sweep oracle vs closed form over every admissible parameter point."""
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got jobs={jobs}")
     points = check_points(kinds, n_max)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -9,12 +9,15 @@ genus to finite-index bordered surface subgroups, and holds the catalog
 of the ten quotient
 families that can occur for a cyclic action of order N on a bordered
 surface of algebraic genus p with N > p - 1 (equivalently, area < 1):
-``FAMILIES``, one ``Family`` record per quotient kind.
+``FAMILIES``, one ``Family`` record per quotient kind.  Each record
+derives its group's canonical presentation (``PresentationSpec``), whose
+relations name generators by their position in ``gens``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -98,109 +101,77 @@ def check_arguments(kind: str, takes: tuple[str, ...], **given) -> None:
 # --- the ten large-action quotient families ------------------------------
 
 Term = tuple[int, str]  # (coefficient, generator) in an additive expression
-
-
-@dataclass(frozen=True)
-class CycleSpec:
-    """One period cycle: its distinct reflection names in cycle order, and its connector.
-
-    ``length`` is the number of link periods; an empty cycle has a single
-    reflection.  A non-empty cycle of length s also has the ``tail`` c_s,
-    which c_s = e^-1 c_0 e makes equal to c_0 in an abelian image.  The
-    image order of the ``connector`` e drives the boundary count of an
-    empty cycle.
-    """
-
-    reflections: tuple[str, ...]
-    length: int
-    connector: str
-    tail: str | None = None
-
-
-@dataclass(frozen=True)
-class PresentationSlots:
-    """A ``PresentationSpec`` compiled to positions in its ``gens``.
-
-    The per-map rules of ``bsk`` read a map's residues through these
-    positions, so they build no name-keyed view of the map.
-    """
-
-    elliptic: tuple[int, ...]  # in the order of the proper periods
-    reflections: tuple[int, ...]  # of ``reflection_names``
-    # per period cycle: (tail, first reflection) or None, then its corners
-    # as pairs of consecutive reflections
-    cycles: tuple[tuple[tuple[int, int] | None, tuple[tuple[int, int], ...]], ...]
-    long_relation: tuple[tuple[int, int], ...]  # (coefficient, position)
-    preserving: tuple[int, ...]  # the orientation-preserving generators
-    glides: tuple[int, ...]
-    empty_cycles: tuple[tuple[int, int], ...]  # (reflection, connector) per empty cycle
-    cycle_lengths: tuple[int, ...]  # of the non-empty cycles
-    connectors: tuple[int, ...]  # one per cycle
+PosTerms = tuple[tuple[int, int], ...]  # (coefficient, generator position) terms
 
 
 @dataclass(frozen=True)
 class PresentationSpec:
     """The canonical presentation of a family's NEC group, abelianised for Z_N.
 
-    ``Family.presentation`` builds it from the signature.  ``elliptic``
-    names the elliptic generators in the order of the proper periods.
-    Their relations x^m are ``elliptic_orders``, empty in the family's
-    record and filled in at a quotient's cone orders by
-    ``bsk.presentation_of``.  The other relations are the reflections'
-    squares and corners, read off ``cycles``, and ``long_relation``.
-    ``derived`` expresses the generators those relations determine (the
-    last connector and each cycle's tail) through the free ones.
+    ``Family.presentation`` builds it from the signature.  Its relation
+    fields hold positions in ``gens``, the order of a map's residue
+    vector.  ``elliptic`` lists the elliptic generators in the order of
+    the proper periods; their relations x^m are ``elliptic_orders``, keyed
+    by name, empty in the family's record and filled in at a quotient's
+    cone orders by ``bsk.presentation_of``.  Each period cycle has one of
+    ``connectors`` and one of ``rings``: its reflections in order, closed
+    by the tail c_s = c_0, or the single reflection of an empty cycle.
+    The rings give the reflections' squares and corners; the other
+    relation is ``long_relation``.  ``derived`` expresses the generators
+    those relations determine (the last connector and each cycle's tail)
+    through the free ones.
     """
 
     gens: tuple[str, ...]
-    elliptic: tuple[str, ...]
-    cycles: tuple[CycleSpec, ...]
-    reflection_names: tuple[str, ...]  # of every cycle in turn, tails included
-    glides: tuple[str, ...]
-    # sum over (coef, gen) must vanish mod N
-    long_relation: tuple[Term, ...]
-    # dependent generator -> linear expression in terms of free ones
-    derived: dict[str, tuple[Term, ...]]
+    elliptic: tuple[int, ...]
+    connectors: tuple[int, ...]
+    rings: tuple[tuple[int, ...], ...]
+    glides: tuple[int, ...]
+    # sum over (coef, position) must vanish mod N
+    long_relation: PosTerms
+    # (dependent position, its terms in the free positions)
+    derived: tuple[tuple[int, PosTerms], ...]
     elliptic_orders: dict[str, int] = field(default_factory=dict)
 
-    def complete(self, free_images: dict[str, int], N: int) -> dict[str, int]:
-        """Fill in dependent generator images from the free ones."""
-        images = dict(free_images)
-        for name, expr in self.derived.items():
-            images[name] = sum(c * images[g] for c, g in expr) % N
-        return {g: images[g] % N for g in self.gens}
+    def complete(self, free_images: Sequence[int], N: int) -> tuple[int, ...]:
+        """The residue vector with ``free_images`` at the ``free`` generators, in their order."""
+        vec = [0] * len(self.gens)
+        for i, v in zip(self._free_positions, free_images):
+            vec[i] = v
+        for i, terms in self.derived:
+            vec[i] = sum(c * vec[j] for c, j in terms) % N
+        return tuple(vec)
+
+    @cached_property
+    def _free_positions(self) -> tuple[int, ...]:
+        dependent = {i for i, _ in self.derived}
+        return tuple(i for i in range(len(self.gens)) if i not in dependent)
 
     @cached_property
     def free(self) -> tuple[str, ...]:
         """The generators whose images are chosen freely: all but ``derived``, in ``gens`` order."""
-        return tuple(g for g in self.gens if g not in self.derived)
+        return tuple(self.gens[i] for i in self._free_positions)
 
     @cached_property
-    def slots(self) -> PresentationSlots:
-        """The presentation compiled to positions in ``gens``, once per spec."""
-        pos = {g: i for i, g in enumerate(self.gens)}
-        cycles, empty, lengths = [], [], []
-        for cyc in self.cycles:
-            ring = [pos[c] for c in cyc.reflections]
-            ring.append(pos[cyc.tail] if cyc.tail else ring[0])
-            tail = (ring[-1], ring[0]) if cyc.tail else None
-            cycles.append((tail, tuple((ring[j], ring[j + 1]) for j in range(cyc.length))))
-            if cyc.length:
-                lengths.append(cyc.length)
-            else:
-                empty.append((ring[0], pos[cyc.connector]))
-        reversing = {*self.reflection_names, *self.glides}
-        return PresentationSlots(
-            elliptic=tuple(pos[g] for g in self.elliptic),
-            reflections=tuple(pos[c] for c in self.reflection_names),
-            cycles=tuple(cycles),
-            long_relation=tuple((c, pos[g]) for c, g in self.long_relation),
-            preserving=tuple(i for g, i in pos.items() if g not in reversing),
-            glides=tuple(pos[g] for g in self.glides),
-            empty_cycles=tuple(empty),
-            cycle_lengths=tuple(lengths),
-            connectors=tuple(pos[c.connector] for c in self.cycles),
-        )
+    def reflections(self) -> tuple[int, ...]:
+        """Every reflection, cycle by cycle, tails included."""
+        return tuple(i for ring in self.rings for i in ring)
+
+    @cached_property
+    def reflection_names(self) -> tuple[str, ...]:
+        """The names of ``reflections``."""
+        return tuple(self.gens[i] for i in self.reflections)
+
+    @cached_property
+    def corners(self) -> tuple[tuple[int, int], ...]:
+        """The consecutive reflections of every ring, whose product has order 2."""
+        return tuple(pair for ring in self.rings for pair in zip(ring, ring[1:]))
+
+    @cached_property
+    def preserving(self) -> tuple[int, ...]:
+        """The orientation-preserving generators: all but reflections and glides."""
+        reversing = {*self.reflections, *self.glides}
+        return tuple(i for i in range(len(self.gens)) if i not in reversing)
 
 
 def _indexed(stem: str, count: int) -> tuple[str, ...]:
@@ -252,27 +223,25 @@ class Family:
         generators, which no catalog family has.
         """
         assert self.genus == 0 or not self.orientable, f"{self.kind} has hyperbolic generators"
-        elliptic = _indexed("x", len(self.periods) + len(self.params))
-        connectors = _indexed("e", len(self.cycles))
-        glides = () if self.orientable else _indexed("d", self.genus)
-        long_relation = tuple((1, g) for g in elliptic + connectors) + tuple((2, d) for d in glides)
-        derived = {connectors[-1]: tuple((-c, g) for c, g in long_relation if g != connectors[-1])}
-        cycles, reflections = [], []
-        for i, (e, links) in enumerate(zip(connectors, self.cycles), 1):
-            stem = "c" if len(self.cycles) == 1 else f"c{i}"
-            if links:
-                names = tuple(f"{stem}{j}" for j in range(len(links) + 1))
-                derived[names[-1]] = ((1, names[0]),)
-                cycles.append(CycleSpec(names[:-1], len(links), e, names[-1]))
-            else:
-                names = (stem,)
-                cycles.append(CycleSpec(names, 0, e))
-            reflections.extend(names)
+        r, k = len(self.periods) + len(self.params), len(self.cycles)
+        gens = [*_indexed("x", r), *_indexed("e", k)]
+        rings = []
+        for i, links in enumerate(self.cycles, 1):
+            stem = "c" if k == 1 else f"c{i}"
+            names = [f"{stem}{j}" for j in range(len(links) + 1)] if links else [stem]
+            rings.append(tuple(range(len(gens), len(gens) + len(names))))
+            gens.extend(names)
+        glides = () if self.orientable else tuple(range(len(gens), len(gens) + self.genus))
+        gens.extend(_indexed("d", len(glides)))
+        long_relation = tuple((1, i) for i in range(r + k)) + tuple((2, d) for d in glides)
+        last = r + k - 1  # the last connector
+        derived = ((last, tuple((-c, i) for c, i in long_relation if i != last)),)
+        derived += tuple((ring[-1], ((1, ring[0]),)) for ring in rings if len(ring) > 1)
         return PresentationSpec(
-            gens=elliptic + connectors + tuple(reflections) + glides,
-            elliptic=elliptic,
-            cycles=tuple(cycles),
-            reflection_names=tuple(reflections),
+            gens=tuple(gens),
+            elliptic=tuple(range(r)),
+            connectors=tuple(range(r, r + k)),
+            rings=tuple(rings),
             glides=glides,
             long_relation=long_relation,
             derived=derived,

@@ -43,6 +43,15 @@ PRESENTATIONS = {
 }
 
 
+def names(pres, positions):
+    return tuple(pres.gens[i] for i in positions)
+
+
+def named(pres, terms):
+    """(coefficient, position) terms with the positions read as generator names."""
+    return tuple((c, pres.gens[i]) for c, i in terms)
+
+
 def test_presentation_generator_names():
     """Every family's generators and free generators, as built from its signature."""
     assert set(PRESENTATIONS) == set(FAMILIES)
@@ -52,21 +61,25 @@ def test_presentation_generator_names():
     pres = presentation_of(QuotientType("ann1", m=5))
     assert pres.elliptic_orders == {"x": 5}
     pres = presentation_of(QuotientType("mb1", m=4))
-    assert pres.glides == ("d",)
-    assert pres.long_relation == ((1, "x"), (1, "e"), (2, "d"))
-    assert pres.derived == {"e": ((-1, "x"), (-2, "d"))}
+    assert names(pres, pres.glides) == ("d",)
+    assert named(pres, pres.long_relation) == ((1, "x"), (1, "e"), (2, "d"))
+    assert {pres.gens[i]: named(pres, t) for i, t in pres.derived} == {"e": ((-1, "x"), (-2, "d"))}
     pres = presentation_of(QuotientType("d6"))
     # six corners, the last one closing the ring through the tail c6 = c0
-    (tail, corners), = pres.slots.cycles
-    assert [(pres.gens[a], pres.gens[b]) for a, b in corners] == list(zip(C[:6], C[1:]))
-    assert tail == (pres.gens.index("c6"), pres.gens.index("c0"))
-    assert pres.derived == {"e": (), "c6": ((1, "c0"),)}
+    (ring,) = pres.rings
+    assert names(pres, ring) == C
+    assert [names(pres, pair) for pair in pres.corners] == list(zip(C[:6], C[1:]))
+    assert {pres.gens[i]: named(pres, t) for i, t in pres.derived} == {"e": (), "c6": ((1, "c0"),)}
+    # an empty cycle's ring is its one reflection
+    pres = FAMILIES["ann2"].presentation
+    assert [names(pres, ring) for ring in pres.rings] == [("c1",), ("c20", "c21", "c22")]
+    assert names(pres, pres.connectors) == ("e1", "e2")
 
 
 def test_completion_fills_dependents():
     pres = presentation_of(QuotientType("d21", m=2, n=3))
-    images = pres.complete({"x1": 3, "x2": 2, "c": 0}, 6)
-    assert images == {"x1": 3, "x2": 2, "c": 0, "e": 1}
+    images = pres.complete((3, 2, 0), 6)  # at the free generators x1, x2, c
+    assert dict(zip(pres.gens, images)) == {"x1": 3, "x2": 2, "c": 0, "e": 1}
 
 
 def test_smooth_examples_two_cone_disc():
@@ -87,6 +100,27 @@ def test_smoothness_rejects_relation_violations():
     # consecutive reflections with equal images
     m = bmap("d12", 4, {"x": 1, "e": 3, "c0": 2, "c1": 2, "c2": 2}, m=4)
     assert any("corner" in msg for msg in smoothness_failures(m))
+
+
+@pytest.mark.parametrize("kind, params, N, images, failures", [
+    ("d21", {"m": 2, "n": 3}, 6, {"x1": 3, "x2": 1, "e": 2, "c": 0},
+     ["x2 has order 6, requires exact order 3"]),
+    ("d21", {"m": 2, "n": 3}, 6, {"x1": 3, "x2": 2, "e": 1, "c": 1},
+     ["reflection c image 1 does not square to 0",
+      "kernel contains no reflection (surface would be unbordered)"]),
+    ("d6", {}, 2, {**ALTERNATING, "c6": 0},
+     ["c6 must equal the conjugate image of c0", "corner (c5 c6) has order 1, not 2"]),
+    ("d12", {"m": 4}, 4, {"x": 1, "e": 3, "c0": 0, "c1": 0, "c2": 0},
+     ["corner (c0 c1) has order 1, not 2", "corner (c1 c2) has order 1, not 2"]),
+    ("d21", {"m": 2, "n": 3}, 6, {"x1": 3, "x2": 2, "e": 2, "c": 0},
+     ["long relation evaluates to 1"]),
+    ("mb1", {"m": 2}, 4, {"x": 2, "e": 2, "c": 0, "d": 2}, ["images do not generate Z_N"]),
+    ("d21", {"m": 2, "n": 3}, 6, {"x1": 3, "x2": 2, "e": 1, "c": 3},
+     ["kernel contains no reflection (surface would be unbordered)"]),
+], ids=["order", "square", "tail", "corner", "long-relation", "generation", "border"])
+def test_each_smoothness_rule_names_its_generators(kind, params, N, images, failures):
+    """One broken map per rule: exact order, square, tail, corner, long relation, generation, border."""
+    assert smoothness_failures(bmap(kind, N, images, **params)) == failures
 
 
 def test_orientability_examples():

@@ -177,13 +177,13 @@ def test_verify_rejects_empty_types_before_any_work(capsys, monkeypatch):
 
 
 def test_verify_rejects_jobs_below_one_before_any_work(capsys, monkeypatch):
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the sweep started")
+    def no_point(q, N):
+        raise AssertionError(f"check point {q} at N={N} ran")
 
-    monkeypatch.setattr(oracle, "cross_check", no_sweep)
+    monkeypatch.setattr(oracle, "check_point", no_point)
     for jobs in ("0", "-3"):
         code, out, err = run(capsys, "verify", "--n-max", "4", "--jobs", jobs)
-        assert code == 2 and "--jobs" in err and not out, jobs
+        assert code == 2 and "jobs" in err and not out, jobs
 
 
 def test_verify_rejects_csv_before_any_work(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from necsurf import oracle
 from necsurf.bsk import BskMap, is_smooth, orientability, presentation_of
 from necsurf.oracle import (
     ORACLE_MAX_N,
@@ -118,7 +119,8 @@ def test_enumerate_six_corner_disc():
 
 def test_enumerate_bound():
     with pytest.raises(ValueError):
-        enumerate_smooth(QuotientType("d6"), 97)
+        enumerate_smooth(QuotientType("d6"), ORACLE_MAX_N + 1)
+    assert enumerate_smooth(QuotientType("d6"), ORACLE_MAX_N) == []  # d6 forces N = 2
 
 
 def test_orbit_count_merges_maps():
@@ -238,8 +240,8 @@ def test_enumeration_order_independent():
         for perm in itertools.permutations(pres.free):
             got = set()
             for combo in itertools.product(*(domains[g] for g in perm)):
-                images = pres.complete(dict(zip(perm, combo)), N)
-                bmap = BskMap.from_dict(q, N, images)
+                chosen = dict(zip(perm, combo))
+                bmap = BskMap(q, N, pres.complete([chosen[g] for g in pres.free], N))
                 if is_smooth(bmap):
                     got.add(bmap.images)
             assert got == want
@@ -262,6 +264,28 @@ def test_cross_check_small_sweep():
 
 def test_cross_check_process_pool_matches_serial():
     assert cross_check(n_max=10, jobs=2).points == cross_check(n_max=10, jobs=1).points
+
+
+def test_cross_check_rejects_jobs_below_one_before_any_work(monkeypatch):
+    def no_point(q, N):
+        raise AssertionError(f"check point {q} at N={N} ran")
+
+    monkeypatch.setattr(oracle, "check_point", no_point)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs"):
+            cross_check(n_max=4, jobs=jobs)
+
+
+def test_orbit_count_rejects_maps_of_another_order_or_quotient():
+    """Not the late "equivalence left the smooth set" of a mismatched call."""
+    q = QuotientType("mb1", m=3)
+    maps = enumerate_smooth(q, 6)
+    with pytest.raises(ValueError, match=r"mb1\(3\) at N=12 was given the map mb1\(3\)@Z_6"):
+        orbit_count(maps, moves_for(q), 12)
+    other = enumerate_smooth(QuotientType("mb1", m=6), 6)
+    assert maps and other
+    with pytest.raises(ValueError, match=r"mb1\(3\) at N=6 was given the map mb1\(6\)@Z_6"):
+        orbit_count(maps + other, moves_for(q), 6)
 
 
 def test_cross_check_rejects_unknown_kind():
