@@ -37,6 +37,18 @@ def _key(q, N):
     return (q.kind, q.m, q.n, N, q.label())
 
 
+def _result(p) -> dict:
+    """A check point as its golden entry records it."""
+    got = {
+        "maps": p.map_count,
+        "orbits": p.orbit_count,
+        "ok": p.ok,
+        "oracle": [list(b) for b in p.oracle_buckets],
+        "expected": [list(b) for b in p.expected_buckets],
+    }
+    return json.loads(json.dumps(got))
+
+
 def test_check_points_in_golden_order():
     points = oracle.check_points(None, W.ORACLE_N_MAX)
     want = [
@@ -56,16 +68,22 @@ def test_check_point_matches_golden_up_to_48(sweep_48):
         point = entry["point"]
         want_key = (point["kind"], point["m"], point["n"], point["N"], point["quotient"])
         assert _key(p.quotient, p.N) == want_key
-        got = {
-            "maps": p.map_count,
-            "orbits": p.orbit_count,
-            "ok": p.ok,
-            "oracle": [list(b) for b in p.oracle_buckets],
-            "expected": [list(b) for b in p.expected_buckets],
-        }
-        assert json.loads(json.dumps(got)) == entry["result"], point["quotient"]
+        assert _result(p) == entry["result"], point["quotient"]
         checked += 1
     assert checked == 1291
+
+
+def test_check_point_matches_recorded_49_to_96():
+    """Every point with 49 <= N <= 96, in sweep order, against
+    ``oracle_sweep_49_96.json``: entries recorded in the golden format from
+    the oracle that enumerated every smooth map by the full product search."""
+    recorded = json.loads((Path(__file__).parent / "oracle_sweep_49_96.json").read_text())
+    points = [(q, N) for q, N in oracle.check_points(None, 96) if N >= 49]
+    assert len(points) == len(recorded) == 1793
+    for (q, N), entry in zip(points, recorded):
+        point = entry["point"]
+        assert _key(q, N) == (point["kind"], point["m"], point["n"], point["N"], point["quotient"])
+        assert _result(oracle.check_point(q, N)) == entry["result"], point["quotient"]
 
 
 def test_bench_spans_wrap_existing_names():
