@@ -1,9 +1,10 @@
 """Brute-force verification of the closed-form classification.
 
-The oracle enumerates every smooth assignment for a quotient family at a
-given order, then counts equivalence classes under the action of units of
-Z_N composed with outer automorphism moves of the NEC group, and compares
-the orbit tallies against the closed-form counts.
+The oracle enumerates the smooth assignments for a quotient family at a
+given order, one smooth map per unit class, then counts equivalence
+classes under the action of units of Z_N composed with outer automorphism
+moves of the NEC group, and compares the orbit tallies against the
+closed-form counts.
 
 Only outer moves matter: inner automorphisms act trivially on
 homomorphisms into an abelian target (theta(h g h^-1) = theta(g)), so the
@@ -17,27 +18,26 @@ reported verbatim, never reconciled.
 
 The orbits are counted without a search.  Z_N^* acts freely on smooth
 maps, because their images generate Z_N, so every unit class has phi(N)
-members and a unit-canonical form; a union-find joins the classes along
-the move edges.  Closure of the enumerated set is asserted on the edges
-of a generating set, the generators of Z_N^* and the moves: a finite set
-closed under the generators is closed under the group they generate
-(Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
-section 4.1).  The surface invariants are computed on every map and
-asserted constant on each orbit.
+members and one unit-canonical form.  Only those forms are enumerated,
+and a union-find joins them along the move edges, each move image
+normalised before its lookup; the map count is phi(N) times the number of
+forms.  The moves commute with units, so forms whose move images
+normalise back into the set stand for a set of maps closed under units
+and moves.  The surface invariants are computed on every canonical map
+and asserted constant on each orbit.  The product search over every
+smooth map is the tests' reference for the canonical enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 from .bsk import BskMap, has_reversing_image, is_smooth, presentation_of, surface_of
 from .classify import classification_buckets, parameter_space
 from .signatures import FAMILIES, PresentationSpec, QuotientType, SurfaceTopology
-from .zmod import crt_solve, euler_phi, factorize, order_mod, unit_generators
+from .zmod import crt_solve, euler_phi, factorize, order_mod, unit_generators, units
 
-ORACLE_MAX_N = 96
+ORACLE_MAX_N = 192
 
 
 @dataclass(frozen=True)
@@ -106,19 +106,47 @@ def _free_domains(pres: PresentationSpec, N: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_smooth(q: QuotientType, N: int) -> list[BskMap]:
-    """Every smooth assignment for (q, N), in deterministic order.
+    """One smooth map per unit class for (q, N): its unit-canonical form.
 
-    Searches only the free generators (images determined by relations are
-    filled in), with candidate values ascending.
+    Every unit class has phi(N) members and exactly one canonical one
+    (see ``orbit_count`` and ``_unit_normaliser``): for each p^a || N,
+    its first free image that is a unit mod p is 1 mod p^a.  The search
+    runs depth first over the free generators, values ascending, so the
+    maps come in ascending order of their free images; images determined
+    by relations are filled in.  At each position it keeps only the
+    values that obey the rule at the primes with no unit image yet, from
+    a table memoised on that set of primes.  A choice that leaves a prime
+    without a unit image cannot generate Z_N and is never built.
     """
     if N < 2 or N > ORACLE_MAX_N:
         raise ValueError(f"order {N} outside the enumeration bound 2..{ORACLE_MAX_N}")
     pres = presentation_of(q)
+    domains = _free_domains(pres, N)
+    tables: list[dict[frozenset, list]] = [{} for _ in domains]
+
+    def allowed(pos: int, pending: frozenset) -> list[tuple[int, frozenset]]:
+        table = tables[pos]
+        if pending not in table:
+            table[pending] = [
+                (v, frozenset((p, pa) for p, pa in pending if v % p == 0))
+                for v in domains[pos]
+                if all(v % pa == 1 for p, pa in pending if v % p)
+            ]
+        return table[pending]
+
     out = []
-    for combo in itertools.product(*_free_domains(pres, N)):
-        bmap = BskMap(q, N, pres.complete(combo, N))
-        if is_smooth(bmap):
-            out.append(bmap)
+
+    def search(pos: int, pending: frozenset, images: tuple[int, ...]) -> None:
+        if pos == len(domains):
+            if not pending:
+                bmap = BskMap(q, N, pres.complete(images, N))
+                if is_smooth(bmap):
+                    out.append(bmap)
+            return
+        for v, rest in allowed(pos, pending):
+            search(pos + 1, rest, images + (v,))
+
+    search(0, frozenset((p, p**a) for p, a in factorize(N)), ())
     return out
 
 
@@ -156,48 +184,70 @@ def _invariants(bmap: BskMap) -> tuple[SurfaceTopology, bool | None, tuple[int, 
     return surface, reversing, tuple(sorted(order_mod(vec[i], N) for i in connectors))
 
 
-def _unit_normaliser(N: int):
-    """The unit-canonical form of an image vector that generates Z_N.
+def _unit_normaliser(pres: PresentationSpec, N: int):
+    """The unit-canonical form of an image vector, or None if it does not generate Z_N.
 
     Z_N splits by CRT into the Z_{p^a} over p^a || N.  In each component
-    the first image that is a unit mod p is scaled to 1; the unit doing
-    that is the CRT sum of the per-component inverses, each times the
-    idempotent that is 1 mod p^a and 0 mod N/p^a.  Two vectors get the
-    same form exactly when one is a unit multiple of the other.
+    the first free image (in ``free`` order) that is a unit mod p is
+    scaled to 1; the unit doing that is the CRT sum of the per-component
+    inverses, each times the idempotent that is 1 mod p^a and 0 mod
+    N/p^a.  Two vectors get the same form exactly when one is a unit
+    multiple of the other.  The free images generate Z_N whenever all
+    the images do, and free order, unlike ``gens`` order, puts no derived
+    image (the last connector) before the images it is derived from, so
+    ``enumerate_smooth`` can fix each prime's unit as it goes.
     """
+    free = pres.free_positions
     parts = []
     for p, a in factorize(N):
         q = p**a
         inverse = {r: pow(r, -1, q) for r in range(q) if r % p}
         parts.append((p, q, crt_solve(1, q, 0, N // q), inverse))
 
-    def normalise(vec: tuple[int, ...]) -> tuple[int, ...]:
+    def normalise(vec: tuple[int, ...]) -> tuple[int, ...] | None:
         u = 0
         for p, q, idempotent, inverse in parts:
-            first = next(v for v in vec if v % p)
+            first = next((vec[i] for i in free if vec[i] % p), None)
+            if first is None:
+                return None
             u += idempotent * inverse[first % q]
         return tuple(u * v % N for v in vec)
 
     return normalise
 
 
+def _least_multiple(vec: tuple[int, ...], order: tuple[int, ...], N: int) -> tuple[int, ...]:
+    """The least of the unit multiples u * vec, read at the positions ``order``."""
+    candidates = units(N)
+    for i in order:
+        least = min(u * vec[i] % N for u in candidates)
+        candidates = [u for u in candidates if u * vec[i] % N == least]
+        if len(candidates) == 1:
+            break
+    return tuple(candidates[0] * vec[i] % N for i in order)
+
+
 def orbit_count(maps: list[BskMap], moves: tuple[AutMove, ...], N: int) -> OrbitReport:
-    """Orbits of theta ~ c * (theta o phi) over the finite smooth-map set.
+    """Orbits of theta ~ c * (theta o phi), from one smooth map per unit class.
 
     Z_N^* acts freely on smooth maps: u * theta = theta means (u - 1) kills
     every image, and the images generate Z_N, so u = 1.  Each unit class
     therefore has exactly phi(N) members and one unit-canonical form
-    (``_unit_normaliser``); the maps are grouped by it.  The moves are
-    Z-linear, so they commute with unit multiplication, and a union-find
-    joins the unit classes along the move edges.
+    (``_unit_normaliser``), and ``maps`` holds those forms, as
+    ``enumerate_smooth`` returns them.  The moves are Z-linear, so they
+    commute with unit multiplication, and a union-find joins the classes
+    along the move edges; each move image is normalised before its lookup.
 
-    Asserted on the way: every map's image under each generator of Z_N^*
-    (``unit_generators``) and under each move is again a map of the set,
-    so the set is closed under the whole group they generate; every unit
-    class has phi(N) members; and the invariants, computed on every map,
-    are constant on each orbit.  Orbits come in order of their smallest
-    member index, each represented by the member with the least images.
-    Maps of another order than N, or of two quotients, raise ValueError.
+    Asserted on the way: for every map and every generator g of Z_N^*
+    (``unit_generators``), g * theta is smooth and normalises back to
+    theta; every move image normalises to a map of the set; and the
+    invariants, computed on every map, are constant on each orbit.  An
+    orbit of c classes has c * phi(N) maps.  It is represented by the
+    least image vector among the unit multiples of its classes, and the
+    orbits come in order of the least free-image tuple among those
+    multiples: the order in which an ascending search over every smooth
+    map meets them first.  Maps of another order than N, of two
+    quotients, or not in unit-canonical form raise ValueError.
     """
     if not maps:
         return OrbitReport(None, N, 0, 0, ())
@@ -205,16 +255,18 @@ def orbit_count(maps: list[BskMap], moves: tuple[AutMove, ...], N: int) -> Orbit
     for m in maps:
         if m.N != N or m.quotient != q:
             raise ValueError(f"orbit_count of {q} at N={N} was given the map {m}")
-    index = {m.images: i for i, m in enumerate(maps)}
-    assert len(index) == len(maps)
     # first, so that a map that is not smooth raises as surface_of does;
     # equal invariants share one object, which keeps the list small
     distinct: dict[tuple, tuple] = {}
     invariants = [distinct.setdefault(inv, inv) for inv in map(_invariants, maps)]
-    normalise = _unit_normaliser(N)
-    class_of: dict[tuple[int, ...], int] = {}
-    unit_class = [class_of.setdefault(normalise(m.images), len(class_of)) for m in maps]
-    parent = list(range(len(class_of)))
+    pres = presentation_of(q)
+    normalise = _unit_normaliser(pres, N)
+    for m in maps:
+        if normalise(m.images) != m.images:
+            raise ValueError(f"orbit_count of {q} at N={N} was given {m}, not in unit-canonical form")
+    index = {m.images: i for i, m in enumerate(maps)}
+    assert len(index) == len(maps)
+    parent = list(range(len(maps)))
 
     def find(c: int) -> int:
         while parent[c] != c:
@@ -222,34 +274,34 @@ def orbit_count(maps: list[BskMap], moves: tuple[AutMove, ...], N: int) -> Orbit
             c = parent[c]
         return c
 
-    def member(vec: tuple[int, ...]) -> int:
-        j = index.get(vec)
-        assert j is not None, f"equivalence left the smooth set: {BskMap(q, N, vec)}"
-        return j
-
     gens = unit_generators(N)
     for i, m in enumerate(maps):
         vec = m.images
         for g in gens:
-            member(tuple(g * v % N for v in vec))
+            scaled = BskMap(q, N, tuple(g * v % N for v in vec))
+            assert is_smooth(scaled), f"equivalence left the smooth set: {scaled}"
+            assert normalise(scaled.images) == vec, f"{scaled} does not normalise to {m}"
         for move in moves:
-            j = member(move.apply(vec, N))
-            parent[find(unit_class[j])] = find(unit_class[i])
-    phi = euler_phi(N)
-    assert all(size == phi for size in Counter(unit_class).values()), (
-        f"a unit class of {q} at N={N} does not have phi(N) = {phi} members"
-    )
+            moved = move.apply(vec, N)
+            j = index.get(normalise(moved))
+            assert j is not None, f"equivalence left the smooth set: {BskMap(q, N, moved)}"
+            parent[find(j)] = find(i)
     members: dict[int, list[int]] = {}
-    for i, c in enumerate(unit_class):
-        members.setdefault(find(c), []).append(i)
+    for i in range(len(maps)):
+        members.setdefault(find(i), []).append(i)
+    phi = euler_phi(N)
+    everything = tuple(range(len(pres.gens)))
+    free = pres.free_positions
     orbits = []
     for orbit in members.values():
         inv = invariants[orbit[0]]
         for i in orbit[1:]:
             assert invariants[i] == inv, f"orbit invariants vary within an orbit of {q} at N={N}"
-        rep = maps[min(orbit, key=lambda i: maps[i].images)]
-        orbits.append(OrbitInfo(rep, len(orbit), inv[0], inv[1], inv[2]))
-    return OrbitReport(q, N, len(maps), len(orbits), tuple(orbits))
+        rep = min(_least_multiple(maps[i].images, everything, N) for i in orbit)
+        first = min(_least_multiple(maps[i].images, free, N) for i in orbit)
+        orbits.append((first, OrbitInfo(BskMap(q, N, rep), len(orbit) * phi, *inv)))
+    orbits.sort(key=lambda entry: entry[0])
+    return OrbitReport(q, N, len(maps) * phi, len(orbits), tuple(info for _, info in orbits))
 
 
 def oracle_report(q: QuotientType, N: int) -> OrbitReport:

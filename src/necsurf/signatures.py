@@ -136,21 +136,22 @@ class PresentationSpec:
     def complete(self, free_images: Sequence[int], N: int) -> tuple[int, ...]:
         """The residue vector with ``free_images`` at the ``free`` generators, in their order."""
         vec = [0] * len(self.gens)
-        for i, v in zip(self._free_positions, free_images):
+        for i, v in zip(self.free_positions, free_images):
             vec[i] = v
         for i, terms in self.derived:
             vec[i] = sum(c * vec[j] for c, j in terms) % N
         return tuple(vec)
 
     @cached_property
-    def _free_positions(self) -> tuple[int, ...]:
+    def free_positions(self) -> tuple[int, ...]:
+        """The positions of the ``free`` generators: all but ``derived``, ascending."""
         dependent = {i for i, _ in self.derived}
         return tuple(i for i in range(len(self.gens)) if i not in dependent)
 
     @cached_property
     def free(self) -> tuple[str, ...]:
         """The generators whose images are chosen freely: all but ``derived``, in ``gens`` order."""
-        return tuple(self.gens[i] for i in self._free_positions)
+        return tuple(self.gens[i] for i in self.free_positions)
 
     @cached_property
     def reflections(self) -> tuple[int, ...]:

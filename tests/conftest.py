@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from necsurf.oracle import check_points, cross_check, enumerate_smooth
+from necsurf.oracle import check_points, cross_check
+from test_oracle import full_smooth
 
 
 @pytest.fixture(scope="session")
@@ -20,9 +21,9 @@ def sweep_48():
 
 @pytest.fixture(scope="session")
 def smooth_maps_48():
-    """``{(q, N): enumerate_smooth(q, N)}`` over every point of the N <= 48 sweep.
+    """``{(q, N): full_smooth(q, N)}``, every smooth map, at each point of the N <= 48 sweep.
 
     Enumerated once per session; the orientability sweep reads all of it
     and criterion 6 the points with N <= 24.
     """
-    return {(q, N): enumerate_smooth(q, N) for q, N in check_points(None, 48)}
+    return {(q, N): full_smooth(q, N) for q, N in check_points(None, 48)}

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import pytest
 
@@ -21,7 +22,16 @@ from necsurf.oracle import (
     orbit_count,
 )
 from necsurf.signatures import QuotientType
-from necsurf.zmod import order_mod, units
+from necsurf.zmod import euler_phi, order_mod, units
+
+
+def full_smooth(q, N):
+    """Every smooth map for (q, N): the product search over all free images,
+    ascending, kept as the reference for the unit-canonical ``enumerate_smooth``."""
+    pres = presentation_of(q)
+    domains = oracle._free_domains(pres, N)
+    maps = (BskMap(q, N, pres.complete(combo, N)) for combo in itertools.product(*domains))
+    return [bmap for bmap in maps if is_smooth(bmap)]
 
 
 def orbit_count_bfs(maps, moves, N):
@@ -100,11 +110,13 @@ def orientability_case_rule(bmap: BskMap) -> bool:
 
 def test_enumerate_two_cone_disc():
     q = QuotientType("d21", m=2, n=3)
-    maps = enumerate_smooth(q, 6)
+    maps = full_smooth(q, 6)
     assert len(maps) == 2
     # x1 and c are forced; only x2 varies over the two elements of order 3
     assert sorted(m.image_dict["x2"] for m in maps) == [2, 4]
     assert all(m.image_dict["x1"] == 3 and m.image_dict["c"] == 0 for m in maps)
+    # one unit class: its canonical form has x2 = 1 mod 3 (x1 = 3 is 1 mod 2 already)
+    assert [m.image_dict["x2"] for m in enumerate_smooth(q, 6)] == [4]
     assert enumerate_smooth(q, 5) == []
 
 
@@ -141,24 +153,62 @@ def test_orbit_count_single_map_no_moves():
 
 
 def test_orbit_count_matches_bfs_reference():
-    """Field for field, representatives included, at every point with N <= 24."""
+    """The report from the canonical maps equals the breadth-first search over
+    every smooth map, field for field, representatives and order included, at
+    every point with N <= 24."""
     points = check_points(None, 24)
     for q, N in points:
-        maps, moves = enumerate_smooth(q, N), moves_for(q)
-        assert orbit_count(maps, moves, N) == orbit_count_bfs(maps, moves, N), (q, N)
+        moves = moves_for(q)
+        assert oracle_report(q, N) == orbit_count_bfs(full_smooth(q, N), moves, N), (q, N)
     assert len(points) == 527
 
 
+def test_canonical_maps_stand_for_every_smooth_map(smooth_maps_48, sweep_48):
+    """At every point with N <= 48 the unit multiples of the canonical maps are
+    the whole smooth set, phi(N) distinct ones per canonical map, and the
+    oracle's map count is its size."""
+    report, _ = sweep_48
+    assert len(report.points) == len(smooth_maps_48) == 1291
+    for point, ((q, N), maps) in zip(report.points, smooth_maps_48.items()):
+        assert (point.quotient, point.N) == (q, N)
+        canonical = enumerate_smooth(q, N)
+        multiples = {tuple(u * v % N for v in m.images) for m in canonical for u in units(N)}
+        assert len(multiples) == len(canonical) * euler_phi(N), (q, N)
+        assert multiples == {m.images for m in maps}, (q, N)
+        assert point.map_count == len(maps), (q, N)
+
+
 @pytest.mark.parametrize("kind, m, N, drop", [
-    ("mb1", 4, 8, 0), ("mb1", 4, 8, 5), ("mb1", 4, 8, -1),
-    ("d3-22m", 8, 8, 0), ("d3-22m", 8, 8, -1),  # no moves: only the unit generators see it
+    # mb1(4) at N = 12: four classes, each moved to another one
+    ("mb1", 4, 12, 0), ("mb1", 4, 12, 1), ("mb1", 4, 12, -1),
+    ("d3-22m", 8, 8, 0), ("d3-22m", 8, 8, -1),
 ])
 def test_orbit_count_rejects_a_set_not_closed_under_equivalence(kind, m, N, drop):
     q = QuotientType(kind, m=m)
     maps = enumerate_smooth(q, N)
-    del maps[drop]
-    with pytest.raises(AssertionError, match="equivalence left the smooth set"):
-        orbit_count(maps, moves_for(q), N)
+    if moves_for(q):
+        del maps[drop]
+        with pytest.raises(AssertionError, match="equivalence left the smooth set"):
+            orbit_count(maps, moves_for(q), N)
+    else:
+        # without moves no class leads to another, so a dropped class is seen
+        # only against the full reference; a unit multiple in its place is
+        # not canonical
+        maps[drop] = BskMap(q, N, tuple(3 * v % N for v in maps[drop].images))
+        with pytest.raises(ValueError, match="not in unit-canonical form"):
+            orbit_count(maps, moves_for(q), N)
+
+
+def test_orbit_count_rejects_every_other_unit_multiple():
+    """A unit class has one canonical member: u * theta with u != 1 is refused, by name."""
+    q = QuotientType("ann1", m=3)
+    maps = enumerate_smooth(q, 12)
+    assert maps
+    for theta in maps:
+        for u in units(12)[1:]:
+            other = BskMap(q, 12, tuple(u * v % 12 for v in theta.images))
+            with pytest.raises(ValueError, match=re.escape(f"{other}, not in unit-canonical form")):
+                orbit_count([other], moves_for(q), 12)
 
 
 def test_orbit_count_rejects_a_map_that_is_not_smooth():
@@ -219,7 +269,7 @@ def test_moves_preserve_smoothness():
         (QuotientType("ann1", m=4), 8),
         (QuotientType("d2c-2m", m=4), 4),
     ):
-        maps = enumerate_smooth(q, N)
+        maps = full_smooth(q, N)
         assert maps
         for move in moves_for(q):
             for m in maps:
@@ -230,7 +280,7 @@ def test_enumeration_order_independent():
     """The smooth-map set does not depend on the generator search order."""
     for q, N in ((QuotientType("ann1", m=3), 6), (QuotientType("mb1", m=2), 4)):
         pres = presentation_of(q)
-        want = {m.images for m in enumerate_smooth(q, N)}
+        want = {m.images for m in full_smooth(q, N)}
         domains = {
             g: [v for v in range(N)] for g in pres.free
         }
