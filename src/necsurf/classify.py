@@ -17,8 +17,9 @@ k (>= 1) and the orientability flag exactly where the family's
 raises ``ValueError`` like a missing one.  It is the one way in: the CLI
 forwards its input to it, and ``classify_ann1`` is a named forwarder kept
 for the benchmark tracer.  The sweep (``results_for``) calls the formulas
-behind the same gate.  Asked for one genus, ``actions_for_order`` also
-skips every point whose genus is another.
+behind the same gate.  Asked for one genus p, ``actions_for_order``
+solves the Hurwitz-Riemann equation for the cone orders at genus p
+(``Family.cone_orders_at_genus``) and classifies only those points.
 """
 
 from __future__ import annotations
@@ -356,13 +357,8 @@ class ActionRecord:
 
 
 def parameter_space(kind: str, N: int) -> list[QuotientType]:
-    """Parameter tuples of a family that could admit order-N actions.
-
-    Cone orders must divide N (their images have exact order), which
-    bounds everything; for d21 only pairs with lcm(m, n) = N can carry a
-    surjection.
-    """
-    return FAMILIES[kind].instances([d for d in divisors(N) if d >= 2], order=N)
+    """The quotients of a family that could admit order-N actions: ``Family.cone_orders``."""
+    return [QuotientType(kind, m, n) for m, n in FAMILIES[kind].cone_orders(N)]
 
 
 def results_for(q: QuotientType, N: int) -> list[Realization]:
@@ -384,28 +380,25 @@ def results_for(q: QuotientType, N: int) -> list[Realization]:
 def _point_genus(q: QuotientType, N: int) -> int | None:
     """The algebraic genus every order-N action with quotient q has, or None.
 
-    Hurwitz-Riemann gives p = 1 + N*area(q), whatever k and the
-    orientability; it is ``Family.kernel_genus`` in integers.  None means
-    that q carries no order-N action: its family forces another order, or
-    N*area(q) is not an integer.  This is the existence gate of
-    ``classify`` and ``results_for``, and the genus of every surface
-    their formulas build.
+    It is ``Family.point_genus``: p = 1 + N*area(q), whatever k and the
+    orientability, or None where q carries no order-N action (its family
+    forces another order, or N*area(q) is not an integer).  This is the
+    existence gate of ``classify`` and ``results_for``, and the genus of
+    every surface their formulas build.
     """
-    if q.forced_order() not in (None, N):
-        return None
-    try:
-        return FAMILIES[q.kind].kernel_genus(q.m, q.n, N)
-    except ValueError:
-        return None
+    return FAMILIES[q.kind].point_genus(q.m, q.n, N)
 
 
 def genera_for_order(N: int) -> list[int]:
-    """The distinct integer genera ``_point_genus`` gives at order N, ascending."""
+    """The distinct integer genera ``_point_genus`` gives at order N, ascending.
+
+    It works on the integer cone orders alone and builds no ``QuotientType``.
+    """
     return sorted({
         p
-        for kind in FAMILIES
-        for q in parameter_space(kind, N)
-        if (p := _point_genus(q, N)) is not None
+        for fam in FAMILIES.values()
+        for m, n in fam.cone_orders(N)
+        if (p := fam.point_genus(m, n, N)) is not None
     })
 
 
@@ -413,17 +406,23 @@ def actions_for_order(N: int, genus: int | None = None) -> list[ActionRecord]:
     """All conjugacy-class families of order-N actions across the catalog.
 
     With ``genus`` p, only those on surfaces of algebraic genus p, in the
-    same order: a parameter point is classified only if its integer
-    kernel genus (``_point_genus``, the exact ``Family.kernel_genus`` test)
-    is p.  Every surface a formula builds has that genus, so nothing
-    needs filtering afterwards; without ``genus``, ``results_for`` still
-    skips the points where N*area(q) is not an integer.
+    same order.  The parameter points at genus p are solved from p
+    (``Family.cone_orders_at_genus``), not picked out of the whole
+    ``parameter_space``, and each is classified only if its integer kernel
+    genus (``_point_genus``, the exact ``Family.kernel_genus`` test) is p.
+    Every surface a formula builds has that genus, so nothing needs
+    filtering afterwards; without ``genus``, ``results_for`` still skips
+    the points where N*area(q) is not an integer.
     """
     if N < 2:
         raise ValueError("the acting group must have order >= 2")
     out = []
-    for kind in FAMILIES:
-        for q in parameter_space(kind, N):
+    for kind, fam in FAMILIES.items():
+        if genus is None:
+            points = parameter_space(kind, N)
+        else:
+            points = [QuotientType(kind, m, n) for m, n in fam.cone_orders_at_genus(N, genus)]
+        for q in points:
             if genus is not None and _point_genus(q, N) != genus:
                 continue
             for real in results_for(q, N):

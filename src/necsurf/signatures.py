@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from .zmod import divisors
+
 
 @dataclass(frozen=True)
 class NecSignature:
@@ -276,14 +278,37 @@ class Family:
         is N*(a*m*n - b*(m + n)) / (b*m*n).  Raises if that is not an
         integer (no such subgroup).
         """
+        p = self._genus(m, n, N)
+        if p is None:
+            raise ValueError(f"order {N} is incompatible with {self.kind} at cone orders {m}, {n}")
+        return p
+
+    def _genus(self, m: int | None, n: int | None, N: int) -> int | None:
+        """``kernel_genus``, or None where it raises."""
         num, den = self._area_base
         for c in (m, n):
             if c is not None:
                 num, den = num * c - den, den * c
         p1, rem = divmod(N * num, den)
-        if num <= 0 or rem:
-            raise ValueError(f"order {N} is incompatible with {self.kind} at cone orders {m}, {n}")
-        return p1 + 1
+        return None if num <= 0 or rem else p1 + 1
+
+    def forced_order(self, m: int | None, n: int | None) -> int | None:
+        """The order N that cone orders m, n force, or None when N is free."""
+        if not self.order_is_forced:
+            return None
+        return math.lcm(*self.proper_periods(m, n), *(c for cyc in self.cycles for c in cyc))
+
+    def point_genus(self, m: int | None, n: int | None, N: int) -> int | None:
+        """The algebraic genus every order-N action at cone orders m, n has, or None.
+
+        Hurwitz-Riemann gives p = 1 + N*area, whatever k and the
+        orientability; it is ``kernel_genus``.  None means that the point
+        carries no order-N action: the family forces another order, or
+        N*area is not an integer.
+        """
+        if self.order_is_forced and self.forced_order(m, n) != N:
+            return None
+        return self._genus(m, n, N)
 
     def proper_periods(self, m: int | None, n: int | None) -> tuple[int, ...]:
         if m is None:
@@ -306,22 +331,68 @@ class Family:
             return m >= self.least_cone and (a - b) * m < b < a * m
         return self.least_cone <= m <= n and (a - b) * m * n < b * (m + n) < a * m * n
 
-    def instances(self, values, order: int | None = None) -> list[QuotientType]:
-        """Every admitted choice of cone orders from the ascending sequence ``values``.
+    def _admitted(self, values, order: int | None = None) -> list[tuple[int | None, int | None]]:
+        """Every admitted (m, n) from the ascending sequence ``values`` (None where unused).
 
         With ``order`` a pair must have lcm equal to it, the condition for
         two cone points alone to carry a surjection onto Z_order.
         """
         if not self.params:
-            return [QuotientType(self.kind)]
+            return [(None, None)]
         if len(self.params) == 1:
-            return [QuotientType(self.kind, m=m) for m in values if self.admits(m)]
+            return [(m, None) for m in values if self.admits(m)]
         return [
-            QuotientType(self.kind, m=m, n=n)
+            (m, n)
             for i, m in enumerate(values)
             for n in values[i:]
             if (order is None or math.lcm(m, n) == order) and self.admits(m, n)
         ]
+
+    def instances(self, values) -> list[QuotientType]:
+        """Every admitted choice of cone orders from the ascending sequence ``values``."""
+        return [QuotientType(self.kind, m, n) for m, n in self._admitted(values)]
+
+    def cone_orders(self, N: int) -> list[tuple[int | None, int | None]]:
+        """The cone orders (m, n) that could carry order-N actions, ascending.
+
+        Cone orders must divide N (their images have exact order), which
+        bounds everything; a pair must have lcm(m, n) = N.  This is
+        O(d(N)) points for one parameter and O(d(N)^2) steps for two.
+        """
+        return self._admitted(divisors(N)[1:], order=N)
+
+    def cone_orders_at_genus(self, N: int, p: int) -> list[tuple[int | None, int | None]]:
+        """The ``cone_orders(N)`` whose ``point_genus`` is p, in the same order.
+
+        They are solved from p, not searched.  By Hurwitz-Riemann an
+        order-N action on a bordered surface of algebraic genus p with
+        quotient area mu has p - 1 = N*mu, and mu = a/b - 1/m (- 1/n) with
+        a/b = ``_area_base``.  With one cone order that pins
+        m = N*b / (N*a - (p - 1)*b); with two, each divisor m of N pins
+        n from 1/n = a/b - 1/m - (p - 1)/N, that is
+        n = N*b*m / (N*(a*m - b) - (p - 1)*b*m).  A solution counts only if
+        it is an integer point of ``cone_orders(N)``, so a family costs
+        O(1) steps, or O(d(N)) for two cone orders.  A family without cone
+        orders has its one point.  Each kept point still passes
+        ``point_genus``, which also checks the forced order.
+        """
+        a, b = self._area_base
+        if not self.params:
+            points = [(None, None)]
+        elif len(self.params) == 1:
+            den = N * a - (p - 1) * b
+            m, rem = divmod(N * b, den) if den > 0 else (0, 1)
+            points = [(m, None)] if not rem and m >= 2 and N % m == 0 and self.admits(m) else []
+        else:
+            points = []
+            for m in divisors(N)[1:]:
+                den = N * (a * m - b) - (p - 1) * b * m
+                if den <= 0:
+                    continue
+                n, rem = divmod(N * b * m, den)
+                if not rem and n >= m and N % n == 0 and math.lcm(m, n) == N and self.admits(m, n):
+                    points.append((m, n))
+        return [(m, n) for m, n in points if self.point_genus(m, n, N) == p]
 
 
 @dataclass(frozen=True)
@@ -350,10 +421,7 @@ class QuotientType:
 
     def forced_order(self) -> int | None:
         """The order N that the cone orders force, or None when N is free."""
-        fam = FAMILIES[self.kind]
-        if not fam.order_is_forced:
-            return None
-        return math.lcm(*fam.proper_periods(self.m, self.n), *(n for cyc in fam.cycles for n in cyc))
+        return FAMILIES[self.kind].forced_order(self.m, self.n)
 
     def label(self) -> str:
         if self.n is not None:

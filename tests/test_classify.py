@@ -16,6 +16,7 @@ from necsurf.classify import (
     classify,
     classify_ann1,
     genera_for_order,
+    parameter_space,
     results_for,
 )
 from necsurf.signatures import FAMILIES, QuotientType, SurfaceTopology, kernel_algebraic_genus
@@ -389,6 +390,23 @@ def test_genus_sweep_equals_filtered_full_sweep(orders):
             want = [r for r in full if r.surface.algebraic_genus == p]
             assert actions_for_order(N, genus=p) == want, (N, p)
 
+
+
+@pytest.mark.parametrize(
+    "orders", [range(2, 401), (720, 2520, 5040, 15015)], ids=["2-400", "tail"]
+)
+def test_genera_for_order_equals_point_genus_reference(orders):
+    """``genera_for_order(N)``, computed on integer cone orders, is exactly
+    the sorted set of ``_point_genus(q, N)`` over every family's
+    ``parameter_space(kind, N)``."""
+    for N in orders:
+        want = sorted({
+            p
+            for kind in FAMILIES
+            for q in parameter_space(kind, N)
+            if (p := _point_genus(q, N)) is not None
+        })
+        assert genera_for_order(N) == want, N
 
 def _reference_genus(q, N):
     """The algebraic genus each family's formula once wrote out by hand."""

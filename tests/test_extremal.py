@@ -12,7 +12,7 @@ from necsurf.extremal import (
     min_genus_closed,
     min_genus_search,
 )
-from necsurf.signatures import FAMILIES
+from necsurf.signatures import FAMILIES, QuotientType
 
 classify_module = importlib.import_module("necsurf.classify")
 
@@ -154,3 +154,40 @@ def test_solvers_classify_only_points_at_the_answer_genus(monkeypatch):
             assert genera() == {ans.value}, (N, variant)
             ans = min_genus_search(N, variant)
             assert max(genera()) == ans.value, (N, variant)
+
+
+def test_genus_queries_never_build_the_parameter_space(monkeypatch):
+    """The solvers reach their points through ``Family.cone_orders_at_genus``
+    and ``genera_for_order`` alone, so ``parameter_space`` never runs; and
+    ``actions_for_order(N, genus=p)`` builds a ``QuotientType`` only at
+    points whose genus is p."""
+
+    def no_parameter_space(kind, N):
+        raise AssertionError(f"parameter_space({kind!r}, {N}) ran")
+
+    monkeypatch.setattr(classify_module, "parameter_space", no_parameter_space)
+    for N in (12, 30, 97, 360):
+        for variant in MIN_GENUS_VARIANTS:
+            if variant == "p+-" and N % 2:
+                continue
+            min_genus_closed(N, variant)
+            min_genus_search(N, variant)
+    for p in (2, 7, 24):
+        for variant in MAX_ORDER_VARIANTS:
+            max_order_closed(p, variant)
+            max_order_search(p, variant)
+
+    built = []
+    post_init = QuotientType.__post_init__
+
+    def recorder(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(QuotientType, "__post_init__", recorder)
+    for N in (12, 30, 97, 360):
+        for p in (2, 7, 24, N // 2 + 1, N - 1):
+            built.clear()
+            records = classify_module.actions_for_order(N, genus=p)
+            assert all(classify_module._point_genus(q, N) == p for q in built), (N, p)
+            assert {r.quotient for r in records} <= set(built), (N, p)
