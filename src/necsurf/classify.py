@@ -1,22 +1,29 @@
 """Closed-form classification of cyclic actions for the ten quotient families.
 
-One private formula per family, ``f(q, N, p, k, orientable) -> list[Realization]``,
+One private formula per family, ``f(q, N, p) -> list[Realization]``,
 states the paper's conditions, and its docstring states the paper's
 result for the family: existence (an empty list means no action), the
 class counts, through the totient, its companion psi and gcds, and the
-boundary counts of the realized surfaces.  Every division is exact and
-asserted.  No formula computes a genus: by Hurwitz-Riemann every order-N
-action with quotient q lives on a surface of algebraic genus
-p = 1 + N*area(q), so ``_point_genus(q, N)`` works out p once, for every
-k and orientability, and each surface is ``SurfaceTopology.of_genus``.
-That is also the one existence gate: a formula runs only where p is an
-integer and N is the family's forced order, if it has one.
+boundary counts of the realized surfaces.  A formula returns every
+realization of the point in one pass: k ascending, then the orientable
+realizations, then the non-orientable one.  The families whose answer
+depends on the boundary count k read the k that can occur off the
+divisor structure of m and N, and state that k-set in their docstrings.
+Every division is exact and asserted.  No formula computes a genus: by
+Hurwitz-Riemann every order-N action with quotient q lives on a surface
+of algebraic genus p = 1 + N*area(q), so ``_point_genus(q, N)`` works
+out p once, for every k and orientability, and each surface is
+``SurfaceTopology.of_genus``.  That is also the one existence gate: a
+formula runs only where p is an integer and N is the family's forced
+order, if it has one.
 ``classify`` checks its input: N >= 2, defaulting to the forced order;
 k (>= 1) and the orientability flag exactly where the family's
 ``classify_args`` name them, so an argument a family does not take
-raises ``ValueError`` like a missing one.  It is the one way in: the CLI
-forwards its input to it, and ``classify_ann1`` is a named forwarder kept
-for the benchmark tracer.  The sweep (``results_for``) calls the formulas
+raises ``ValueError`` like a missing one.  It then keeps the formula's
+realizations at that k and orientability, so the sweep and the single
+answer share one code path.  It is the one way in: the CLI forwards its
+input to it, and ``classify_ann1`` is a named forwarder kept for the
+benchmark tracer.  The sweep (``results_for``) is one formula call
 behind the same gate.  Asked for one genus p, ``actions_for_order``
 solves the Hurwitz-Riemann equation for the cone orders at genus p
 (``Family.cone_orders_at_genus``) and classifies only those points.
@@ -73,7 +80,7 @@ def _ceil_half(x: int) -> int:
     return (x + 1) // 2
 
 
-def _corner_only(q: QuotientType, N: int, p: int, k, orientable) -> list[Realization]:
+def _corner_only(q: QuotientType, N: int, p: int) -> list[Realization]:
     """The parameter-free families: d6, ann2, mb2.
 
     d6 has the forced order N = 2 (one class, 3-holed sphere).  ann2 and
@@ -98,7 +105,7 @@ def _corner_only(q: QuotientType, N: int, p: int, k, orientable) -> list[Realiza
     return reals
 
 
-def _disc_corners(q: QuotientType, N: int, p: int, k, orientable) -> list[Realization]:
+def _disc_corners(q: QuotientType, N: int, p: int) -> list[Realization]:
     """Disc quotients with one cone point and 2 or 4 corners (d12, d14).
 
     The order is forced: N = m for even m (non-orientable cover), N = 2m
@@ -112,55 +119,67 @@ def _disc_corners(q: QuotientType, N: int, p: int, k, orientable) -> list[Realiz
     return [Realization(SurfaceTopology.of_genus(True, p, b), 1, reversing=True)]
 
 
-def _mb1(q: QuotientType, N: int, p: int, k: int, want_orientable: bool) -> list[Realization]:
+def _mb1(q: QuotientType, N: int, p: int) -> list[Realization]:
     """Once-punctured Moebius band quotients.
 
-    Orientable covers need N = 2*lcm(m, N/k) with t = gcd(m, N/k) odd or
-    N/2t even, and carry ceil(phi(t)/2) classes.  Non-orientable covers
-    need N = lcm(m, N/k) with N/t odd, and carry phi(t) classes for even N,
-    ceil(phi(t)/2) for odd N.
+    With k boundary components and t = gcd(m, N/k): orientable covers need
+    N = 2*lcm(m, N/k) with t odd or N/2t even, and carry ceil(phi(t)/2)
+    classes.  Non-orientable covers need N = lcm(m, N/k) with N/t odd, and
+    carry phi(t) classes for even N, ceil(phi(t)/2) for odd N.
+
+    The k-set comes from the divisors: N = lcm(m, N/k) exactly when
+    k | m* = biggest_coprime_divisor(m, N/m), and N = 2*lcm(m, N/k) exactly
+    when m | N/2 and k = 2j with j | biggest_coprime_divisor(m, N/2m).  The
+    two sets are disjoint, so each k carries at most one realization.
     """
     m = q.m
-    if N % k != 0:
-        return []
-    t = math.gcd(m, N // k)
-    if want_orientable:
-        if N != 2 * math.lcm(m, N // k):
-            return []
-        if t % 2 == 0 and (N // (2 * t)) % 2 != 0:
-            return []
-        count = _ceil_half(euler_phi(t))
-    else:
-        if N != math.lcm(m, N // k) or (N // t) % 2 == 0:
-            return []
-        count = euler_phi(t) if N % 2 == 0 else _ceil_half(euler_phi(t))
-    surf = SurfaceTopology.of_genus(want_orientable, p, k)
-    return [Realization(surf, count, reversing=True if want_orientable else None)]
+    ks = [(k, False) for k in divisors(biggest_coprime_divisor(m, N // m))]
+    if (N // m) % 2 == 0:
+        ks += [(2 * j, True) for j in divisors(biggest_coprime_divisor(m, N // (2 * m)))]
+    reals = []
+    for k, orientable in sorted(ks):
+        t = math.gcd(m, N // k)
+        if orientable:
+            if t % 2 == 0 and (N // (2 * t)) % 2 != 0:
+                continue
+            count = _ceil_half(euler_phi(t))
+        else:
+            if (N // t) % 2 == 0:
+                continue
+            count = euler_phi(t) if N % 2 == 0 else _ceil_half(euler_phi(t))
+        surf = SurfaceTopology.of_genus(orientable, p, k)
+        reals.append(Realization(surf, count, reversing=True if orientable else None))
+    return reals
 
 
-def _d21(q: QuotientType, N: int, p: int, k: int, orientable) -> list[Realization]:
+def _d21(q: QuotientType, N: int, p: int) -> list[Realization]:
     """Twice-punctured disc quotients; N = lcm(m, n) is forced.
 
     The boundary generator e has order N/k, so existence is Harvey's test
     that Z_N is generated by elements of orders m, n, N/k summing to zero.
     For t = gcd(m, n) it amounts to k | t, gcd(k, N/t) = 1, and k even
     when N is even with N/t odd (so that exactly one of N/m, N/n, N/k is
-    even).  The cover is always orientable and orientation-preserving.
-    The Maclachlan decomposition (A, A1, A2, A3) of (m, n, N/k) has
-    A = t/k and A1*A2*A3 = Nk/t.  With C the biggest divisor of A coprime
-    to A1*A2*A3 and B = A/C, the class count is phi(B)*psi(C) for m != n;
-    for m = n the maps pair off under inversion and the count follows
-    _half_count with multiplier k.
+    even).  So k runs over the divisors of biggest_coprime_divisor(t, N/t),
+    and ``harvey_check`` decides each.  The cover is always orientable and
+    orientation-preserving.  The Maclachlan decomposition (A, A1, A2, A3)
+    of (m, n, N/k) has A = t/k and A1*A2*A3 = Nk/t.  With C the biggest
+    divisor of A coprime to A1*A2*A3 and B = A/C, the class count is
+    phi(B)*psi(C) for m != n; for m = n the maps pair off under inversion
+    and the count follows _half_count with multiplier k.
     """
     m, n = q.m, q.n
-    if N % k != 0 or not harvey_check(m, n, N // k, N):
-        return []
-    quad = maclachlan(m, n, N // k)
-    C = biggest_coprime_divisor(quad.a, quad.a1 * quad.a2 * quad.a3)
-    assert C % 2 == 1, "C must be odd whenever the existence conditions hold"
-    B = quad.a // C
-    count = euler_phi(B) * psi(C) if m != n else _half_count(B, C, k)
-    return [Realization(SurfaceTopology.of_genus(True, p, k), count, reversing=False)]
+    t = math.gcd(m, n)
+    reals = []
+    for k in divisors(biggest_coprime_divisor(t, N // t)):
+        if not harvey_check(m, n, N // k, N):
+            continue
+        quad = maclachlan(m, n, N // k)
+        C = biggest_coprime_divisor(quad.a, quad.a1 * quad.a2 * quad.a3)
+        assert C % 2 == 1, "C must be odd whenever the existence conditions hold"
+        B = quad.a // C
+        count = euler_phi(B) * psi(C) if m != n else _half_count(B, C, k)
+        reals.append(Realization(SurfaceTopology.of_genus(True, p, k), count, reversing=False))
+    return reals
 
 
 def _is_two_power_above_two(b: int) -> bool:
@@ -183,15 +202,15 @@ def _half_count(B: int, C: int, multiplier: int) -> int:
     return _ceil_half(base)
 
 
-def _ann1(q: QuotientType, N: int, p: int, k: int, want_orientable: bool) -> list[Realization]:
+def _ann1(q: QuotientType, N: int, p: int) -> list[Realization]:
     """Once-punctured annulus quotients.
 
-    Non-orientable covers exist iff N is even, k | N and N = lcm(m, N/k);
-    there are phi(t) classes, t = gcd(m, N/k).  (The evenness is forced:
-    the non-kernel reflection must map to N/2.)
+    With k boundary components and t = gcd(m, N/k): non-orientable covers
+    exist iff N is even and N = lcm(m, N/k), and carry phi(t) classes.
+    (The evenness is forced: the non-kernel reflection must map to N/2.)
 
     Orientable covers come in two disjoint kinds.  Kind 1 (one reflection
-    outside the kernel) needs k | N, N = 2*lcm(m, N/k) and N/2 odd, and
+    outside the kernel) needs N = 2*lcm(m, N/k) and N/2 odd, and
     contributes phi(t) orientation-reversing classes.  Kind 2 (both
     reflections in the kernel) needs m | N and a splitting k = n1 + n2
     with n1, n2 | m, {N/m, n1, n2} pairwise coprime, and one of them even
@@ -199,65 +218,45 @@ def _ann1(q: QuotientType, N: int, p: int, k: int, want_orientable: bool) -> lis
     orientation-preserving classes, counted like the twice-punctured disc
     with C the biggest divisor of m/(n1*n2) coprime to N*n1*n2/m.
 
-    The splittings are found by walking n1 over the divisors of m up to
-    k/2, so one call costs O(d(m)).  Only the k of ``_ann1_boundary_counts``
-    can carry classes: those of ``_cover_boundary_counts`` and the
-    O(d(m)^2) sums of coprime divisor pairs of m.
+    The k-sets come from the divisors, as for mb1: N = lcm(m, N/k)
+    exactly when k | m* = biggest_coprime_divisor(m, N/m), and
+    N = 2*lcm(m, N/k) exactly when m | N/2 and k = 2j with
+    j | biggest_coprime_divisor(m, N/2m).  The splittings are the coprime
+    pairs n1 <= n2 of divisors of m*, found as n2 | biggest_coprime_divisor(m*, n1).
+    At each k the realizations come in the order mirror (kind 1), the
+    splittings by n1, then the non-orientable one.
     """
     m = q.m
-    if not want_orientable:
-        if N % 2 != 0 or N % k != 0 or N != math.lcm(m, N // k):
-            return []
-        count = euler_phi(math.gcd(m, N // k))
-        return [Realization(SurfaceTopology.of_genus(False, p, k), count)]
-
-    reals = []
-    if N % k == 0 and N == 2 * math.lcm(m, N // k) and (N // 2) % 2 == 1:
-        t = math.gcd(m, N // k)
-        surf = SurfaceTopology.of_genus(True, p, k)
-        reals.append(Realization(surf, euler_phi(t), reversing=True, label="mirror"))
-    for n1 in divisors(m):
-        n2 = k - n1
-        if n1 > n2:
-            break
-        if m % n2 != 0:
-            continue
-        if math.gcd(n1, n2) != 1 or math.gcd(N // m, n1) != 1 or math.gcd(N // m, n2) != 1:
-            continue
-        if N % 2 == 0 and all(v % 2 != 0 for v in (N // m, n1, n2)):
-            continue
-        C = biggest_coprime_divisor(m // (n1 * n2), N * n1 * n2 // m)
-        assert C % 2 == 1
-        B = m // (C * n1 * n2)
-        count = euler_phi(B) * psi(C) if k != 2 else _half_count(B, C, N // m)
-        surf = SurfaceTopology.of_genus(True, p, k)
-        reals.append(Realization(surf, count, reversing=False, label=f"split{{{n1},{n2}}}"))
-    return reals
-
-
-def _cover_boundary_counts(q: QuotientType, N: int) -> list[int]:
-    """The k | N with N = lcm(m, N/k) or 2*lcm(m, N/k), ascending.
-
-    Every mb1 cover and every ann1 cover but the kind-2 ones need one of
-    the two; either implies k <= 2m.
-    """
-    return [k for k in divisors(N) if N // math.lcm(q.m, N // k) <= 2]
+    m_star = biggest_coprime_divisor(m, N // m)
+    by_k: dict[int, list[Realization]] = {}
+    if (N // m) % 2 == 0 and (N // 2) % 2 == 1:
+        for j in divisors(biggest_coprime_divisor(m, N // (2 * m))):
+            k = 2 * j
+            surf = SurfaceTopology.of_genus(True, p, k)
+            count = euler_phi(math.gcd(m, N // k))
+            by_k[k] = [Realization(surf, count, reversing=True, label="mirror")]
+    for n1 in divisors(m_star):
+        for n2 in divisors(biggest_coprime_divisor(m_star, n1)):
+            if n2 < n1:
+                continue
+            if N % 2 == 0 and all(v % 2 != 0 for v in (N // m, n1, n2)):
+                continue
+            C = biggest_coprime_divisor(m // (n1 * n2), N * n1 * n2 // m)
+            assert C % 2 == 1
+            B = m // (C * n1 * n2)
+            k = n1 + n2
+            count = euler_phi(B) * psi(C) if k != 2 else _half_count(B, C, N // m)
+            surf = SurfaceTopology.of_genus(True, p, k)
+            split = Realization(surf, count, reversing=False, label=f"split{{{n1},{n2}}}")
+            by_k.setdefault(k, []).append(split)
+    if N % 2 == 0:
+        for k in divisors(m_star):
+            count = euler_phi(math.gcd(m, N // k))
+            by_k.setdefault(k, []).append(Realization(SurfaceTopology.of_genus(False, p, k), count))
+    return [real for k in sorted(by_k) for real in by_k[k]]
 
 
-def _ann1_boundary_counts(q: QuotientType, N: int) -> list[int]:
-    """The boundary counts k at which ann1(m) can carry order-N classes, ascending.
-
-    Non-orientable and kind-1 covers need a k of ``_cover_boundary_counts``;
-    kind-2 covers need k = n1 + n2 with n1 <= n2 coprime divisors of m, so
-    k <= m + 1.  Building the set costs O(d(N) + d(m)^2).
-    """
-    ks = set(_cover_boundary_counts(q, N))
-    dm = divisors(q.m)
-    ks.update(a + b for i, a in enumerate(dm) for b in dm[i:] if math.gcd(a, b) == 1)
-    return sorted(ks)
-
-
-def _triangle(q: QuotientType, N: int, p: int, k, orientable) -> list[Realization]:
+def _triangle(q: QuotientType, N: int, p: int) -> list[Realization]:
     """Thrice-punctured disc quotients (cone orders 2,2,m or 2,3,m).
 
     Orders 2,2,m: N = lcm(2, m), orientable, N/m boundary components,
@@ -269,7 +268,7 @@ def _triangle(q: QuotientType, N: int, p: int, k, orientable) -> list[Realizatio
     return [Realization(SurfaceTopology.of_genus(True, p, b), 1, reversing=False) for b in bs]
 
 
-def _corner_pair(q: QuotientType, N: int, p: int, k, orientable) -> list[Realization]:
+def _corner_pair(q: QuotientType, N: int, p: int) -> list[Realization]:
     """Twice-punctured disc with two corner points (cone orders 2,m or 3,m).
 
     Orders 2,m: N = lcm(2, m), non-orientable with N/2 boundary
@@ -288,27 +287,25 @@ def _corner_pair(q: QuotientType, N: int, p: int, k, orientable) -> list[Realiza
 
 # --- dispatch and sweeps ---------------------------------------------------
 
-#: kind -> (formula(q, N, p, k, orientable), the boundary counts k that can
-#: occur at order N, or None for a formula without k).  Each formula keeps
-#: the contract of the module docstring and runs only behind the gate of
-#: ``_point_genus``, which hands it the genus p.  The mb1 and ann1 k-sets
-#: come from divisors: the k | N of ``_cover_boundary_counts``, plus for
-#: ann1 the O(d(m)^2) split sums of m, each classified in O(d(m)) steps.
-#: Trying every k <= 2m and every split n1 <= k/2 took O(m^2) steps per
-#: divisor m.
+#: kind -> formula(q, N, p).  Each formula keeps the contract of the module
+#: docstring and runs only behind the gate of ``_point_genus``, which hands
+#: it the genus p, and returns every realization of the point.  There is
+#: no list of boundary counts beside a formula: those of mb1, ann1 and d21
+#: read their k-sets off the divisor structure of m and N (see their
+#: docstrings) and answer all k and both orientabilities in one pass.
 _FORMULAS = {
-    "d6": (_corner_only, None),
-    "ann2": (_corner_only, None),
-    "mb2": (_corner_only, None),
-    "d12": (_disc_corners, None),
-    "d14": (_disc_corners, None),
-    "mb1": (_mb1, _cover_boundary_counts),
-    "d21": (_d21, lambda q, N: divisors(math.gcd(q.m, q.n))),
-    "ann1": (_ann1, _ann1_boundary_counts),
-    "d3-23m": (_triangle, None),
-    "d3-22m": (_triangle, None),
-    "d2c-3m": (_corner_pair, None),
-    "d2c-2m": (_corner_pair, None),
+    "d6": _corner_only,
+    "ann2": _corner_only,
+    "mb2": _corner_only,
+    "d12": _disc_corners,
+    "d14": _disc_corners,
+    "mb1": _mb1,
+    "d21": _d21,
+    "ann1": _ann1,
+    "d3-23m": _triangle,
+    "d3-22m": _triangle,
+    "d2c-3m": _corner_pair,
+    "d2c-2m": _corner_pair,
 }
 
 
@@ -323,7 +320,9 @@ def classify(
     non-existence and no formula runs.  The family's ``classify_args`` say
     which of k and the orientability of the covered surface it takes: each
     of them is required there and rejected elsewhere.  Bad input raises
-    ``ValueError`` before any formula runs.
+    ``ValueError`` before any formula runs.  The answer is the formula's
+    list of every realization of the point, kept where the boundary count
+    is k and the orientability is the flag's, as far as they are given.
     """
     if N is None:
         N = q.forced_order()
@@ -335,7 +334,11 @@ def classify(
     if k is not None and k < 1:
         raise ValueError("need k >= 1")
     p = _point_genus(q, N)
-    return _result(q, N, () if p is None else _FORMULAS[q.kind][0](q, N, p, k, orientable))
+    reals = () if p is None else _FORMULAS[q.kind](q, N, p)
+    return _result(q, N, [
+        r for r in reals
+        if k in (None, r.surface.boundary_count) and orientable in (None, r.surface.orientable)
+    ])
 
 
 def classify_ann1(N: int, m: int, k: int, want_orientable: bool) -> ClassificationResult:
@@ -362,19 +365,13 @@ def parameter_space(kind: str, N: int) -> list[QuotientType]:
 
 
 def results_for(q: QuotientType, N: int) -> list[Realization]:
-    """Every realization with classes for quotient q at order N (all k, all flags)."""
+    """Every realization with classes for quotient q at order N (all k, all flags).
+
+    It is one formula call, in the formula's order: k ascending, then the
+    orientable realizations, then the non-orientable one.
+    """
     p = _point_genus(q, N)
-    if p is None:
-        return []
-    formula, k_range = _FORMULAS[q.kind]
-    flags = (True, False) if "orientable" in FAMILIES[q.kind].classify_args else (None,)
-    return [
-        real
-        for k in (k_range(q, N) if k_range else (None,))
-        for flag in flags
-        for real in formula(q, N, p, k, flag)
-        if real.count > 0
-    ]
+    return [] if p is None else [r for r in _FORMULAS[q.kind](q, N, p) if r.count > 0]
 
 
 def _point_genus(q: QuotientType, N: int) -> int | None:
@@ -408,25 +405,24 @@ def actions_for_order(N: int, genus: int | None = None) -> list[ActionRecord]:
     With ``genus`` p, only those on surfaces of algebraic genus p, in the
     same order.  The parameter points at genus p are solved from p
     (``Family.cone_orders_at_genus``), not picked out of the whole
-    ``parameter_space``, and each is classified only if its integer kernel
-    genus (``_point_genus``, the exact ``Family.kernel_genus`` test) is p.
-    Every surface a formula builds has that genus, so nothing needs
-    filtering afterwards; without ``genus``, ``results_for`` still skips
-    the points where N*area(q) is not an integer.
+    ``Family.cone_orders``.  Either way one loop runs ``Family.point_genus``
+    on the integer cone orders, as ``genera_for_order`` does, and builds a
+    ``QuotientType`` only at a point whose genus is an integer (and p, when
+    asked): the points off a forced order cost no validation.  Every
+    surface a formula builds has that genus, so nothing needs filtering
+    afterwards.
     """
     if N < 2:
         raise ValueError("the acting group must have order >= 2")
     out = []
     for kind, fam in FAMILIES.items():
-        if genus is None:
-            points = parameter_space(kind, N)
-        else:
-            points = [QuotientType(kind, m, n) for m, n in fam.cone_orders_at_genus(N, genus)]
-        for q in points:
-            if genus is not None and _point_genus(q, N) != genus:
+        points = fam.cone_orders(N) if genus is None else fam.cone_orders_at_genus(N, genus)
+        for m, n in points:
+            p = fam.point_genus(m, n, N)
+            if p is None or genus not in (None, p):
                 continue
-            for real in results_for(q, N):
-                out.append(ActionRecord(q, N, real))
+            q = QuotientType(kind, m, n)
+            out += [ActionRecord(q, N, real) for real in results_for(q, N)]
     return out
 
 

@@ -292,11 +292,16 @@ class Family:
         p1, rem = divmod(N * num, den)
         return None if num <= 0 or rem else p1 + 1
 
+    @cached_property
+    def _fixed_lcm(self) -> int:
+        """The lcm of the fixed periods and all link periods."""
+        return math.lcm(*self.periods, *(c for cyc in self.cycles for c in cyc))
+
     def forced_order(self, m: int | None, n: int | None) -> int | None:
         """The order N that cone orders m, n force, or None when N is free."""
         if not self.order_is_forced:
             return None
-        return math.lcm(*self.proper_periods(m, n), *(c for cyc in self.cycles for c in cyc))
+        return math.lcm(self._fixed_lcm, m or 1, n or 1)
 
     def point_genus(self, m: int | None, n: int | None, N: int) -> int | None:
         """The algebraic genus every order-N action at cone orders m, n has, or None.

@@ -1,9 +1,11 @@
 """Closed-form class counts, family by family."""
 
+import inspect
 import itertools
 import math
 
 import pytest
+from classify_reference import PER_K, flags, reference_classify, reference_results
 
 from necsurf.classify import (
     _FORMULAS,
@@ -26,12 +28,12 @@ from necsurf.zmod import biggest_coprime_divisor, divisors, euler_phi, psi
 @pytest.fixture
 def no_formulas(monkeypatch):
     """Every formula in ``_FORMULAS`` patched to raise if it runs; returns the table as it was."""
-    def no_formula(q, N, p, k, orientable):
+    def no_formula(q, N, p):
         raise AssertionError(f"a formula ran for {q} at N={N}")
 
     table = dict(_FORMULAS)
-    for kind, (_, k_range) in table.items():
-        monkeypatch.setitem(_FORMULAS, kind, (no_formula, k_range))
+    for kind in table:
+        monkeypatch.setitem(_FORMULAS, kind, no_formula)
     return table
 
 
@@ -192,38 +194,47 @@ def _ann1_linear_reference(N, m, k, want_orientable):
 
 
 def test_ann1_divisor_search_matches_linear_reference():
-    """No boundary count is lost: outside the divisor-driven k-set the linear
-    search finds nothing, and inside it both searches agree."""
-    k_set = _FORMULAS["ann1"][1]
+    """No boundary count is lost: outside the per-k formula's k-set the
+    linear search finds nothing, inside it ``classify`` and the linear
+    search agree, and ``results_for`` is the linear search swept over
+    k = 1..2m and both flags, in that order."""
+    k_set = PER_K["ann1"][1]
     checked = 0
     for N in range(2, 151):
         for m in (d for d in range(2, N + 1) if N % d == 0):
-            ks = set(k_set(QuotientType("ann1", m=m), N))
+            q = QuotientType("ann1", m=m)
+            ks = set(k_set(q, N))
             assert ks <= set(range(1, 2 * m + 1)), (N, m)
+            swept = []
             for k in range(1, 2 * m + 1):
                 for orientable in (True, False):
                     want = _ann1_linear_reference(N, m, k, orientable)
-                    got = classify(QuotientType("ann1", m=m), N, k, orientable)
+                    got = classify(q, N, k, orientable)
                     if k not in ks:
                         assert not want.exists and not got.exists, (N, m, k, orientable)
                     else:
                         assert got == want, (N, m, k, orientable)
                         checked += got.exists
+                    swept.extend(want.realizations)
+            assert results_for(q, N) == swept, (N, m)
     assert checked > 1000
 
 
 def test_mb1_boundary_counts_miss_no_class():
-    """Every k | N outside the mb1 k-set (``_cover_boundary_counts``: the k
-    with N // lcm(m, N/k) <= 2) carries no mb1 class, for either flag."""
-    k_set = _FORMULAS["mb1"][1]
+    """Every k | N outside the per-k mb1 k-set (the k with
+    N // lcm(m, N/k) <= 2) carries no mb1 class, for either flag, and
+    ``results_for`` has no realization at such a k."""
+    k_set = PER_K["mb1"][1]
     skipped = 0
     for N in range(2, 151):
         for m in (d for d in range(2, N + 1) if N % d == 0):
-            ks = set(k_set(QuotientType("mb1", m=m), N))
+            q = QuotientType("mb1", m=m)
+            ks = set(k_set(q, N))
             assert ks <= set(divisors(N)), (N, m)
+            assert {r.surface.boundary_count for r in results_for(q, N)} <= ks, (N, m)
             for k in (d for d in divisors(N) if d not in ks):
                 for orientable in (True, False):
-                    assert not classify(QuotientType("mb1", m=m), N, k, orientable).exists, (N, m, k, orientable)
+                    assert not classify(q, N, k, orientable).exists, (N, m, k, orientable)
                     skipped += 1
     assert skipped == 4144
 
@@ -322,15 +333,15 @@ def test_public_classifiers_reject_bad_input():
 
 
 def test_formula_table_matches_registry(no_formulas):
-    """One formula per family and k-ranges exactly where classify takes k.
-    Where ``_point_genus`` finds no genus, nothing exists and no formula
-    runs: off a forced order, and where N*area(q) is not an integer, as for
-    mb1(4) and ann1(4) at N = 6 and the parameter-free families at odd N.
-    Every formula carries its family's statement as its docstring."""
-    assert all(formula.__doc__ for formula, _ in no_formulas.values())
+    """One formula per family, each taking (q, N, p) and answering for
+    every k and flag at once.  Where ``_point_genus`` finds no genus,
+    nothing exists and no formula runs: off a forced order, and where
+    N*area(q) is not an integer, as for mb1(4) and ann1(4) at N = 6 and the
+    parameter-free families at odd N.  Every formula carries its family's
+    statement as its docstring."""
+    assert all(formula.__doc__ for formula in no_formulas.values())
+    assert all(list(inspect.signature(f).parameters) == ["q", "N", "p"] for f in no_formulas.values())
     assert list(_FORMULAS) == list(FAMILIES)
-    for kind, (_, k_range) in _FORMULAS.items():
-        assert (k_range is not None) == ("k" in FAMILIES[kind].classify_args)
     with pytest.raises(AssertionError):
         results_for(QuotientType("d12", m=4), 4)
     gated = [
@@ -349,6 +360,49 @@ def test_formula_table_matches_registry(no_formulas):
         args = {a: given[a] for a in FAMILIES[q.kind].classify_args}  # only what it takes
         assert results_for(q, N) == [], (q, N)
         assert not classify(q, N, **args).exists, (q, N)
+
+
+def test_classify_keeps_the_formula_list_at_k_and_flag():
+    """``classify`` is the formula's list filtered, not a second code path:
+    for a family that takes k, its answers at every boundary count of
+    ``results_for`` and both flags, concatenated, are ``results_for``;
+    for the others it is ``results_for`` itself."""
+    checked = 0
+    for N in range(2, 61):
+        for kind, fam in FAMILIES.items():
+            for m, n in fam.cone_orders(N):
+                q = QuotientType(kind, m, n)
+                want = results_for(q, N)
+                if "k" not in fam.classify_args:
+                    assert list(classify(q, N).realizations) == want, (q, N)
+                    continue
+                ks = sorted({r.surface.boundary_count for r in want})
+                got = [
+                    r
+                    for k in ks
+                    for flag in flags(kind)
+                    for r in classify(q, N, k, flag).realizations
+                ]
+                assert got == want, (q, N)
+                checked += len(got)
+    assert checked > 1000
+
+
+def test_all_k_formulas_match_per_k_reference():
+    """mb1, ann1 and d21 against their per-k formulas: ``results_for`` is the
+    per-k formula swept over its old k-set, in order, and ``classify`` at
+    every k <= 2N + 1 and flag is the per-k answer, also at the cone orders
+    that carry no order-N action."""
+    calls = 0
+    for N in range(2, 61):
+        for kind in PER_K:
+            for q in FAMILIES[kind].instances(divisors(N)[1:]):
+                assert results_for(q, N) == reference_results(q, N), (q, N)
+                for k in range(1, 2 * N + 2):
+                    for flag in flags(kind):
+                        assert classify(q, N, k, flag) == reference_classify(q, N, k, flag), (q, N, k)
+                        calls += 1
+    assert calls > 50000
 
 
 def test_enumeration_at_order_two():

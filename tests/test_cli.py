@@ -1,6 +1,10 @@
 """Command-line behaviour: outputs, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from necsurf import oracle
 from necsurf.cli import main
@@ -193,3 +197,20 @@ def test_verify_rejects_csv_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "cross_check", no_sweep)
     code, out, err = run(capsys, "verify", "--n-max", "3", "--format", "csv")
     assert code == 2 and "csv" in err and not out
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m necsurf`` is the ``necsurf`` command, exit codes included."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "necsurf", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = run_module("classify", "d6")
+    assert done.returncode == 0, done.stderr
+    assert "3-holed sphere" in done.stdout
+    done = run_module("enumerate", "--N", "1")
+    assert done.returncode == 2
+    assert "order >= 2" in done.stderr

@@ -126,22 +126,27 @@ def test_every_realizer_in_large_action_range():
 
 
 def test_solvers_classify_only_points_at_the_answer_genus(monkeypatch):
-    """``results_for`` runs only on parameter points whose kernel genus is the
-    answer's genus (below or at it for the ascending ``min_genus_search``)."""
+    """A formula runs only on parameter points whose kernel genus is the
+    answer's genus (below or at it for the ascending ``min_genus_search``).
+    The recorder wraps every formula of the table, the one place where a
+    point is classified, and checks the genus each is handed."""
     seen = []
-    results_for = classify_module.results_for
 
-    def recorder(q, N):
-        seen.append((q, N))
-        return results_for(q, N)
+    def recording(formula):
+        def recorder(q, N, p):
+            assert p == FAMILIES[q.kind].kernel_genus(q.m, q.n, N), (q, N, p)
+            seen.append(p)
+            return formula(q, N, p)
+        return recorder
 
     def genera():
-        out = [FAMILIES[q.kind].kernel_genus(q.m, q.n, N) for q, N in seen]
+        out = set(seen)
+        assert seen
         seen.clear()
-        assert out
-        return set(out)
+        return out
 
-    monkeypatch.setattr(classify_module, "results_for", recorder)
+    for kind, formula in classify_module._FORMULAS.items():
+        monkeypatch.setitem(classify_module._FORMULAS, kind, recording(formula))
     for p in range(2, 41):
         for variant in MAX_ORDER_VARIANTS:
             max_order_search(p, variant)

@@ -165,6 +165,18 @@ def test_enumerate_rows_match_golden(capsys):
         assert W.rows_digest(rows) == digest, N
 
 
+def test_enumerate_stdout_matches_recorded_order(capsys):
+    """``enumerate --N <N> --format json`` stdout for N = 2..600, 720, 2520
+    and 5040, digested as it is printed, so in row order, against
+    ``enumerate_ordered_digests.json``.  The catalog golden sorts the rows
+    (``rows_digest``), so this is the gate on the order of the sweep."""
+    recorded = json.loads((Path(__file__).parent / "enumerate_ordered_digests.json").read_text())
+    assert list(recorded) == [str(N) for N in [*range(2, 601), 720, 2520, 5040]]
+    for N, digest in recorded.items():
+        assert main(["enumerate", "--N", N, "--format", "json"]) == 0
+        assert W.digest(capsys.readouterr().out) == digest, N
+
+
 def test_extremal_queries_match_golden(capsys):
     """Every recorded query: min-genus for N = 2..600, max-order for p = 2..300."""
     golden = W.load_golden("extremal-cli")
