@@ -183,5 +183,6 @@ def surface_of(bmap: BskMap) -> SurfaceTopology:
     if failures:
         raise ValueError(f"map is not smooth: {failures[0]}")
     q = bmap.quotient
-    p = FAMILIES[q.kind].kernel_genus(q.m, q.n, bmap.N)
+    p = FAMILIES[q.kind].point_genus(q.m, q.n, bmap.N)
+    assert p is not None, f"a smooth map at {q}, order {bmap.N}, a point without a genus"
     return SurfaceTopology.of_genus(orientability(bmap), p, boundary_count(bmap))

@@ -11,22 +11,23 @@ depends on the boundary count k read the k that can occur off the
 divisor structure of m and N, and state that k-set in their docstrings.
 Every division is exact and asserted.  No formula computes a genus: by
 Hurwitz-Riemann every order-N action with quotient q lives on a surface
-of algebraic genus p = 1 + N*area(q), so ``_point_genus(q, N)`` works
-out p once, for every k and orientability, and each surface is
+of algebraic genus p = 1 + N*area(q), whatever k and the orientability,
+so ``results_for(q, N)`` asks ``Family.point_genus`` for p once and
+hands it to the formula, which builds each surface with
 ``SurfaceTopology.of_genus``.  That is also the one existence gate: a
 formula runs only where p is an integer and N is the family's forced
 order, if it has one.
 ``classify`` checks its input: N >= 2, defaulting to the forced order;
 k (>= 1) and the orientability flag exactly where the family's
 ``classify_args`` name them, so an argument a family does not take
-raises ``ValueError`` like a missing one.  It then keeps the formula's
-realizations at that k and orientability, so the sweep and the single
-answer share one code path.  It is the one way in: the CLI forwards its
-input to it, and ``classify_ann1`` is a named forwarder kept for the
-benchmark tracer.  The sweep (``results_for``) is one formula call
-behind the same gate.  Asked for one genus p, ``actions_for_order``
-solves the Hurwitz-Riemann equation for the cone orders at genus p
-(``Family.cone_orders_at_genus``) and classifies only those points.
+raises ``ValueError`` like a missing one.  It then keeps the realizations
+of ``results_for`` at that k and orientability, so the sweep and the
+single answer share one code path.  It is the one way in: the CLI
+forwards its input to it, and ``classify_ann1`` is a named forwarder kept
+for the benchmark tracer.  ``actions_for_order`` and ``genera_for_order``
+walk the catalog points of ``Family.points``; asked for one genus p,
+those are solved from the Hurwitz-Riemann equation, and only they are
+classified.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ class Realization:
     reversing: bool | None = None
     label: str = ""
 
+    def __post_init__(self):
+        assert self.count >= 1, f"a realization without classes: {self}"
+
 
 @dataclass(frozen=True)
 class ClassificationResult:
@@ -69,11 +73,6 @@ class ClassificationResult:
     def __post_init__(self):
         assert self.exists == (self.class_count >= 1)
         assert self.class_count == sum(r.count for r in self.realizations)
-
-
-def _result(q, N, reals) -> ClassificationResult:
-    reals = tuple(r for r in reals if r.count > 0)
-    return ClassificationResult(q, N, bool(reals), sum(r.count for r in reals), reals)
 
 
 def _ceil_half(x: int) -> int:
@@ -119,25 +118,36 @@ def _disc_corners(q: QuotientType, N: int, p: int) -> list[Realization]:
     return [Realization(SurfaceTopology.of_genus(True, p, b), 1, reversing=True)]
 
 
+def _cover_boundary_counts(m: int, N: int) -> tuple[tuple[int, ...], list[int]]:
+    """The boundary counts k of an order-N cover of a one-cone quotient (mb1, ann1).
+
+    The covers need N = lcm(m, N/k) or N = 2*lcm(m, N/k), and both k-sets
+    come from the divisors.  N = lcm(m, N/k) exactly when
+    k | m* = biggest_coprime_divisor(m, N/m); N = 2*lcm(m, N/k) exactly
+    when m | N/2 and k = 2j with j | biggest_coprime_divisor(m, N/2m).
+    Returns the two sets in that order, each ascending; they are disjoint.
+    The first ends in m* itself.
+    """
+    doubled = []
+    if (N // m) % 2 == 0:
+        doubled = [2 * j for j in divisors(biggest_coprime_divisor(m, N // (2 * m)))]
+    return divisors(biggest_coprime_divisor(m, N // m)), doubled
+
+
 def _mb1(q: QuotientType, N: int, p: int) -> list[Realization]:
     """Once-punctured Moebius band quotients.
 
     With k boundary components and t = gcd(m, N/k): orientable covers need
     N = 2*lcm(m, N/k) with t odd or N/2t even, and carry ceil(phi(t)/2)
     classes.  Non-orientable covers need N = lcm(m, N/k) with N/t odd, and
-    carry phi(t) classes for even N, ceil(phi(t)/2) for odd N.
-
-    The k-set comes from the divisors: N = lcm(m, N/k) exactly when
-    k | m* = biggest_coprime_divisor(m, N/m), and N = 2*lcm(m, N/k) exactly
-    when m | N/2 and k = 2j with j | biggest_coprime_divisor(m, N/2m).  The
-    two sets are disjoint, so each k carries at most one realization.
+    carry phi(t) classes for even N, ceil(phi(t)/2) for odd N.  The k-sets
+    are those of ``_cover_boundary_counts``: disjoint, so each k carries
+    at most one realization.
     """
     m = q.m
-    ks = [(k, False) for k in divisors(biggest_coprime_divisor(m, N // m))]
-    if (N // m) % 2 == 0:
-        ks += [(2 * j, True) for j in divisors(biggest_coprime_divisor(m, N // (2 * m)))]
+    single, doubled = _cover_boundary_counts(m, N)
     reals = []
-    for k, orientable in sorted(ks):
+    for k, orientable in sorted([(k, False) for k in single] + [(k, True) for k in doubled]):
         t = math.gcd(m, N // k)
         if orientable:
             if t % 2 == 0 and (N // (2 * t)) % 2 != 0:
@@ -162,10 +172,9 @@ def _d21(q: QuotientType, N: int, p: int) -> list[Realization]:
     even).  So k runs over the divisors of biggest_coprime_divisor(t, N/t),
     and ``harvey_check`` decides each.  The cover is always orientable and
     orientation-preserving.  The Maclachlan decomposition (A, A1, A2, A3)
-    of (m, n, N/k) has A = t/k and A1*A2*A3 = Nk/t.  With C the biggest
-    divisor of A coprime to A1*A2*A3 and B = A/C, the class count is
-    phi(B)*psi(C) for m != n; for m = n the maps pair off under inversion
-    and the count follows _half_count with multiplier k.
+    of (m, n, N/k) has A = t/k and A1*A2*A3 = N/A, and ``_pair_count``
+    counts the classes from A; for m = n the maps pair off under inversion
+    with multiplier k.
     """
     m, n = q.m, q.n
     t = math.gcd(m, n)
@@ -173,17 +182,26 @@ def _d21(q: QuotientType, N: int, p: int) -> list[Realization]:
     for k in divisors(biggest_coprime_divisor(t, N // t)):
         if not harvey_check(m, n, N // k, N):
             continue
-        quad = maclachlan(m, n, N // k)
-        C = biggest_coprime_divisor(quad.a, quad.a1 * quad.a2 * quad.a3)
-        assert C % 2 == 1, "C must be odd whenever the existence conditions hold"
-        B = quad.a // C
-        count = euler_phi(B) * psi(C) if m != n else _half_count(B, C, k)
+        count = _pair_count(maclachlan(m, n, N // k).a, N, m == n, k)
         reals.append(Realization(SurfaceTopology.of_genus(True, p, k), count, reversing=False))
     return reals
 
 
 def _is_two_power_above_two(b: int) -> bool:
     return b > 2 and factorize(b) == ((2, b.bit_length() - 1),)
+
+
+def _pair_count(A: int, N: int, paired: bool, multiplier: int) -> int:
+    """Classes of the maps with two orientation-preserving cone generators (d21, ann1 splits).
+
+    With C the biggest divisor of A coprime to N/A and B = A/C, there are
+    phi(B)*psi(C) classes; when the maps pair off under inversion
+    (``paired``), the count is ``_half_count`` with ``multiplier``.
+    """
+    C = biggest_coprime_divisor(A, N // A)
+    assert C % 2 == 1, "C must be odd whenever the existence conditions hold"
+    B = A // C
+    return _half_count(B, C, multiplier) if paired else euler_phi(B) * psi(C)
 
 
 def _half_count(B: int, C: int, multiplier: int) -> int:
@@ -215,42 +233,37 @@ def _ann1(q: QuotientType, N: int, p: int) -> list[Realization]:
     reflections in the kernel) needs m | N and a splitting k = n1 + n2
     with n1, n2 | m, {N/m, n1, n2} pairwise coprime, and one of them even
     when N is even; each unordered splitting contributes its own
-    orientation-preserving classes, counted like the twice-punctured disc
-    with C the biggest divisor of m/(n1*n2) coprime to N*n1*n2/m.
+    orientation-preserving classes, counted by ``_pair_count`` like the
+    twice-punctured disc, with A = m/(n1*n2).
 
-    The k-sets come from the divisors, as for mb1: N = lcm(m, N/k)
-    exactly when k | m* = biggest_coprime_divisor(m, N/m), and
-    N = 2*lcm(m, N/k) exactly when m | N/2 and k = 2j with
-    j | biggest_coprime_divisor(m, N/2m).  The splittings are the coprime
-    pairs n1 <= n2 of divisors of m*, found as n2 | biggest_coprime_divisor(m*, n1).
-    At each k the realizations come in the order mirror (kind 1), the
-    splittings by n1, then the non-orientable one.
+    The k-sets are those of ``_cover_boundary_counts``.  The splittings
+    are the coprime pairs n1 <= n2 of divisors of m*, found as
+    n2 | biggest_coprime_divisor(m*, n1).  At each k the realizations come
+    in the order mirror (kind 1), the splittings by n1, then the
+    non-orientable one.
     """
     m = q.m
-    m_star = biggest_coprime_divisor(m, N // m)
+    single, doubled = _cover_boundary_counts(m, N)
+    m_star = single[-1]
     by_k: dict[int, list[Realization]] = {}
-    if (N // m) % 2 == 0 and (N // 2) % 2 == 1:
-        for j in divisors(biggest_coprime_divisor(m, N // (2 * m))):
-            k = 2 * j
+    if (N // 2) % 2 == 1:
+        for k in doubled:
             surf = SurfaceTopology.of_genus(True, p, k)
             count = euler_phi(math.gcd(m, N // k))
             by_k[k] = [Realization(surf, count, reversing=True, label="mirror")]
-    for n1 in divisors(m_star):
+    for n1 in single:
         for n2 in divisors(biggest_coprime_divisor(m_star, n1)):
             if n2 < n1:
                 continue
             if N % 2 == 0 and all(v % 2 != 0 for v in (N // m, n1, n2)):
                 continue
-            C = biggest_coprime_divisor(m // (n1 * n2), N * n1 * n2 // m)
-            assert C % 2 == 1
-            B = m // (C * n1 * n2)
             k = n1 + n2
-            count = euler_phi(B) * psi(C) if k != 2 else _half_count(B, C, N // m)
+            count = _pair_count(m // (n1 * n2), N, k == 2, N // m)
             surf = SurfaceTopology.of_genus(True, p, k)
             split = Realization(surf, count, reversing=False, label=f"split{{{n1},{n2}}}")
             by_k.setdefault(k, []).append(split)
     if N % 2 == 0:
-        for k in divisors(m_star):
+        for k in single:
             count = euler_phi(math.gcd(m, N // k))
             by_k.setdefault(k, []).append(Realization(SurfaceTopology.of_genus(False, p, k), count))
     return [real for k in sorted(by_k) for real in by_k[k]]
@@ -288,8 +301,8 @@ def _corner_pair(q: QuotientType, N: int, p: int) -> list[Realization]:
 # --- dispatch and sweeps ---------------------------------------------------
 
 #: kind -> formula(q, N, p).  Each formula keeps the contract of the module
-#: docstring and runs only behind the gate of ``_point_genus``, which hands
-#: it the genus p, and returns every realization of the point.  There is
+#: docstring, runs only behind the gate of ``results_for``, which hands it
+#: the genus p, and returns every realization of the point.  There is
 #: no list of boundary counts beside a formula: those of mb1, ann1 and d21
 #: read their k-sets off the divisor structure of m and N (see their
 #: docstrings) and answer all k and both orientabilities in one pass.
@@ -315,7 +328,7 @@ def classify(
     """Classify actions of order N with quotient q (and boundary count k where needed).
 
     N defaults to the order the cone orders force; a family with a free
-    order requires it.  Where ``_point_genus`` finds no genus (another
+    order requires it.  Where ``Family.point_genus`` finds no genus (another
     order than the forced one, or N*area(q) not an integer) the result is
     non-existence and no formula runs.  The family's ``classify_args`` say
     which of k and the orientability of the covered surface it takes: each
@@ -333,12 +346,11 @@ def classify(
     check_arguments(q.kind, FAMILIES[q.kind].classify_args, k=k, orientable=orientable)
     if k is not None and k < 1:
         raise ValueError("need k >= 1")
-    p = _point_genus(q, N)
-    reals = () if p is None else _FORMULAS[q.kind](q, N, p)
-    return _result(q, N, [
-        r for r in reals
+    reals = tuple(
+        r for r in results_for(q, N)
         if k in (None, r.surface.boundary_count) and orientable in (None, r.surface.orientable)
-    ])
+    )
+    return ClassificationResult(q, N, bool(reals), sum(r.count for r in reals), reals)
 
 
 def classify_ann1(N: int, m: int, k: int, want_orientable: bool) -> ClassificationResult:
@@ -365,62 +377,43 @@ def parameter_space(kind: str, N: int) -> list[QuotientType]:
 
 
 def results_for(q: QuotientType, N: int) -> list[Realization]:
-    """Every realization with classes for quotient q at order N (all k, all flags).
+    """Every realization of quotient q at order N (all k, all flags).
 
-    It is one formula call, in the formula's order: k ascending, then the
-    orientable realizations, then the non-orientable one.
+    ``Family.point_genus`` gives the genus p = 1 + N*area(q), or None where
+    q carries no order-N action (its family forces another order, or
+    N*area(q) is not an integer).  This is the one existence gate, and p
+    the genus of every surface the formula builds.  Behind it is one
+    formula call, in the formula's order: k ascending, then the orientable
+    realizations, then the non-orientable one.
     """
-    p = _point_genus(q, N)
-    return [] if p is None else [r for r in _FORMULAS[q.kind](q, N, p) if r.count > 0]
-
-
-def _point_genus(q: QuotientType, N: int) -> int | None:
-    """The algebraic genus every order-N action with quotient q has, or None.
-
-    It is ``Family.point_genus``: p = 1 + N*area(q), whatever k and the
-    orientability, or None where q carries no order-N action (its family
-    forces another order, or N*area(q) is not an integer).  This is the
-    existence gate of ``classify`` and ``results_for``, and the genus of
-    every surface their formulas build.
-    """
-    return FAMILIES[q.kind].point_genus(q.m, q.n, N)
+    p = FAMILIES[q.kind].point_genus(q.m, q.n, N)
+    return [] if p is None else _FORMULAS[q.kind](q, N, p)
 
 
 def genera_for_order(N: int) -> list[int]:
-    """The distinct integer genera ``_point_genus`` gives at order N, ascending.
+    """The distinct genera of the catalog points (``Family.points``) at order N, ascending.
 
     It works on the integer cone orders alone and builds no ``QuotientType``.
     """
-    return sorted({
-        p
-        for fam in FAMILIES.values()
-        for m, n in fam.cone_orders(N)
-        if (p := fam.point_genus(m, n, N)) is not None
-    })
+    return sorted({p for fam in FAMILIES.values() for _, _, p in fam.points(N)})
 
 
 def actions_for_order(N: int, genus: int | None = None) -> list[ActionRecord]:
     """All conjugacy-class families of order-N actions across the catalog.
 
     With ``genus`` p, only those on surfaces of algebraic genus p, in the
-    same order.  The parameter points at genus p are solved from p
-    (``Family.cone_orders_at_genus``), not picked out of the whole
-    ``Family.cone_orders``.  Either way one loop runs ``Family.point_genus``
-    on the integer cone orders, as ``genera_for_order`` does, and builds a
-    ``QuotientType`` only at a point whose genus is an integer (and p, when
-    asked): the points off a forced order cost no validation.  Every
-    surface a formula builds has that genus, so nothing needs filtering
-    afterwards.
+    same order.  It walks ``Family.points``, as ``genera_for_order`` does,
+    which solves the points at genus p from p rather than picking them
+    out of the whole ``Family.cone_orders``, and builds a ``QuotientType``
+    only at a point with a genus: the points off a forced order cost no
+    validation.  Every surface a formula builds has that genus, so nothing
+    needs filtering afterwards.
     """
     if N < 2:
         raise ValueError("the acting group must have order >= 2")
     out = []
     for kind, fam in FAMILIES.items():
-        points = fam.cone_orders(N) if genus is None else fam.cone_orders_at_genus(N, genus)
-        for m, n in points:
-            p = fam.point_genus(m, n, N)
-            if p is None or genus not in (None, p):
-                continue
+        for m, n, _ in fam.points(N, genus):
             q = QuotientType(kind, m, n)
             out += [ActionRecord(q, N, real) for real in results_for(q, N)]
     return out

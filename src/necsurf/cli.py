@@ -1,7 +1,8 @@
 """Command-line front end: classify, enumerate, min-genus, max-order, verify.
 
 Exit status 0 on success (including "no such action exists"), 1 on a
-verification mismatch or internal invariant failure, 2 on usage errors.
+verification mismatch or internal invariant failure, 2 on usage errors,
+141 when the reader closes standard output early.
 JSON output has sorted keys and a schema version, so identical invocations
 are byte-identical.
 """
@@ -12,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from functools import cache
 
@@ -293,7 +295,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (``necsurf enumerate ... | head``): as the Python
+        # ``signal`` docs advise, point stdout at devnull so the exit flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a command killed by a closed pipe
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,10 +12,11 @@ enumerated from the quotient catalog through the classification formulas,
 so closed form and exhaustive search can be compared realizer by realizer.
 The realizers of genus p at order N come from the catalog points at that
 genus alone (``actions_for_order(N, genus=p)``): by Hurwitz-Riemann every
-action with quotient q has genus 1 + N*area(q), so the cone orders at
-genus p are solved from that equation and no other point is built or
-classified.  ``min_genus_search`` walks the genera at N upward and stops
-at the first with a matching record.  Every answer satisfies N > p - 1,
+action with quotient q has genus 1 + N*area(q), so ``Family.points(N, p)``
+solves that equation for the cone orders and no other point is built or
+classified.  ``min_genus_search`` walks the genera at N upward
+(``genera_for_order``, the genera of ``Family.points(N)``) and stops at
+the first with a matching record.  Every answer satisfies N > p - 1,
 which is what makes the ten-family catalog exhaustive for these problems.
 """
 

@@ -271,27 +271,6 @@ class Family:
         base += len(self.params)
         return base.numerator, base.denominator
 
-    def kernel_genus(self, m: int | None, n: int | None, N: int) -> int:
-        """``kernel_algebraic_genus`` at cone orders m, n and order N, in integers.
-
-        The area is a/b - 1/m (- 1/n) (see ``admits``), so p - 1 = N * area
-        is N*(a*m*n - b*(m + n)) / (b*m*n).  Raises if that is not an
-        integer (no such subgroup).
-        """
-        p = self._genus(m, n, N)
-        if p is None:
-            raise ValueError(f"order {N} is incompatible with {self.kind} at cone orders {m}, {n}")
-        return p
-
-    def _genus(self, m: int | None, n: int | None, N: int) -> int | None:
-        """``kernel_genus``, or None where it raises."""
-        num, den = self._area_base
-        for c in (m, n):
-            if c is not None:
-                num, den = num * c - den, den * c
-        p1, rem = divmod(N * num, den)
-        return None if num <= 0 or rem else p1 + 1
-
     @cached_property
     def _fixed_lcm(self) -> int:
         """The lcm of the fixed periods and all link periods."""
@@ -307,13 +286,20 @@ class Family:
         """The algebraic genus every order-N action at cone orders m, n has, or None.
 
         Hurwitz-Riemann gives p = 1 + N*area, whatever k and the
-        orientability; it is ``kernel_genus``.  None means that the point
-        carries no order-N action: the family forces another order, or
-        N*area is not an integer.
+        orientability.  The area is a/b - 1/m (- 1/n) (see ``admits``), so
+        p - 1 = N*(a*m*n - b*(m + n)) / (b*m*n), an exact integer test.
+        None means that the point carries no order-N action: the family
+        forces another order, or N*area is not a positive integer.
         """
-        if self.order_is_forced and self.forced_order(m, n) != N:
+        # ``forced_order`` inlined: every catalog point runs this twice
+        if self.order_is_forced and math.lcm(self._fixed_lcm, m or 1, n or 1) != N:
             return None
-        return self._genus(m, n, N)
+        num, den = self._area_base
+        for c in (m, n):
+            if c is not None:
+                num, den = num * c - den, den * c
+        p1, rem = divmod(N * num, den)
+        return None if num <= 0 or rem else p1 + 1
 
     def proper_periods(self, m: int | None, n: int | None) -> tuple[int, ...]:
         if m is None:
@@ -366,38 +352,43 @@ class Family:
         """
         return self._admitted(divisors(N)[1:], order=N)
 
-    def cone_orders_at_genus(self, N: int, p: int) -> list[tuple[int | None, int | None]]:
-        """The ``cone_orders(N)`` whose ``point_genus`` is p, in the same order.
+    def points(self, N: int, genus: int | None = None) -> list[tuple[int | None, int | None, int]]:
+        """The points of ``cone_orders(N)`` that carry order-N actions, as (m, n, p).
 
-        They are solved from p, not searched.  By Hurwitz-Riemann an
-        order-N action on a bordered surface of algebraic genus p with
-        quotient area mu has p - 1 = N*mu, and mu = a/b - 1/m (- 1/n) with
-        a/b = ``_area_base``.  With one cone order that pins
-        m = N*b / (N*a - (p - 1)*b); with two, each divisor m of N pins
-        n from 1/n = a/b - 1/m - (p - 1)/N, that is
-        n = N*b*m / (N*(a*m - b) - (p - 1)*b*m).  A solution counts only if
-        it is an integer point of ``cone_orders(N)``, so a family costs
-        O(1) steps, or O(d(N)) for two cone orders.  A family without cone
-        orders has its one point.  Each kept point still passes
-        ``point_genus``, which also checks the forced order.
+        p is the ``point_genus``, and a point without one is left out;
+        the order is that of ``cone_orders``.  With ``genus`` only the
+        points at that p are kept, and they are solved from it, not
+        searched.  By Hurwitz-Riemann p - 1 = N*mu, with the quotient area
+        mu = a/b - 1/m (- 1/n) and a/b = ``_area_base``.  With one cone
+        order that pins m = N*b / (N*a - (p - 1)*b); with two, each
+        divisor m of N pins n from 1/n = a/b - 1/m - (p - 1)/N, that is
+        n = N*b*m / (N*(a*m - b) - (p - 1)*b*m).  A solution counts only
+        if it is an integer point of ``cone_orders(N)``, so a family costs
+        O(1) steps, or O(d(N)) for two cone orders.  Each solution has
+        genus p exactly, unless ``point_genus`` finds another forced order.
         """
         a, b = self._area_base
-        if not self.params:
-            points = [(None, None)]
+        if genus is None:
+            candidates = self.cone_orders(N)
+        elif not self.params:
+            candidates = [(None, None)]
         elif len(self.params) == 1:
-            den = N * a - (p - 1) * b
+            den = N * a - (genus - 1) * b
             m, rem = divmod(N * b, den) if den > 0 else (0, 1)
-            points = [(m, None)] if not rem and m >= 2 and N % m == 0 and self.admits(m) else []
+            candidates = [(m, None)] if not rem and m >= 2 and N % m == 0 and self.admits(m) else []
         else:
-            points = []
+            candidates = []
             for m in divisors(N)[1:]:
-                den = N * (a * m - b) - (p - 1) * b * m
+                den = N * (a * m - b) - (genus - 1) * b * m
                 if den <= 0:
                     continue
                 n, rem = divmod(N * b * m, den)
                 if not rem and n >= m and N % n == 0 and math.lcm(m, n) == N and self.admits(m, n):
-                    points.append((m, n))
-        return [(m, n) for m, n in points if self.point_genus(m, n, N) == p]
+                    candidates.append((m, n))
+        return [
+            (m, n, p) for m, n in candidates
+            if (p := self.point_genus(m, n, N)) is not None and genus in (None, p)
+        ]
 
 
 @dataclass(frozen=True)

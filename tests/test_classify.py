@@ -12,7 +12,6 @@ from necsurf.classify import (
     ClassificationResult,
     Realization,
     _half_count,
-    _point_genus,
     actions_for_order,
     classification_buckets,
     classify,
@@ -334,7 +333,7 @@ def test_public_classifiers_reject_bad_input():
 
 def test_formula_table_matches_registry(no_formulas):
     """One formula per family, each taking (q, N, p) and answering for
-    every k and flag at once.  Where ``_point_genus`` finds no genus,
+    every k and flag at once.  Where ``Family.point_genus`` finds no genus,
     nothing exists and no formula runs: off a forced order, and where
     N*area(q) is not an integer, as for mb1(4) and ann1(4) at N = 6 and the
     parameter-free families at odd N.  Every formula carries its family's
@@ -349,7 +348,7 @@ def test_formula_table_matches_registry(no_formulas):
         for kind in FAMILIES
         for q in FAMILIES[kind].instances(range(2, 31))
         for N in range(2, 61)
-        if _point_genus(q, N) is None
+        if FAMILIES[q.kind].point_genus(q.m, q.n, N) is None
     ]
     named = [(QuotientType("mb1", m=4), 6), (QuotientType("ann1", m=4), 6)]
     named += [(QuotientType(kind), N) for kind in ("ann2", "mb2", "d6") for N in (3, 5, 9, 15)]
@@ -451,14 +450,14 @@ def test_genus_sweep_equals_filtered_full_sweep(orders):
 )
 def test_genera_for_order_equals_point_genus_reference(orders):
     """``genera_for_order(N)``, computed on integer cone orders, is exactly
-    the sorted set of ``_point_genus(q, N)`` over every family's
+    the sorted set of ``Family.point_genus`` over every family's
     ``parameter_space(kind, N)``."""
     for N in orders:
         want = sorted({
             p
             for kind in FAMILIES
             for q in parameter_space(kind, N)
-            if (p := _point_genus(q, N)) is not None
+            if (p := FAMILIES[kind].point_genus(q.m, q.n, N)) is not None
         })
         assert genera_for_order(N) == want, N
 
@@ -499,7 +498,7 @@ def test_surfaces_match_hand_written_genera(orders):
     """Every record's surface has the genus the family's own formula once
     stated by hand, and the forced three-period families give exactly
     their old (orientable, g, b) tables: the gate's genus
-    (``Family.kernel_genus``) agrees with each family's paper statement."""
+    (``Family.point_genus``) agrees with each family's paper statement."""
     tables = ("d3-22m", "d3-23m", "d2c-2m", "d2c-3m")
     checked = 0
     for N in orders:

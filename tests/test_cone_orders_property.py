@@ -1,4 +1,4 @@
-"""Property test: the genus-solved cone orders are the filtered enumeration."""
+"""Property test: the genus-solved catalog points are the filtered enumeration."""
 
 import itertools
 
@@ -12,15 +12,20 @@ from necsurf.signatures import FAMILIES  # noqa: E402
 
 
 def check_solved_points(N, genera):
-    """For every family, ``cone_orders_at_genus(N, p)`` is ``cone_orders(N)``
-    kept where ``point_genus(m, n, N) == p``, in the same order, at each of
-    ``genera`` and at one genus that does not occur at N."""
+    """For every family, ``points(N)`` is ``cone_orders(N)`` with its
+    ``point_genus``, kept where that is not None, and ``points(N, p)`` is
+    ``cone_orders(N)`` kept where ``point_genus(m, n, N) == p``, in the same
+    order, at each of ``genera`` and at one genus that does not occur at N."""
     occurring = genera_for_order(N)
     absent = next(p for p in itertools.count(2) if p not in occurring)
-    for p in [*genera, absent]:
-        for fam in FAMILIES.values():
-            want = [(m, n) for m, n in fam.cone_orders(N) if fam.point_genus(m, n, N) == p]
-            assert fam.cone_orders_at_genus(N, p) == want, (fam.kind, N, p)
+    for fam in FAMILIES.values():
+        want = [
+            (m, n, p) for m, n in fam.cone_orders(N) if (p := fam.point_genus(m, n, N)) is not None
+        ]
+        assert fam.points(N) == want, (fam.kind, N)
+        for p in [*genera, absent]:
+            want = [(m, n, p) for m, n in fam.cone_orders(N) if fam.point_genus(m, n, N) == p]
+            assert fam.points(N, p) == want, (fam.kind, N, p)
 
 
 @hypothesis.settings(max_examples=200, deadline=None)

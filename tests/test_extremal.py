@@ -12,7 +12,7 @@ from necsurf.extremal import (
     min_genus_closed,
     min_genus_search,
 )
-from necsurf.signatures import FAMILIES, QuotientType
+from necsurf.signatures import FAMILIES, QuotientType, kernel_algebraic_genus
 
 classify_module = importlib.import_module("necsurf.classify")
 
@@ -129,12 +129,13 @@ def test_solvers_classify_only_points_at_the_answer_genus(monkeypatch):
     """A formula runs only on parameter points whose kernel genus is the
     answer's genus (below or at it for the ascending ``min_genus_search``).
     The recorder wraps every formula of the table, the one place where a
-    point is classified, and checks the genus each is handed."""
+    point is classified, and checks the genus each is handed against the
+    exact area rule."""
     seen = []
 
     def recording(formula):
         def recorder(q, N, p):
-            assert p == FAMILIES[q.kind].kernel_genus(q.m, q.n, N), (q, N, p)
+            assert p == kernel_algebraic_genus(q.signature(), N), (q, N, p)
             seen.append(p)
             return formula(q, N, p)
         return recorder
@@ -162,7 +163,7 @@ def test_solvers_classify_only_points_at_the_answer_genus(monkeypatch):
 
 
 def test_genus_queries_never_build_the_parameter_space(monkeypatch):
-    """The solvers reach their points through ``Family.cone_orders_at_genus``
+    """The solvers reach their points through ``Family.points``
     and ``genera_for_order`` alone, so ``parameter_space`` never runs; and
     ``actions_for_order(N, genus=p)`` builds a ``QuotientType`` only at
     points whose genus is p."""
@@ -194,5 +195,5 @@ def test_genus_queries_never_build_the_parameter_space(monkeypatch):
         for p in (2, 7, 24, N // 2 + 1, N - 1):
             built.clear()
             records = classify_module.actions_for_order(N, genus=p)
-            assert all(classify_module._point_genus(q, N) == p for q in built), (N, p)
+            assert all(FAMILIES[q.kind].point_genus(q.m, q.n, N) == p for q in built), (N, p)
             assert {r.quotient for r in records} <= set(built), (N, p)
