@@ -25,9 +25,8 @@ of ``results_for`` at that k and orientability, so the sweep and the
 single answer share one code path.  It is the one way in: the CLI
 forwards its input to it, and ``classify_ann1`` is a named forwarder kept
 for the benchmark tracer.  ``actions_for_order`` and ``genera_for_order``
-walk the catalog points of ``Family.points``; asked for one genus p,
-those are solved from the Hurwitz-Riemann equation, and only they are
-classified.
+walk the catalog points of ``Family.points``, which solves those at one
+genus p from the Hurwitz-Riemann equation.
 """
 
 from __future__ import annotations
@@ -118,20 +117,17 @@ def _disc_corners(q: QuotientType, N: int, p: int) -> list[Realization]:
     return [Realization(SurfaceTopology.of_genus(True, p, b), 1, reversing=True)]
 
 
-def _cover_boundary_counts(m: int, N: int) -> tuple[tuple[int, ...], list[int]]:
+def _cover_boundary_bases(m: int, N: int) -> tuple[int, int | None]:
     """The boundary counts k of an order-N cover of a one-cone quotient (mb1, ann1).
 
-    The covers need N = lcm(m, N/k) or N = 2*lcm(m, N/k), and both k-sets
-    come from the divisors.  N = lcm(m, N/k) exactly when
-    k | m* = biggest_coprime_divisor(m, N/m); N = 2*lcm(m, N/k) exactly
-    when m | N/2 and k = 2j with j | biggest_coprime_divisor(m, N/2m).
-    Returns the two sets in that order, each ascending; they are disjoint.
-    The first ends in m* itself.
+    The covers need N = lcm(m, N/k) or N = 2*lcm(m, N/k).  N = lcm(m, N/k)
+    exactly when k | m* = biggest_coprime_divisor(m, N/m); N = 2*lcm(m, N/k)
+    exactly when m | N/2 and k = 2j with j | biggest_coprime_divisor(m, N/2m).
+    The two k-sets are disjoint.  Returns their bases m* and the second
+    biggest_coprime_divisor, which is None when m does not divide N/2.
     """
-    doubled = []
-    if (N // m) % 2 == 0:
-        doubled = [2 * j for j in divisors(biggest_coprime_divisor(m, N // (2 * m)))]
-    return divisors(biggest_coprime_divisor(m, N // m)), doubled
+    half_base = biggest_coprime_divisor(m, N // (2 * m)) if (N // m) % 2 == 0 else None
+    return biggest_coprime_divisor(m, N // m), half_base
 
 
 def _mb1(q: QuotientType, N: int, p: int) -> list[Realization]:
@@ -141,13 +137,15 @@ def _mb1(q: QuotientType, N: int, p: int) -> list[Realization]:
     N = 2*lcm(m, N/k) with t odd or N/2t even, and carry ceil(phi(t)/2)
     classes.  Non-orientable covers need N = lcm(m, N/k) with N/t odd, and
     carry phi(t) classes for even N, ceil(phi(t)/2) for odd N.  The k-sets
-    are those of ``_cover_boundary_counts``: disjoint, so each k carries
+    are those of ``_cover_boundary_bases``: disjoint, so each k carries
     at most one realization.
     """
     m = q.m
-    single, doubled = _cover_boundary_counts(m, N)
+    m_star, half_base = _cover_boundary_bases(m, N)
+    single = [(k, False) for k in divisors(m_star)]
+    doubled = [] if half_base is None else [(2 * j, True) for j in divisors(half_base)]
     reals = []
-    for k, orientable in sorted([(k, False) for k in single] + [(k, True) for k in doubled]):
+    for k, orientable in sorted(single + doubled):
         t = math.gcd(m, N // k)
         if orientable:
             if t % 2 == 0 and (N // (2 * t)) % 2 != 0:
@@ -236,18 +234,18 @@ def _ann1(q: QuotientType, N: int, p: int) -> list[Realization]:
     orientation-preserving classes, counted by ``_pair_count`` like the
     twice-punctured disc, with A = m/(n1*n2).
 
-    The k-sets are those of ``_cover_boundary_counts``.  The splittings
+    The k-sets are those of ``_cover_boundary_bases``.  The splittings
     are the coprime pairs n1 <= n2 of divisors of m*, found as
     n2 | biggest_coprime_divisor(m*, n1).  At each k the realizations come
     in the order mirror (kind 1), the splittings by n1, then the
     non-orientable one.
     """
     m = q.m
-    single, doubled = _cover_boundary_counts(m, N)
-    m_star = single[-1]
+    m_star, half_base = _cover_boundary_bases(m, N)
+    single = divisors(m_star)
     by_k: dict[int, list[Realization]] = {}
-    if (N // 2) % 2 == 1:
-        for k in doubled:
+    if (N // 2) % 2 == 1 and half_base is not None:
+        for k in (2 * j for j in divisors(half_base)):
             surf = SurfaceTopology.of_genus(True, p, k)
             count = euler_phi(math.gcd(m, N // k))
             by_k[k] = [Realization(surf, count, reversing=True, label="mirror")]
@@ -300,12 +298,8 @@ def _corner_pair(q: QuotientType, N: int, p: int) -> list[Realization]:
 
 # --- dispatch and sweeps ---------------------------------------------------
 
-#: kind -> formula(q, N, p).  Each formula keeps the contract of the module
-#: docstring, runs only behind the gate of ``results_for``, which hands it
-#: the genus p, and returns every realization of the point.  There is
-#: no list of boundary counts beside a formula: those of mb1, ann1 and d21
-#: read their k-sets off the divisor structure of m and N (see their
-#: docstrings) and answer all k and both orientabilities in one pass.
+#: kind -> formula(q, N, p), each keeping the contract of the module docstring
+#: behind the gate of ``results_for``, which hands it the genus p.
 _FORMULAS = {
     "d6": _corner_only,
     "ann2": _corner_only,
@@ -328,14 +322,12 @@ def classify(
     """Classify actions of order N with quotient q (and boundary count k where needed).
 
     N defaults to the order the cone orders force; a family with a free
-    order requires it.  Where ``Family.point_genus`` finds no genus (another
-    order than the forced one, or N*area(q) not an integer) the result is
-    non-existence and no formula runs.  The family's ``classify_args`` say
-    which of k and the orientability of the covered surface it takes: each
-    of them is required there and rejected elsewhere.  Bad input raises
-    ``ValueError`` before any formula runs.  The answer is the formula's
-    list of every realization of the point, kept where the boundary count
-    is k and the orientability is the flag's, as far as they are given.
+    order requires it.  The family's ``classify_args`` say which of k and
+    the orientability of the covered surface it takes: each is required
+    there and rejected elsewhere.  Bad input raises ``ValueError`` before
+    any formula runs.  The answer is the list of ``results_for``, empty
+    where its gate finds no genus, kept where the boundary count is k and
+    the orientability is the flag's, as far as they are given.
     """
     if N is None:
         N = q.forced_order()

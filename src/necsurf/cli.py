@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import select
 import sys
 from functools import cache
 
@@ -288,6 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_reader_gone() -> bool:
+    """Has the reader of standard output closed it?  A pipe then polls as POLLERR."""
+    poller = select.poll()
+    try:
+        poller.register(sys.stdout, select.POLLOUT)
+    except (OSError, TypeError, ValueError):  # a captured stdout, as under pytest, has no fd
+        return False
+    return any(events & select.POLLERR for _, events in poller.poll(0))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -299,6 +310,8 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:
+        if not _stdout_reader_gone():
+            raise  # another pipe broke (a ``verify --jobs`` worker, say): an internal failure
         # the reader stopped early (``necsurf enumerate ... | head``): as the Python
         # ``signal`` docs advise, point stdout at devnull so the exit flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

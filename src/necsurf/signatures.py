@@ -291,8 +291,7 @@ class Family:
         None means that the point carries no order-N action: the family
         forces another order, or N*area is not a positive integer.
         """
-        # ``forced_order`` inlined: every catalog point runs this twice
-        if self.order_is_forced and math.lcm(self._fixed_lcm, m or 1, n or 1) != N:
+        if self.forced_order(m, n) not in (None, N):
             return None
         num, den = self._area_base
         for c in (m, n):

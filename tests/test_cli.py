@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from necsurf import oracle
 from necsurf.cli import main
 
@@ -197,6 +199,16 @@ def test_verify_rejects_csv_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(oracle, "cross_check", no_sweep)
     code, out, err = run(capsys, "verify", "--n-max", "3", "--format", "csv")
     assert code == 2 and "csv" in err and not out
+
+
+def test_a_broken_pipe_off_stdout_is_not_a_closed_reader(capsys, monkeypatch):
+    """Exit 141 is kept for a closed stdout; any other broken pipe stays an internal failure."""
+    def broken_worker(*args, **kwargs):
+        raise BrokenPipeError("a worker's pipe")
+
+    monkeypatch.setattr(oracle, "cross_check", broken_worker)
+    with pytest.raises(BrokenPipeError):
+        main(["verify", "--n-max", "3"])
 
 
 def test_python_dash_m_runs_the_cli():
