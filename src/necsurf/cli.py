@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import select
@@ -24,7 +23,10 @@ from .signatures import FAMILIES, QuotientType
 
 SCHEMA_VERSION = "1"
 
-KIND_CHOICES = tuple(FAMILIES)
+ROW_HEADERS = [
+    "quotient", "N", "surface", "orientable", "genus", "boundary_count",
+    "algebraic_genus", "classes", "reversing", "label",
+]
 
 
 def _realization_dict(q: QuotientType, N: int, real) -> dict:
@@ -44,24 +46,26 @@ def _realization_dict(q: QuotientType, N: int, real) -> dict:
     }
 
 
-def _emit(record: dict, rows: list[dict], fmt: str, headers: list[str]) -> None:
+def _emit(record: dict, rows: list[dict], fmt: str, footer: str) -> None:
+    """Write a command's output: the JSON record, the CSV rows, or the table
+    (or ``(no realizations)``) and its footer line.  Rows are written one by
+    one, so a reader that closes stdout early is met by the next write."""
     if fmt == "json":
         print(json.dumps(record, sort_keys=True, indent=2))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=headers, lineterminator="\n")
+        writer = csv.DictWriter(sys.stdout, fieldnames=ROW_HEADERS, extrasaction="ignore",
+                                lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow({h: row.get(h, "") for h in headers})
-        sys.stdout.write(buf.getvalue())
+        writer.writerows(rows)
     else:
-        if not rows:
+        if rows:
+            widths = {h: max(len(h), *(len(str(r[h])) for r in rows)) for h in ROW_HEADERS}
+            print("  ".join(h.ljust(widths[h]) for h in ROW_HEADERS))
+            for row in rows:
+                print("  ".join(str(row[h]).ljust(widths[h]) for h in ROW_HEADERS))
+        else:
             print("(no realizations)")
-            return
-        widths = {h: max(len(h), *(len(str(r.get(h, ""))) for r in rows)) for h in headers}
-        print("  ".join(h.ljust(widths[h]) for h in headers))
-        for row in rows:
-            print("  ".join(str(row.get(h, "")).ljust(widths[h]) for h in headers))
+        print(footer)
 
 
 def _record(command: str, parameters: dict, result) -> dict:
@@ -86,48 +90,32 @@ def _classification_payload(res: ClassificationResult) -> dict:
     }
 
 
-ROW_HEADERS = [
-    "quotient", "N", "surface", "orientable", "genus", "boundary_count",
-    "algebraic_genus", "classes", "reversing", "label",
-]
-
-
 def cmd_classify(args) -> int:
     q = QuotientType(args.type, m=args.m, n=args.n)
     res = classify(q, args.N, k=args.k, orientable=args.orientable)
     payload = _classification_payload(res)
-    rows = payload["realizations"]
-    _emit(_record("classify", _params_dict(args), payload), rows, args.format, ROW_HEADERS)
-    if args.format == "table":
-        word = "exists" if res.exists else "does not exist"
-        print(f"-> action {word}; {res.class_count} conjugacy class(es) at N={res.order}")
+    word = "exists" if res.exists else "does not exist"
+    _emit(_record("classify", _params_dict(args), payload), payload["realizations"], args.format,
+          f"-> action {word}; {res.class_count} conjugacy class(es) at N={res.order}")
     return 0
 
 
 def _params_dict(args) -> dict:
-    out = {"type": args.type}
-    for name in ("N", "m", "n", "k"):
-        value = getattr(args, name, None)
-        if value is not None:
-            out[name] = value
-    if getattr(args, "orientable", None) is not None:
-        out["orientable"] = args.orientable
-    return out
+    names = ("type", "N", "m", "n", "k", "orientable")
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def cmd_enumerate(args) -> int:
     if args.max_genus is not None and args.max_genus < 0:
-        raise UsageError("--max-genus must be >= 0")
+        raise ValueError("--max-genus must be >= 0")
     bound = args.N if args.max_genus is None else min(args.N, args.max_genus)
     records = [
         r for r in actions_for_order(args.N) if r.surface.algebraic_genus <= bound
     ]
     rows = [_realization_dict(r.quotient, r.N, r.realization) for r in records]
     payload = {"N": args.N, "max_genus": bound, "rows": rows}
-    _emit(_record("enumerate", {"N": args.N, "max_genus": bound}, payload),
-          rows, args.format, ROW_HEADERS)
-    if args.format == "table":
-        print(f"-> {len(rows)} row(s), {sum(r['classes'] for r in rows)} class(es)")
+    _emit(_record("enumerate", {"N": args.N, "max_genus": bound}, payload), rows, args.format,
+          f"-> {len(rows)} row(s), {sum(r['classes'] for r in rows)} class(es)")
     return 0
 
 
@@ -144,12 +132,13 @@ def _answer_payload(ans: extremal.ExtremalAnswer) -> dict:
     }
 
 
-def _run_minmax(args, query: str) -> int:
+def cmd_minmax(args) -> int:
+    query = args.command
     if query == "min-genus":
         arg, closed_fn, search_fn = args.N, extremal.min_genus_closed, extremal.min_genus_search
     else:
         arg, closed_fn, search_fn = args.p, extremal.max_order_closed, extremal.max_order_search
-    mode = args.mode or "both"
+    mode = args.mode
     closed = search = None
     if mode in ("closed", "both"):
         closed = _answer_payload(closed_fn(arg, args.variant))
@@ -172,19 +161,10 @@ def _run_minmax(args, query: str) -> int:
         result["verdict"] = verdict
     shown = closed or search
     _emit(_record(query, {"argument": arg, "variant": args.variant, "mode": mode}, result),
-          shown["realizers"], args.format, ROW_HEADERS)
-    if args.format == "table":
-        print(f"-> {query}[{args.variant}]({arg}) = {shown['value']}" +
-              (f" [{verdict}]" if verdict else ""))
+          shown["realizers"], args.format,
+          f"-> {query}[{args.variant}]({arg}) = {shown['value']}" +
+          (f" [{verdict}]" if verdict else ""))
     return 0 if verdict in (None, "match") else 1
-
-
-def cmd_minmax_min(args) -> int:
-    return _run_minmax(args, "min-genus")
-
-
-def cmd_minmax_max(args) -> int:
-    return _run_minmax(args, "max-order")
 
 
 def cmd_verify(args) -> int:
@@ -207,7 +187,7 @@ def cmd_verify(args) -> int:
                 for p in report.points
             ],
         }
-        _emit(_record("verify", {"n_max": args.n_max}, payload), [], "json", [])
+        _emit(_record("verify", {"n_max": args.n_max}, payload), [], "json", "")
     else:
         for p in report.points:
             if not p.ok or args.verbose:
@@ -221,10 +201,6 @@ def cmd_verify(args) -> int:
             print(f"  oracle buckets:   {first.oracle_buckets}")
             print(f"  expected buckets: {first.expected_buckets}")
     return 0 if report.passed else 1
-
-
-class UsageError(Exception):
-    pass
 
 
 def _add_mode(p) -> None:
@@ -247,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=choices, default="table")
 
     p_cls = sub.add_parser("classify", help="classes for one quotient family")
-    p_cls.add_argument("type", choices=KIND_CHOICES)
+    p_cls.add_argument("type", choices=tuple(FAMILIES))
     p_cls.add_argument("--N", type=int)
     p_cls.add_argument("--m", type=int)
     p_cls.add_argument("--n", type=int)
@@ -269,14 +245,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--variant", choices=extremal.MIN_GENUS_VARIANTS, default="p")
     _add_mode(p_min)
     add_format(p_min)
-    p_min.set_defaults(func=cmd_minmax_min)
+    p_min.set_defaults(func=cmd_minmax)
 
     p_max = sub.add_parser("max-order", help="largest order for an algebraic genus")
     p_max.add_argument("--p", type=int, required=True)
     p_max.add_argument("--variant", choices=extremal.MAX_ORDER_VARIANTS, default="N")
     _add_mode(p_max)
     add_format(p_max)
-    p_max.set_defaults(func=cmd_minmax_max)
+    p_max.set_defaults(func=cmd_minmax)
 
     p_ver = sub.add_parser("verify", help="oracle vs closed-form sweep")
     p_ver.add_argument("--n-max", type=int, default=24)
@@ -316,7 +292,7 @@ def main(argv=None) -> int:
         # ``signal`` docs advise, point stdout at devnull so the exit flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a command killed by a closed pipe
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

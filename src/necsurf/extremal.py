@@ -104,7 +104,6 @@ def _min_genus_value(N: int, variant: str) -> int:
         q = smallest_prime_factor(N)
         return (q - 1) * N // q if N % (q * q) == 0 else (q - 1) * (N - q) // q
     if variant == "p+-":
-        _reject_odd_reversing(variant, N)
         return N // 2 + 1 if N % 4 == 0 else N // 2 - 1
     # p-
     if N % 2 == 0:

@@ -124,13 +124,11 @@ def reference_results(q, N):
         for k in k_set(q, N)
         for flag in flags(q.kind)
         for real in formula(q, N, p, k, flag)
-        if real.count > 0
     ]
 
 
 def reference_classify(q, N, k, flag):
     """``classify(q, N, k, flag)`` as the per-k formula answered it."""
     p = _genus(q, N)
-    reals = () if p is None else PER_K[q.kind][0](q, N, p, k, flag)
-    reals = tuple(r for r in reals if r.count > 0)
+    reals = () if p is None else tuple(PER_K[q.kind][0](q, N, p, k, flag))
     return ClassificationResult(q, N, bool(reals), sum(r.count for r in reals), reals)

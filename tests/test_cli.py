@@ -226,13 +226,19 @@ def test_python_dash_m_runs_the_cli():
     done = run_module("enumerate", "--N", "1")
     assert done.returncode == 2
     assert "order >= 2" in done.stderr
-    # a reader that stops after one line, as ``| head -1`` does; the table is ~320 kB,
-    # far more than a pipe holds, so the writes meet the closed pipe
-    proc = subprocess.Popen([sys.executable, "-m", "necsurf", "enumerate", "--N", "5040"], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    assert proc.stdout.readline().startswith("quotient")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
-    assert "Traceback" not in err and "Error" not in err, err
+    # a reader that stops after one line, as ``| head -1`` does; each format is
+    # 160-750 kB, far more than a pipe holds, so the writes meet the closed pipe,
+    # whether stdout is buffered or, under PYTHONUNBUFFERED, written through
+    base = {k: v for k, v in env.items() if k != "PYTHONUNBUFFERED"}
+    for fmt in ("table", "csv", "json"):
+        for unbuffered in (None, "1"):
+            run_env = base if unbuffered is None else dict(base, PYTHONUNBUFFERED=unbuffered)
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "necsurf", "enumerate", "--N", "5040", "--format", fmt],
+                env=run_env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            assert proc.stdout.readline().strip()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert (fmt, unbuffered, proc.wait(timeout=60)) == (fmt, unbuffered, 141)
+            assert "Traceback" not in err and "Error" not in err, (fmt, unbuffered, err)

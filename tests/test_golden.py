@@ -86,6 +86,49 @@ def test_check_point_matches_recorded_49_to_96():
         assert _result(oracle.check_point(q, N)) == entry["result"], point["quotient"]
 
 
+_TEXT_QUERIES = [
+    ["classify", "d6", "--N", "2"],
+    ["classify", "d6", "--N", "3"],  # "(no realizations)" and its footer
+    ["classify", "ann1", "--N", "12", "--m", "12", "--k", "7", "--orientable"],
+    ["classify", "mb1", "--N", "8", "--m", "4", "--k", "4", "--orientable"],
+    ["enumerate", "--N", "2"],
+    ["enumerate", "--N", "12"],
+    ["enumerate", "--N", "60"],
+    ["enumerate", "--N", "6", "--max-genus", "0"],
+    ["enumerate", "--N", "12", "--max-genus", "5"],
+    ["enumerate", "--N", "6", "--max-genus", "-1"],  # a usage error: exit 2, empty stdout
+    *(
+        [*query, mode]
+        for query in (
+            ["min-genus", "--N", "15", "--variant", "p+"],
+            ["min-genus", "--N", "12", "--variant", "p-"],
+            ["max-order", "--p", "4"],
+            ["max-order", "--p", "6", "--variant", "N+-"],
+        )
+        for mode in ("--closed", "--search", "--both")
+    ),
+    ["min-genus", "--N", "9", "--variant", "p+-", "--search"],  # an answer with no value
+    ["min-genus", "--N", "9", "--variant", "p+-"],  # odd p+- has no closed form: exit 2
+]
+TEXT_ARGVS = [
+    *([*argv, "--format", fmt] for argv in _TEXT_QUERIES for fmt in ("table", "csv")),
+    ["verify", "--n-max", "12"],
+    ["verify", "--n-max", "12", "--verbose"],
+]
+
+
+def test_table_and_csv_stdout_matches_recorded(capsys):
+    """Table and CSV stdout and the exit code of every command, digested,
+    against ``cli_text_digests.json``; the JSON goldens do not see these
+    formats."""
+    recorded = json.loads((Path(__file__).parent / "cli_text_digests.json").read_text())
+    assert list(recorded) == [" ".join(argv) for argv in TEXT_ARGVS]
+    for argv in TEXT_ARGVS:
+        code = main(argv)
+        got = {"exit": code, "stdout": W.digest(capsys.readouterr().out)}
+        assert got == recorded[" ".join(argv)], argv
+
+
 def test_bench_spans_wrap_existing_names():
     """``bench/run.py --trace 1`` wraps every name in ``spans.LAYERS``."""
     for layer, names in SPANS.LAYERS.items():
