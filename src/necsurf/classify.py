@@ -11,28 +11,31 @@ depends on the boundary count k read the k that can occur off the
 divisor structure of m and N, and state that k-set in their docstrings.
 Every division is exact and asserted.  No formula computes a genus: by
 Hurwitz-Riemann every order-N action with quotient q lives on a surface
-of algebraic genus p = 1 + N*area(q), whatever k and the orientability,
-so ``results_for(q, N)`` asks ``Family.point_genus`` for p once and
-hands it to the formula, which builds each surface with
-``SurfaceTopology.of_genus``.  That is also the one existence gate: a
-formula runs only where p is an integer and N is the family's forced
-order, if it has one.
+of algebraic genus p = 1 + N*area(q), whatever k and the orientability.
+``Family.point_genus`` computes that p once per point, or None, and is
+the one existence gate: a formula runs only where p is an integer and N
+is the family's forced order, if it has one.  The formula gets p, and
+builds each surface with ``SurfaceTopology.of_genus``.  For one point
+the gate is ``results_for(q, N)``, which asks ``point_genus``; the
+catalog sweep ``actions_for_order`` takes the p that ``Family.points``
+yields with each point, which asked the same rule.  Both reach the
+formula through ``_realizations``, the one lookup of ``_FORMULAS``.
 ``classify`` checks its input: N >= 2, defaulting to the forced order;
 k (>= 1) and the orientability flag exactly where the family's
 ``classify_args`` name them, so an argument a family does not take
 raises ``ValueError`` like a missing one.  It then keeps the realizations
-of ``results_for`` at that k and orientability, so the sweep and the
-single answer share one code path.  It is the one way in: the CLI
-forwards its input to it, and ``classify_ann1`` is a named forwarder kept
-for the benchmark tracer.  ``actions_for_order`` and ``genera_for_order``
-walk the catalog points of ``Family.points``, which solves those at one
-genus p from the Hurwitz-Riemann equation.
+of ``results_for`` at that k and orientability.  It is the one way in:
+the CLI forwards its input to it, and ``classify_ann1`` is a named
+forwarder kept for the benchmark tracer.  ``actions_for_order`` and
+``genera_for_order`` walk the catalog points of ``Family.points``, which
+solves those at one genus p from the Hurwitz-Riemann equation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .signatures import (
     FAMILIES, QuotientType, SurfaceTopology, check_arguments, kernel_algebraic_genus,
@@ -42,23 +45,37 @@ from .zmod import (
 )
 
 
-@dataclass(frozen=True)
-class Realization:
-    """One realized surface with its class count.
-
-    ``reversing`` records, for orientable surfaces, whether the generators
-    of the cyclic action reverse orientation (None when non-orientable).
-    ``label`` distinguishes sub-families contributing disjoint classes,
-    e.g. the two kinds of orientable annulus-quotient actions.
-    """
-
+class _RealizationFields(NamedTuple):
     surface: SurfaceTopology
     count: int
     reversing: bool | None = None
     label: str = ""
 
-    def __post_init__(self):
-        assert self.count >= 1, f"a realization without classes: {self}"
+
+class Realization(_RealizationFields):
+    """One realized surface with its class count.
+
+    ``reversing`` records, for orientable surfaces, whether the generators
+    of the cyclic action reverse orientation (None when non-orientable).
+    ``label`` distinguishes sub-families contributing disjoint classes,
+    e.g. the two kinds of orientable annulus-quotient actions.  An
+    immutable tuple of its fields: it hashes and compares by value, and
+    also equals a plain tuple of the same fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, surface: SurfaceTopology, count: int, reversing: bool | None = None, label: str = ""
+    ) -> "Realization":
+        self = tuple.__new__(cls, (surface, count, reversing, label))
+        assert count >= 1, f"a realization without classes: {self}"
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "Realization":
+        """Build through ``__new__``, so that ``_make`` and ``_replace`` keep its check."""
+        return cls(*fields)
 
 
 @dataclass(frozen=True)
@@ -299,7 +316,8 @@ def _corner_pair(q: QuotientType, N: int, p: int) -> list[Realization]:
 # --- dispatch and sweeps ---------------------------------------------------
 
 #: kind -> formula(q, N, p), each keeping the contract of the module docstring
-#: behind the gate of ``results_for``, which hands it the genus p.
+#: behind the ``Family.point_genus`` gate, reached through ``_realizations``
+#: with the genus p.
 _FORMULAS = {
     "d6": _corner_only,
     "ann2": _corner_only,
@@ -350,9 +368,12 @@ def classify_ann1(N: int, m: int, k: int, want_orientable: bool) -> Classificati
     return classify(QuotientType("ann1", m=m), N, k, want_orientable)
 
 
-@dataclass(frozen=True)
-class ActionRecord:
-    """One classified family of conjugacy classes at a fixed order N."""
+class ActionRecord(NamedTuple):
+    """One classified family of conjugacy classes at a fixed order N.
+
+    An immutable tuple of its fields: it hashes and compares by value, and
+    also equals a plain tuple of the same fields.
+    """
 
     quotient: QuotientType
     N: int
@@ -368,18 +389,30 @@ def parameter_space(kind: str, N: int) -> list[QuotientType]:
     return [QuotientType(kind, m, n) for m, n in FAMILIES[kind].cone_orders(N)]
 
 
+def _realizations(q: QuotientType, N: int, p: int) -> list[Realization]:
+    """The one formula call: every realization of q at order N, on surfaces of genus p.
+
+    p must be the ``Family.point_genus`` of the point; the callers are the
+    two gates that computed it, ``results_for`` and ``actions_for_order``.
+    """
+    return _FORMULAS[q.kind](q, N, p)
+
+
 def results_for(q: QuotientType, N: int) -> list[Realization]:
     """Every realization of quotient q at order N (all k, all flags).
 
     ``Family.point_genus`` gives the genus p = 1 + N*area(q), or None where
     q carries no order-N action (its family forces another order, or
-    N*area(q) is not an integer).  This is the one existence gate, and p
-    the genus of every surface the formula builds.  Behind it is one
-    formula call, in the formula's order: k ascending, then the orientable
-    realizations, then the non-orientable one.
+    N*area(q) is not an integer).  This is the existence gate of
+    ``classify`` and ``classification_buckets``, and p the genus of every
+    surface the formula builds.  Behind it is one formula call, in the
+    formula's order: k ascending, then the orientable realizations, then
+    the non-orientable one.  The catalog sweep ``actions_for_order`` does
+    not come through here: ``Family.points`` has already made the same
+    test, and it hands the p found there to the formula.
     """
     p = FAMILIES[q.kind].point_genus(q.m, q.n, N)
-    return [] if p is None else _FORMULAS[q.kind](q, N, p)
+    return [] if p is None else _realizations(q, N, p)
 
 
 def genera_for_order(N: int) -> list[int]:
@@ -398,16 +431,18 @@ def actions_for_order(N: int, genus: int | None = None) -> list[ActionRecord]:
     which solves the points at genus p from p rather than picking them
     out of the whole ``Family.cone_orders``, and builds a ``QuotientType``
     only at a point with a genus: the points off a forced order cost no
-    validation.  Every surface a formula builds has that genus, so nothing
-    needs filtering afterwards.
+    validation.  ``Family.points`` is the existence gate here: each point
+    it yields has its genus p, which goes straight to the formula, so no
+    point's genus is worked out twice.  Every surface a formula builds has
+    that genus, so nothing needs filtering afterwards.
     """
     if N < 2:
         raise ValueError("the acting group must have order >= 2")
     out = []
     for kind, fam in FAMILIES.items():
-        for m, n, _ in fam.points(N, genus):
+        for m, n, p in fam.points(N, genus):
             q = QuotientType(kind, m, n)
-            out += [ActionRecord(q, N, real) for real in results_for(q, N)]
+            out += [ActionRecord(q, N, real) for real in _realizations(q, N, p)]
     return out
 
 

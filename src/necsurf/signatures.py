@@ -21,6 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .zmod import divisors
 
@@ -66,15 +67,17 @@ def area(sig: NecSignature) -> Fraction:
     """Normalized hyperbolic area of a fundamental region, as an exact rational.
 
     eps*g + k - 2 + sum(1 - 1/m_i) + (1/2) * sum(1 - 1/n_ij).  The signature
-    belongs to an NEC group precisely when this is positive.
+    belongs to an NEC group precisely when this is positive.  The sum is
+    taken in integers over the common denominator 2*L, L the lcm of all
+    periods and link periods, and reduced once.
     """
-    total = Fraction(sig.epsilon * sig.genus + sig.cycle_count - 2)
-    for m in sig.proper_periods:
-        total += 1 - Fraction(1, m)
-    for cycle in sig.period_cycles:
-        for n in cycle:
-            total += Fraction(1, 2) * (1 - Fraction(1, n))
-    return total
+    links = [n for cycle in sig.period_cycles for n in cycle]
+    lcm = math.lcm(*sig.proper_periods, *links)
+    den = 2 * lcm
+    num = (sig.epsilon * sig.genus + sig.cycle_count - 2) * den
+    num += sum(den - den // m for m in sig.proper_periods)
+    num += sum(lcm - lcm // n for n in links)
+    return Fraction(num, den)
 
 
 def kernel_algebraic_genus(sig: NecSignature, N: int) -> int:
@@ -491,21 +494,36 @@ FAMILIES: dict[str, Family] = {f.kind: f for f in (
 # --- covered surfaces -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurfaceTopology:
-    """Topological type of a compact bordered surface of algebraic genus >= 2."""
-
+class _SurfaceFields(NamedTuple):
     orientable: bool
     genus: int
     boundary_count: int
 
-    def __post_init__(self):
-        if self.genus < 0 or self.boundary_count < 1:
+
+class SurfaceTopology(_SurfaceFields):
+    """Topological type of a compact bordered surface of algebraic genus >= 2.
+
+    An immutable tuple of its fields, built once per record of a catalog
+    sweep: it hashes and compares by value, and also equals a plain tuple
+    of the same fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, orientable: bool, genus: int, boundary_count: int) -> "SurfaceTopology":
+        self = tuple.__new__(cls, (orientable, genus, boundary_count))
+        if genus < 0 or boundary_count < 1:
             raise ValueError(f"bad surface data {self}")
-        if not self.orientable and self.genus < 1:
+        if not orientable and genus < 1:
             raise ValueError("non-orientable surfaces have genus >= 1")
-        if self.algebraic_genus < 2:
+        if (2 if orientable else 1) * genus + boundary_count - 1 < 2:
             raise ValueError(f"{self} is not hyperbolic (algebraic genus < 2)")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "SurfaceTopology":
+        """Build through ``__new__``, so that ``_make`` and ``_replace`` keep its checks."""
+        return cls(*fields)
 
     @classmethod
     def of_genus(cls, orientable: bool, algebraic_genus: int, k: int) -> "SurfaceTopology":

@@ -11,8 +11,8 @@ decomposition of an order triple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
 @lru_cache(maxsize=None)
@@ -177,25 +177,36 @@ def harvey_check(m: int, n: int, l: int, N: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MaclachlanQuad:
-    """Decomposition (A, A1, A2, A3) of an order triple (m, n, l).
-
-    A1 = N/m, A2 = N/n, A3 = N/l are pairwise coprime and A = N/(A1*A2*A3);
-    then m = A*A2*A3, n = A*A1*A3, l = A*A1*A2 and N = A*A1*A2*A3.  A itself
-    may share prime factors with the Ai (e.g. the triple (12, 12, 6) gives
-    (6, 1, 1, 2)), which the counting formulas exploit.
-    """
-
+class _QuadFields(NamedTuple):
     a: int
     a1: int
     a2: int
     a3: int
 
-    def __post_init__(self):
-        for x, y in ((self.a1, self.a2), (self.a1, self.a3), (self.a2, self.a3)):
-            if math.gcd(x, y) != 1:
-                raise AssertionError(f"A1, A2, A3 not pairwise coprime in {self}")
+
+class MaclachlanQuad(_QuadFields):
+    """Decomposition (A, A1, A2, A3) of an order triple (m, n, l).
+
+    A1 = N/m, A2 = N/n, A3 = N/l are pairwise coprime and A = N/(A1*A2*A3);
+    then m = A*A2*A3, n = A*A1*A3, l = A*A1*A2 and N = A*A1*A2*A3.  A itself
+    may share prime factors with the Ai (e.g. the triple (12, 12, 6) gives
+    (6, 1, 1, 2)), which the counting formulas exploit.  An immutable
+    tuple of its fields: it hashes and compares by value, and also equals
+    a plain tuple of the same fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, a1: int, a2: int, a3: int) -> "MaclachlanQuad":
+        self = tuple.__new__(cls, (a, a1, a2, a3))
+        if math.gcd(a1, a2) != 1 or math.gcd(a1, a3) != 1 or math.gcd(a2, a3) != 1:
+            raise AssertionError(f"A1, A2, A3 not pairwise coprime in {self}")
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "MaclachlanQuad":
+        """Build through ``__new__``, so that ``_make`` and ``_replace`` keep its check."""
+        return cls(*fields)
 
     @property
     def m(self) -> int:

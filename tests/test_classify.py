@@ -9,6 +9,7 @@ from classify_reference import PER_K, flags, reference_classify, reference_resul
 
 from necsurf.classify import (
     _FORMULAS,
+    ActionRecord,
     ClassificationResult,
     Realization,
     _half_count,
@@ -20,7 +21,9 @@ from necsurf.classify import (
     parameter_space,
     results_for,
 )
-from necsurf.signatures import FAMILIES, QuotientType, SurfaceTopology, kernel_algebraic_genus
+from necsurf.signatures import (
+    FAMILIES, Family, QuotientType, SurfaceTopology, kernel_algebraic_genus,
+)
 from necsurf.zmod import biggest_coprime_divisor, divisors, euler_phi, psi
 
 
@@ -443,6 +446,30 @@ def test_genus_sweep_equals_filtered_full_sweep(orders):
             want = [r for r in full if r.surface.algebraic_genus == p]
             assert actions_for_order(N, genus=p) == want, (N, p)
 
+
+
+@pytest.mark.parametrize("N", [12, 720, 5040])
+def test_sweep_asks_point_genus_once_per_point(monkeypatch, N):
+    """``actions_for_order(N)`` works out each catalog point's genus once: it
+    makes one ``Family.point_genus`` call per point of ``Family.cone_orders``,
+    and its records are those of ``results_for`` at each point, in order."""
+    points = sum(len(fam.cone_orders(N)) for fam in FAMILIES.values())
+    want = [
+        ActionRecord(q, N, real)
+        for kind in FAMILIES
+        for q in parameter_space(kind, N)
+        for real in results_for(q, N)
+    ]
+    calls = []
+    point_genus = Family.point_genus
+
+    def recorded(fam, m, n, order):
+        calls.append((fam.kind, m, n))
+        return point_genus(fam, m, n, order)
+
+    monkeypatch.setattr(Family, "point_genus", recorded)
+    assert actions_for_order(N) == want
+    assert len(calls) == points
 
 
 @pytest.mark.parametrize(
