@@ -14,24 +14,42 @@ surface is bordered).
 From a smooth assignment the module derives the topology of the covered
 surface: orientability (via non-orientable words), the boundary count
 (via the empty-cycle transfer rule), and the genus (via Hurwitz-Riemann).
+
+The rules exist once, as ``PointRules.failures``: compiled per (quotient,
+N) from ``presentation_of(q)``, with element orders read from the per-N
+``zmod.order_table``, it yields the failure messages lazily.
+``smoothness_failures`` lists them all; ``is_smooth``, ``surface_of`` and
+the oracle's enumeration and orbit checks take only the first, so a smooth
+vector builds no message.  Caches: ``presentation_of`` keeps the last 64
+quotients and ``point_rules`` the last 16 points, both LRU; only the
+per-N order tables are kept without bound, and none is built at import.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import MappingProxyType
 
 from .signatures import FAMILIES, PresentationSpec, QuotientType, SurfaceTopology
-from .zmod import order_mod
+from .zmod import order_table
 
 
+@lru_cache(maxsize=64)
 def presentation_of(q: QuotientType) -> PresentationSpec:
-    """The family's spec at the cone orders of ``q``: its ``elliptic_orders`` filled in."""
+    """The family's spec at the cone orders of ``q``: its ``elliptic_orders`` filled in.
+
+    Memoised for the last 64 quotients, and shared by every caller, so the
+    filled-in orders are a read-only mapping.
+    """
     fam = FAMILIES[q.kind]
     spec = fam.presentation
     names = (spec.gens[i] for i in spec.elliptic)
-    return replace(spec, elliptic_orders=dict(zip(names, fam.proper_periods(q.m, q.n))))
+    orders = MappingProxyType(dict(zip(names, fam.proper_periods(q.m, q.n))))
+    return replace(spec, elliptic_orders=orders)
 
 
 @dataclass(frozen=True)
@@ -73,39 +91,70 @@ class BskMap:
         return f"{self.quotient}@Z_{self.N}[{imgs}]"
 
 
+class PointRules:
+    """The BSK rules of one quotient at one order N, compiled from its presentation.
+
+    The rules (see the module docstring) become position tuples read off
+    ``presentation_of(q)`` once: each elliptic generator with its exact
+    order, the reflections, each ring's tail with the reflection it
+    equals, the corners and the long relation; element orders are read
+    from ``order_table(N)``.  ``failures`` is the one rule body.
+    """
+
+    __slots__ = ("N", "pres", "_orders", "_elliptic", "_tails")
+
+    def __init__(self, q: QuotientType, N: int):
+        pres = presentation_of(q)
+        self.N, self.pres = N, pres
+        self._orders = order_table(N)
+        self._elliptic = tuple((i, pres.elliptic_orders[pres.gens[i]]) for i in pres.elliptic)
+        # an empty cycle's ring, its one reflection, has no tail
+        self._tails = tuple((ring[-1], ring[0]) for ring in pres.rings if len(ring) > 1)
+
+    def failures(self, vec: tuple[int, ...]) -> Iterator[str]:
+        """Each reason the residue vector ``vec`` is not smooth, in rule order, as it is met."""
+        N, orders, pres = self.N, self._orders, self.pres
+        gens = pres.gens
+        for i, want in self._elliptic:
+            got = orders[vec[i]]
+            if got != want:
+                yield f"{gens[i]} has order {got}, requires exact order {want}"
+        for i in pres.reflections:
+            if 2 * vec[i] % N:
+                yield f"reflection {gens[i]} image {vec[i]} does not square to 0"
+        for tail, head in self._tails:
+            if vec[tail] != vec[head]:
+                yield f"{gens[tail]} must equal the conjugate image of {gens[head]}"
+        for a, b in pres.corners:
+            got = orders[(vec[a] + vec[b]) % N]
+            if got != 2:
+                yield f"corner ({gens[a]} {gens[b]}) has order {got}, not 2"
+        total = sum([c * vec[i] for c, i in pres.long_relation]) % N
+        if total:
+            yield f"long relation evaluates to {total}"
+        if math.gcd(N, *vec) != 1:
+            yield "images do not generate Z_N"
+        if all(vec[i] for i in pres.reflections):
+            yield "kernel contains no reflection (surface would be unbordered)"
+
+    def first_failure(self, vec: tuple[int, ...]) -> str | None:
+        """The first of ``failures``, or None for a smooth vector; no later rule runs."""
+        return next(self.failures(vec), None)
+
+
+@lru_cache(maxsize=16)
+def point_rules(q: QuotientType, N: int) -> PointRules:
+    """The compiled rules at (q, N), memoised for the last 16 points."""
+    return PointRules(q, N)
+
+
 def smoothness_failures(bmap: BskMap) -> list[str]:
     """All reasons the assignment fails to be a BSK epimorphism (empty = smooth)."""
-    q, N, vec = bmap.quotient, bmap.N, bmap.images
-    fam = FAMILIES[q.kind]
-    pres = fam.presentation
-    gens = pres.gens
-    bad = []
-    for i, want in zip(pres.elliptic, fam.proper_periods(q.m, q.n)):
-        got = order_mod(vec[i], N)
-        if got != want:
-            bad.append(f"{gens[i]} has order {got}, requires exact order {want}")
-    for i in pres.reflections:
-        if (2 * vec[i]) % N != 0:
-            bad.append(f"reflection {gens[i]} image {vec[i]} does not square to 0")
-    for ring in pres.rings:  # an empty cycle's ring, its one reflection, has no tail
-        if vec[ring[-1]] != vec[ring[0]]:
-            bad.append(f"{gens[ring[-1]]} must equal the conjugate image of {gens[ring[0]]}")
-    for a, b in pres.corners:
-        got = order_mod(vec[a] + vec[b], N)
-        if got != 2:
-            bad.append(f"corner ({gens[a]} {gens[b]}) has order {got}, not 2")
-    total = sum(c * vec[i] for c, i in pres.long_relation) % N
-    if total != 0:
-        bad.append(f"long relation evaluates to {total}")
-    if math.gcd(N, *vec) != 1:
-        bad.append("images do not generate Z_N")
-    if all(vec[i] != 0 for i in pres.reflections):
-        bad.append("kernel contains no reflection (surface would be unbordered)")
-    return bad
+    return list(point_rules(bmap.quotient, bmap.N).failures(bmap.images))
 
 
 def is_smooth(bmap: BskMap) -> bool:
-    return not smoothness_failures(bmap)
+    return point_rules(bmap.quotient, bmap.N).first_failure(bmap.images) is None
 
 
 def orientability(bmap: BskMap) -> bool:
@@ -173,16 +222,16 @@ def boundary_count(bmap: BskMap) -> int:
             assert length * N % 4 == 0, f"cycle contribution {length}*{N}/4 is not integral"
             total += length * N // 4
         elif vec[ring[0]] == 0:
-            total += N // order_mod(vec[connector], N)
+            total += math.gcd(vec[connector], N)  # N / order(theta(e))
     return total
 
 
 def surface_of(bmap: BskMap) -> SurfaceTopology:
     """Topological type of the covered surface of a smooth map."""
-    failures = smoothness_failures(bmap)
-    if failures:
-        raise ValueError(f"map is not smooth: {failures[0]}")
     q = bmap.quotient
+    failure = point_rules(q, bmap.N).first_failure(bmap.images)
+    if failure is not None:
+        raise ValueError(f"map is not smooth: {failure}")
     p = FAMILIES[q.kind].point_genus(q.m, q.n, bmap.N)
     assert p is not None, f"a smooth map at {q}, order {bmap.N}, a point without a genus"
     return SurfaceTopology.of_genus(orientability(bmap), p, boundary_count(bmap))

@@ -26,16 +26,26 @@ normalise back into the set stand for a set of maps closed under units
 and moves.  The surface invariants are computed on every canonical map
 and asserted constant on each orbit.  The product search over every
 smooth map is the tests' reference for the canonical enumeration.
+
+Each point's rules are compiled once (``bsk.point_rules``), and the
+enumeration's leaves and the unit-generator checks take only their first
+failure, so a ``BskMap`` is built only for a map that is kept or inside a
+failing assertion's message.  Per-N tables, built on first use and kept,
+since N is at most ``ORACLE_MAX_N``: the element orders
+(``zmod.order_table``) and, per p^a || N, the scale of each residue
+(``_unit_scales``) that ``_unit_normaliser`` sums into the normalising
+unit.  Per-point state lives in the call or in the small LRUs of ``bsk``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .bsk import BskMap, has_reversing_image, is_smooth, presentation_of, surface_of
+from .bsk import BskMap, has_reversing_image, point_rules, presentation_of, surface_of
 from .classify import classification_buckets, parameter_space
 from .signatures import FAMILIES, PresentationSpec, QuotientType, SurfaceTopology
-from .zmod import crt_solve, euler_phi, factorize, order_mod, unit_generators, units
+from .zmod import crt_solve, euler_phi, factorize, order_table, unit_generators, units
 
 ORACLE_MAX_N = 192
 
@@ -54,7 +64,7 @@ class AutMove:
     rows: tuple[tuple[tuple[int, int], ...], ...]
 
     def apply(self, vector: tuple[int, ...], N: int) -> tuple[int, ...]:
-        return tuple(sum(c * vector[src] for c, src in row) % N for row in self.rows)
+        return tuple([sum([c * vector[src] for c, src in row]) % N for row in self.rows])
 
 
 def moves_for(q: QuotientType) -> tuple[AutMove, ...]:
@@ -93,11 +103,12 @@ def moves_for(q: QuotientType) -> tuple[AutMove, ...]:
 
 def _free_domains(pres: PresentationSpec, N: int) -> list[tuple[int, ...]]:
     reflections = set(pres.reflection_names)
+    orders = order_table(N)
     domains = []
     for g in pres.free:
         if g in pres.elliptic_orders:
             want = pres.elliptic_orders[g]
-            domains.append(tuple(v for v in range(N) if order_mod(v, N) == want))
+            domains.append(tuple(v for v in range(N) if orders[v] == want))
         elif g in reflections:
             domains.append((0, N // 2) if N % 2 == 0 else (0,))
         else:
@@ -120,7 +131,8 @@ def enumerate_smooth(q: QuotientType, N: int) -> list[BskMap]:
     """
     if N < 2 or N > ORACLE_MAX_N:
         raise ValueError(f"order {N} outside the enumeration bound 2..{ORACLE_MAX_N}")
-    pres = presentation_of(q)
+    rules = point_rules(q, N)
+    pres = rules.pres
     domains = _free_domains(pres, N)
     tables: list[dict[frozenset, list]] = [{} for _ in domains]
 
@@ -139,9 +151,9 @@ def enumerate_smooth(q: QuotientType, N: int) -> list[BskMap]:
     def search(pos: int, pending: frozenset, images: tuple[int, ...]) -> None:
         if pos == len(domains):
             if not pending:
-                bmap = BskMap(q, N, pres.complete(images, N))
-                if is_smooth(bmap):
-                    out.append(bmap)
+                vec = pres.complete(images, N)
+                if rules.first_failure(vec) is None:
+                    out.append(BskMap(q, N, vec))
             return
         for v, rest in allowed(pos, pending):
             search(pos + 1, rest, images + (v,))
@@ -179,9 +191,25 @@ def _invariants(bmap: BskMap) -> tuple[SurfaceTopology, bool | None, tuple[int, 
     """Surface, reversal and sorted connector orders of a map; raises if it is not smooth."""
     surface = surface_of(bmap)
     reversing = has_reversing_image(bmap) if surface.orientable else None
-    vec, N = bmap.images, bmap.N
+    vec, orders = bmap.images, order_table(bmap.N)
     connectors = FAMILIES[bmap.quotient.kind].presentation.connectors
-    return surface, reversing, tuple(sorted(order_mod(vec[i], N) for i in connectors))
+    return surface, reversing, tuple(sorted(orders[vec[i]] for i in connectors))
+
+
+@lru_cache(maxsize=None)
+def _unit_scales(N: int) -> tuple[tuple[int | None, ...], ...]:
+    """Per p^a || N, ascending: ``scale[v]`` = e * v^-1 mod N for each residue v, None when p | v.
+
+    e is the CRT idempotent that is 1 mod p^a and 0 mod N/p^a, and v^-1
+    the inverse of v mod p^a.  Built once per N and kept; the oracle's N
+    is at most ``ORACLE_MAX_N``.
+    """
+    tables = []
+    for p, a in factorize(N):
+        q = p**a
+        idempotent = crt_solve(1, q, 0, N // q)
+        tables.append(tuple(idempotent * pow(v, -1, q) % N if v % p else None for v in range(N)))
+    return tuple(tables)
 
 
 def _unit_normaliser(pres: PresentationSpec, N: int):
@@ -191,27 +219,27 @@ def _unit_normaliser(pres: PresentationSpec, N: int):
     the first free image (in ``free`` order) that is a unit mod p is
     scaled to 1; the unit doing that is the CRT sum of the per-component
     inverses, each times the idempotent that is 1 mod p^a and 0 mod
-    N/p^a.  Two vectors get the same form exactly when one is a unit
-    multiple of the other.  The free images generate Z_N whenever all
-    the images do, and free order, unlike ``gens`` order, puts no derived
-    image (the last connector) before the images it is derived from, so
-    ``enumerate_smooth`` can fix each prime's unit as it goes.
+    N/p^a, read from the tables of ``_unit_scales``.  Two vectors get the
+    same form exactly when one is a unit multiple of the other.  The free
+    images generate Z_N whenever all the images do, and free order, unlike
+    ``gens`` order, puts no derived image (the last connector) before the
+    images it is derived from, so ``enumerate_smooth`` can fix each
+    prime's unit as it goes.  Images are residues in 0..N-1.
     """
     free = pres.free_positions
-    parts = []
-    for p, a in factorize(N):
-        q = p**a
-        inverse = {r: pow(r, -1, q) for r in range(q) if r % p}
-        parts.append((p, q, crt_solve(1, q, 0, N // q), inverse))
+    scales = _unit_scales(N)
 
     def normalise(vec: tuple[int, ...]) -> tuple[int, ...] | None:
         u = 0
-        for p, q, idempotent, inverse in parts:
-            first = next((vec[i] for i in free if vec[i] % p), None)
-            if first is None:
+        for scale in scales:
+            for i in free:
+                part = scale[vec[i]]
+                if part is not None:
+                    u += part
+                    break
+            else:
                 return None
-            u += idempotent * inverse[first % q]
-        return tuple(u * v % N for v in vec)
+        return tuple([u * v % N for v in vec])
 
     return normalise
 
@@ -259,7 +287,8 @@ def orbit_count(maps: list[BskMap], moves: tuple[AutMove, ...], N: int) -> Orbit
     # equal invariants share one object, which keeps the list small
     distinct: dict[tuple, tuple] = {}
     invariants = [distinct.setdefault(inv, inv) for inv in map(_invariants, maps)]
-    pres = presentation_of(q)
+    rules = point_rules(q, N)
+    pres = rules.pres
     normalise = _unit_normaliser(pres, N)
     for m in maps:
         if normalise(m.images) != m.images:
@@ -278,9 +307,11 @@ def orbit_count(maps: list[BskMap], moves: tuple[AutMove, ...], N: int) -> Orbit
     for i, m in enumerate(maps):
         vec = m.images
         for g in gens:
-            scaled = BskMap(q, N, tuple(g * v % N for v in vec))
-            assert is_smooth(scaled), f"equivalence left the smooth set: {scaled}"
-            assert normalise(scaled.images) == vec, f"{scaled} does not normalise to {m}"
+            scaled = tuple([g * v % N for v in vec])
+            assert rules.first_failure(scaled) is None, (
+                f"equivalence left the smooth set: {BskMap(q, N, scaled)}"
+            )
+            assert normalise(scaled) == vec, f"{BskMap(q, N, scaled)} does not normalise to {m}"
         for move in moves:
             moved = move.apply(vec, N)
             j = index.get(normalise(moved))

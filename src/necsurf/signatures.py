@@ -17,10 +17,11 @@ relations name generators by their position in ``gens``.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .zmod import divisors
@@ -116,9 +117,10 @@ class PresentationSpec:
     ``Family.presentation`` builds it from the signature.  Its relation
     fields hold positions in ``gens``, the order of a map's residue
     vector.  ``elliptic`` lists the elliptic generators in the order of
-    the proper periods; their relations x^m are ``elliptic_orders``, keyed
-    by name, empty in the family's record and filled in at a quotient's
-    cone orders by ``bsk.presentation_of``.  Each period cycle has one of
+    the proper periods; their relations x^m are ``elliptic_orders``, a
+    read-only mapping keyed by name, empty in the family's record and
+    filled in at a quotient's cone orders by ``bsk.presentation_of``, which
+    hands one spec to every caller.  Each period cycle has one of
     ``connectors`` and one of ``rings``: its reflections in order, closed
     by the tail c_s = c_0, or the single reflection of an empty cycle.
     The rings give the reflections' squares and corners; the other
@@ -136,7 +138,7 @@ class PresentationSpec:
     long_relation: PosTerms
     # (dependent position, its terms in the free positions)
     derived: tuple[tuple[int, PosTerms], ...]
-    elliptic_orders: dict[str, int] = field(default_factory=dict)
+    elliptic_orders: Mapping[str, int] = field(default_factory=lambda: MappingProxyType({}))
 
     def complete(self, free_images: Sequence[int], N: int) -> tuple[int, ...]:
         """The residue vector with ``free_images`` at the ``free`` generators, in their order."""
@@ -144,7 +146,7 @@ class PresentationSpec:
         for i, v in zip(self.free_positions, free_images):
             vec[i] = v
         for i, terms in self.derived:
-            vec[i] = sum(c * vec[j] for c, j in terms) % N
+            vec[i] = sum([c * vec[j] for c, j in terms]) % N
         return tuple(vec)
 
     @cached_property

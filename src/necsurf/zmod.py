@@ -87,6 +87,14 @@ def order_mod(a: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def order_table(n: int) -> tuple[int, ...]:
+    """``order_mod(v, n)`` for every residue v in 0..n-1, built once per n and kept."""
+    if n < 1:
+        raise ValueError(f"order_table expects modulus >= 1, got {n}")
+    return tuple(n // math.gcd(v, n) for v in range(n))
+
+
+@lru_cache(maxsize=None)
 def units(n: int) -> tuple[int, ...]:
     """The units of Z_n, ascending.  units(1) = (0,)."""
     if n == 1:

@@ -3,6 +3,8 @@
 import itertools
 import math
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -22,7 +24,7 @@ from necsurf.oracle import (
     orbit_count,
 )
 from necsurf.signatures import QuotientType
-from necsurf.zmod import euler_phi, order_mod, units
+from necsurf.zmod import crt_solve, euler_phi, factorize, order_mod, order_table, units
 
 
 def full_smooth(q, N):
@@ -74,6 +76,31 @@ def orbit_count_bfs(maps, moves, N):
         rep = maps[min(members, key=lambda i: maps[i].images)]
         orbits.append(OrbitInfo(rep, len(members), inv[0], inv[1], inv[2]))
     return OrbitReport(q, N, len(maps), len(orbits), tuple(orbits))
+
+
+def unit_normaliser_reference(pres, N):
+    """The unit-canonical form, with per-prime inverse dicts and a first-unit search.
+
+    The body ``oracle._unit_normaliser`` had before it read the per-N
+    scale tables of ``oracle._unit_scales``, kept as their reference.
+    """
+    free = pres.free_positions
+    parts = []
+    for p, a in factorize(N):
+        q = p**a
+        inverse = {r: pow(r, -1, q) for r in range(q) if r % p}
+        parts.append((p, q, crt_solve(1, q, 0, N // q), inverse))
+
+    def normalise(vec):
+        u = 0
+        for p, q, idempotent, inverse in parts:
+            first = next((vec[i] for i in free if vec[i] % p), None)
+            if first is None:
+                return None
+            u += idempotent * inverse[first % q]
+        return tuple(u * v % N for v in vec)
+
+    return normalise
 
 
 def orientability_case_rule(bmap: BskMap) -> bool:
@@ -380,3 +407,76 @@ def test_check_point_beyond_default_sweep():
         (QuotientType("mb1", m=32), 64),
     ):
         assert check_point(q, N).ok
+
+
+def test_unit_normaliser_matches_dict_reference():
+    """At every point with N <= 24, on every vector of the product domain that
+    ``full_smooth`` searches and on every unit multiple of each, smooth or not."""
+    vectors = 0
+    for q, N in check_points(None, 24):
+        pres = presentation_of(q)
+        table, reference = oracle._unit_normaliser(pres, N), unit_normaliser_reference(pres, N)
+        for combo in itertools.product(*oracle._free_domains(pres, N)):
+            vec = pres.complete(combo, N)
+            for u in units(N):
+                multiple = tuple(u * v % N for v in vec)
+                assert table(multiple) == reference(multiple), (q, N, multiple)
+                vectors += 1
+    assert vectors > 100_000
+
+
+def test_order_table_matches_order_mod():
+    for N in range(1, ORACLE_MAX_N + 1):
+        assert len(order_table(N)) == N
+        assert all(order_table(N)[v] == order_mod(v, N) for v in range(N)), N
+
+
+def test_shared_presentation_is_read_only():
+    """``presentation_of`` hands one spec to every caller, so its orders cannot be changed."""
+    q = QuotientType("d21", m=2, n=3)
+    pres = presentation_of(q)
+    assert presentation_of(QuotientType("d21", m=2, n=3)) is pres
+    for orders in (pres.elliptic_orders, presentation_of(QuotientType("d6")).elliptic_orders):
+        with pytest.raises(TypeError):
+            orders["x1"] = 5
+    with pytest.raises(TypeError):
+        del pres.elliptic_orders["x1"]
+    assert pres.elliptic_orders == {"x1": 2, "x2": 3}
+    assert [m.images for m in enumerate_smooth(q, 6)] == [(3, 4, 5, 0)]
+
+
+def test_caches_are_bounded_per_point_and_empty_at_import():
+    """Per-point state sits in small LRUs; only the per-N tables are kept unbounded,
+    and none of them is built when the package is imported."""
+    from necsurf.bsk import point_rules
+
+    assert presentation_of.cache_info().maxsize == 64
+    assert point_rules.cache_info().maxsize == 16
+    probe = (
+        "import necsurf.cli, necsurf.oracle as o, necsurf.bsk as b, necsurf.zmod as z; "
+        "print(*(f.cache_info().currsize for f in "
+        "(z.order_table, o._unit_scales, b.presentation_of, b.point_rules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0"] * 4
+
+
+def test_orbit_count_unit_and_invariant_assertions_fire(monkeypatch):
+    """The checks on the unit generators and on the orbit invariants are live:
+    each fires, by name, once its premise is broken on purpose."""
+    q, N = QuotientType("mb1", m=4), 12
+    maps = enumerate_smooth(q, N)
+    scaled = BskMap(q, N, tuple(2 * v % N for v in maps[0].images))
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "unit_generators", lambda n: (2,))  # not a unit mod 12
+        with pytest.raises(AssertionError, match=re.escape(f"equivalence left the smooth set: {scaled}")):
+            orbit_count(maps, moves_for(q), N)
+    scaled = BskMap(q, N, tuple(oracle.unit_generators(N)[0] * v % N for v in maps[0].images))
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_unit_normaliser", lambda pres, n: lambda vec: vec)
+        with pytest.raises(AssertionError, match=re.escape(f"{scaled} does not normalise to {maps[0]}")):
+            orbit_count(maps, moves_for(q), N)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "_invariants", lambda bmap: (bmap.images,))
+        with pytest.raises(AssertionError, match=r"orbit invariants vary within an orbit of mb1\(4\) at N=12"):
+            orbit_count(maps, moves_for(q), N)
