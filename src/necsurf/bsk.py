@@ -2,22 +2,23 @@
 
 A BSK epimorphism theta: Lambda -> Z_N assigns residues to the canonical
 generators of an NEC group so that the kernel is a bordered surface group.
-The generators and relations are the family's ``presentation``, derived
-from its signature; a map is a residue vector in its ``gens`` order, and
-the rules read the relations as positions in that vector.
+The generators and relations are those of the quotient's signature, one
+spec per quotient (``presentation_of``); a map is a residue vector in its
+``gens`` order, and the rules read the relations as positions in it.
 Working additively in Z_N this means: every relation evaluates to zero,
-every elliptic generator keeps its exact order, every pair of consecutive
-canonical reflections keeps exact order 2 for its product, the images
-generate Z_N, and at least one reflection lies in the kernel (the quotient
-surface is bordered).
+every elliptic generator keeps its exact order, each corner's pair of
+consecutive reflections has its link period as the exact order of its
+product (reflections map into {0, N/2}, so only a link period 2 is ever
+met), the images generate Z_N, and at least one reflection lies in the
+kernel (the quotient surface is bordered).
 
 From a smooth assignment the module derives the topology of the covered
 surface: orientability (via non-orientable words), the boundary count
 (via the empty-cycle transfer rule), and the genus (via Hurwitz-Riemann).
 
-The rules exist once, as ``PointRules.failures``: compiled per (quotient,
-N) from ``presentation_of(q)``, with element orders read from the per-N
-``zmod.order_table``, it yields the failure messages lazily.
+The rules exist once, as ``PointRules.failures``: compiled from a spec at
+one N, with element orders read from the per-N ``zmod.order_table``, it
+yields the failure messages lazily.
 ``smoothness_failures`` lists them all; ``is_smooth``, ``surface_of`` and
 the oracle's enumeration and orbit checks take only the first, so a smooth
 vector builds no message.  Caches: ``presentation_of`` keeps the last 64
@@ -30,26 +31,20 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 
-from .signatures import FAMILIES, PresentationSpec, QuotientType, SurfaceTopology
+from .signatures import FAMILIES, PresentationSpec, QuotientType, SurfaceTopology, presentation
 from .zmod import order_table
 
 
 @lru_cache(maxsize=64)
 def presentation_of(q: QuotientType) -> PresentationSpec:
-    """The family's spec at the cone orders of ``q``: its ``elliptic_orders`` filled in.
+    """The presentation of ``q``'s signature, memoised for the last 64 quotients.
 
-    Memoised for the last 64 quotients, and shared by every caller, so the
-    filled-in orders are a read-only mapping.
+    Every caller shares the spec, so its ``elliptic_orders`` is read-only.
     """
-    fam = FAMILIES[q.kind]
-    spec = fam.presentation
-    names = (spec.gens[i] for i in spec.elliptic)
-    orders = MappingProxyType(dict(zip(names, fam.proper_periods(q.m, q.n))))
-    return replace(spec, elliptic_orders=orders)
+    return presentation(q.signature())
 
 
 @dataclass(frozen=True)
@@ -61,21 +56,21 @@ class BskMap:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        vec, gens = self.images, FAMILIES[self.quotient.kind].presentation.gens
+        vec, gens = self.images, presentation_of(self.quotient).gens
         if len(vec) != len(gens) or min(vec) < 0 or max(vec) >= self.N:
             want = f"one residue in 0..{self.N - 1} per generator {gens}"
             raise ValueError(f"{self.quotient} needs {want}, got {vec}")
 
     @classmethod
     def from_dict(cls, quotient: QuotientType, N: int, images: dict[str, int]) -> "BskMap":
-        gens = FAMILIES[quotient.kind].presentation.gens
+        gens = presentation_of(quotient).gens
         if set(images) != set(gens):
             raise ValueError(f"images must cover generators {gens}")
         return cls(quotient, N, tuple(images[g] % N for g in gens))
 
     @property
     def image_dict(self) -> dict[str, int]:
-        return dict(zip(FAMILIES[self.quotient.kind].presentation.gens, self.images))
+        return dict(zip(presentation_of(self.quotient).gens, self.images))
 
     def to_json(self) -> str:
         payload = {
@@ -92,19 +87,19 @@ class BskMap:
 
 
 class PointRules:
-    """The BSK rules of one quotient at one order N, compiled from its presentation.
+    """The BSK rules of one presentation at one order N, compiled from the spec.
 
     The rules (see the module docstring) become position tuples read off
-    ``presentation_of(q)`` once: each elliptic generator with its exact
-    order, the reflections, each ring's tail with the reflection it
-    equals, the corners and the long relation; element orders are read
-    from ``order_table(N)``.  ``failures`` is the one rule body.
+    the spec once: each elliptic generator with its exact order, the
+    reflections, each ring's tail with the reflection it equals, the
+    corners with their link periods and the long relation; element orders
+    are read from ``order_table(N)``.  Any signature's spec will do, in the
+    catalog or not.  ``failures`` is the one rule body.
     """
 
     __slots__ = ("N", "pres", "_orders", "_elliptic", "_tails")
 
-    def __init__(self, q: QuotientType, N: int):
-        pres = presentation_of(q)
+    def __init__(self, pres: PresentationSpec, N: int):
         self.N, self.pres = N, pres
         self._orders = order_table(N)
         self._elliptic = tuple((i, pres.elliptic_orders[pres.gens[i]]) for i in pres.elliptic)
@@ -125,10 +120,10 @@ class PointRules:
         for tail, head in self._tails:
             if vec[tail] != vec[head]:
                 yield f"{gens[tail]} must equal the conjugate image of {gens[head]}"
-        for a, b in pres.corners:
+        for a, b, want in pres.corners:
             got = orders[(vec[a] + vec[b]) % N]
-            if got != 2:
-                yield f"corner ({gens[a]} {gens[b]}) has order {got}, not 2"
+            if got != want:
+                yield f"corner ({gens[a]} {gens[b]}) has order {got}, not {want}"
         total = sum([c * vec[i] for c, i in pres.long_relation]) % N
         if total:
             yield f"long relation evaluates to {total}"
@@ -145,7 +140,7 @@ class PointRules:
 @lru_cache(maxsize=16)
 def point_rules(q: QuotientType, N: int) -> PointRules:
     """The compiled rules at (q, N), memoised for the last 16 points."""
-    return PointRules(q, N)
+    return PointRules(presentation_of(q), N)
 
 
 def smoothness_failures(bmap: BskMap) -> list[str]:
@@ -171,7 +166,7 @@ def orientability(bmap: BskMap) -> bool:
     reversing image is w does not matter: any two differ by an element of
     that subgroup.)
     """
-    pres = FAMILIES[bmap.quotient.kind].presentation
+    pres = presentation_of(bmap.quotient)
     vec = bmap.images
     reversing = [vec[i] for i in pres.glides] + [vec[i] for i in pres.reflections if vec[i]]
     if not reversing:
@@ -188,7 +183,7 @@ def has_reversing_image(bmap: BskMap) -> bool:
     That is a glide, or a reflection with image N/2.  On an orientable
     cover this says whether the action reverses orientation.
     """
-    pres = FAMILIES[bmap.quotient.kind].presentation
+    pres = presentation_of(bmap.quotient)
     return bool(pres.glides) or any(bmap.images[i] for i in pres.reflections)
 
 
@@ -213,7 +208,7 @@ def boundary_count(bmap: BskMap) -> int:
     every smooth map (non-empty cycles force N even) and is asserted, not
     rounded.
     """
-    pres = FAMILIES[bmap.quotient.kind].presentation
+    pres = presentation_of(bmap.quotient)
     N, vec = bmap.N, bmap.images
     total = 0
     for ring, connector in zip(pres.rings, pres.connectors):

@@ -192,7 +192,7 @@ def _invariants(bmap: BskMap) -> tuple[SurfaceTopology, bool | None, tuple[int, 
     surface = surface_of(bmap)
     reversing = has_reversing_image(bmap) if surface.orientable else None
     vec, orders = bmap.images, order_table(bmap.N)
-    connectors = FAMILIES[bmap.quotient.kind].presentation.connectors
+    connectors = presentation_of(bmap.quotient).connectors
     return surface, reversing, tuple(sorted(orders[vec[i]] for i in connectors))
 
 

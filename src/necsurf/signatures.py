@@ -5,20 +5,20 @@ non-euclidean crystallographic group: orbit genus, orientability sign,
 proper periods of the elliptic generators, and period cycles whose link
 periods are the orders of corner points on the boundary of the quotient
 orbifold.  The module computes the normalized hyperbolic area, transfers
-genus to finite-index bordered surface subgroups, and holds the catalog
-of the ten quotient
-families that can occur for a cyclic action of order N on a bordered
-surface of algebraic genus p with N > p - 1 (equivalently, area < 1):
-``FAMILIES``, one ``Family`` record per quotient kind.  Each record
-derives its group's canonical presentation (``PresentationSpec``), whose
-relations name generators by their position in ``gens``.
+genus to finite-index bordered surface subgroups, builds a signature's
+canonical presentation from the signature alone (``presentation``, whose
+``PresentationSpec`` names generators by position in ``gens``), and holds
+the catalog of the ten quotient families that can occur for a cyclic
+action of order N on a bordered surface of algebraic genus p with
+N > p - 1 (equivalently, area < 1): ``FAMILIES``, one ``Family`` record
+per quotient kind.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -104,41 +104,40 @@ def check_arguments(kind: str, takes: tuple[str, ...], **given) -> None:
             raise ValueError(f"{kind} {'requires' if value is None else 'does not take'} {name}")
 
 
-# --- the ten large-action quotient families ------------------------------
+# --- canonical presentations ---------------------------------------------
 
-Term = tuple[int, str]  # (coefficient, generator) in an additive expression
 PosTerms = tuple[tuple[int, int], ...]  # (coefficient, generator position) terms
 
 
 @dataclass(frozen=True)
 class PresentationSpec:
-    """The canonical presentation of a family's NEC group, abelianised for Z_N.
+    """The canonical presentation of an NEC group, abelianised for Z_N.
 
-    ``Family.presentation`` builds it from the signature.  Its relation
-    fields hold positions in ``gens``, the order of a map's residue
-    vector.  ``elliptic`` lists the elliptic generators in the order of
-    the proper periods; their relations x^m are ``elliptic_orders``, a
-    read-only mapping keyed by name, empty in the family's record and
-    filled in at a quotient's cone orders by ``bsk.presentation_of``, which
-    hands one spec to every caller.  Each period cycle has one of
-    ``connectors`` and one of ``rings``: its reflections in order, closed
-    by the tail c_s = c_0, or the single reflection of an empty cycle.
-    The rings give the reflections' squares and corners; the other
-    relation is ``long_relation``.  ``derived`` expresses the generators
-    those relations determine (the last connector and each cycle's tail)
-    through the free ones.
+    ``presentation`` builds it from a signature alone.  Its relation
+    fields hold positions in ``gens``, the order of a map's residue vector.
+    ``elliptic`` lists the elliptic generators in the order of the proper
+    periods; their relations x^m are ``elliptic_orders``, a read-only
+    mapping keyed by name, as ``bsk.presentation_of`` shares one spec.
+    Each period cycle has one of ``connectors`` and one of ``rings``: its
+    reflections in order, closed by the tail c_s = c_0, or the single
+    reflection of an empty cycle.  The rings give the reflections' squares
+    and ``corners``; the other relation is ``long_relation``.  ``derived``
+    expresses the generators those relations determine (the last
+    connector and each cycle's tail) through the free ones.
     """
 
     gens: tuple[str, ...]
     elliptic: tuple[int, ...]
+    elliptic_orders: Mapping[str, int]
     connectors: tuple[int, ...]
     rings: tuple[tuple[int, ...], ...]
+    # (reflection, next reflection, link period) along each ring
+    corners: tuple[tuple[int, int, int], ...]
     glides: tuple[int, ...]
     # sum over (coef, position) must vanish mod N
     long_relation: PosTerms
     # (dependent position, its terms in the free positions)
     derived: tuple[tuple[int, PosTerms], ...]
-    elliptic_orders: Mapping[str, int] = field(default_factory=lambda: MappingProxyType({}))
 
     def complete(self, free_images: Sequence[int], N: int) -> tuple[int, ...]:
         """The residue vector with ``free_images`` at the ``free`` generators, in their order."""
@@ -171,11 +170,6 @@ class PresentationSpec:
         return tuple(self.gens[i] for i in self.reflections)
 
     @cached_property
-    def corners(self) -> tuple[tuple[int, int], ...]:
-        """The consecutive reflections of every ring, whose product has order 2."""
-        return tuple(pair for ring in self.rings for pair in zip(ring, ring[1:]))
-
-    @cached_property
     def preserving(self) -> tuple[int, ...]:
         """The orientation-preserving generators: all but reflections and glides."""
         reversing = {*self.reflections, *self.glides}
@@ -187,6 +181,56 @@ def _indexed(stem: str, count: int) -> tuple[str, ...]:
     return (stem,) if count == 1 else tuple(f"{stem}{i}" for i in range(1, count + 1))
 
 
+def presentation(sig: NecSignature) -> PresentationSpec:
+    """The canonical presentation of a bordered signature's group, abelianised for Z_N.
+
+    The generators (Wilkie, Math. Z. 91, 1966; Macbeath, Canad. J.
+    Math. 19, 1967) come in the order x (elliptic, one per proper period,
+    of that order), e (connector, one per cycle), c (reflection), d
+    (glide, one per unit of genus for sign '-'); a kind with one member
+    drops the index.  The reflections of cycle i are c_i0, c_i1, ..., or
+    c_i alone for an empty cycle; with one cycle i is dropped too.  The
+    corner (c_i(j-1), c_ij) has the cycle's j-th link period.  In an
+    abelian image each tail c_is equals c_i0, and the long relation
+    sum x + sum e + 2 sum d = 0 derives the last connector.  There must be
+    a period cycle, and no hyperbolic generators (sign '+', genus > 0).
+    """
+    r, k = len(sig.proper_periods), sig.cycle_count
+    assert k, f"{sig} has no period cycle"
+    assert sig.genus == 0 or not sig.orientable, f"{sig} has hyperbolic generators"
+    gens = [*_indexed("x", r), *_indexed("e", k)]
+    rings, corners = [], []
+    for i, links in enumerate(sig.period_cycles, 1):
+        stem = "c" if k == 1 else f"c{i}"
+        names = [f"{stem}{j}" for j in range(len(links) + 1)] if links else [stem]
+        ring = tuple(range(len(gens), len(gens) + len(names)))
+        rings.append(ring)
+        corners.extend(zip(ring, ring[1:], links))
+        gens.extend(names)
+    glides = () if sig.orientable else tuple(range(len(gens), len(gens) + sig.genus))
+    gens.extend(_indexed("d", len(glides)))
+    long_relation = tuple((1, i) for i in range(r + k)) + tuple((2, d) for d in glides)
+    last = r + k - 1  # the last connector
+    derived = ((last, tuple((-c, i) for c, i in long_relation if i != last)),)
+    derived += tuple((ring[-1], ((1, ring[0]),)) for ring in rings if len(ring) > 1)
+    return PresentationSpec(
+        gens=tuple(gens),
+        elliptic=tuple(range(r)),
+        elliptic_orders=MappingProxyType(dict(zip(gens, sig.proper_periods))),
+        connectors=tuple(range(r, r + k)),
+        rings=tuple(rings),
+        corners=tuple(corners),
+        glides=glides,
+        long_relation=long_relation,
+        derived=derived,
+    )
+
+
+# --- the ten large-action quotient families ------------------------------
+
+Term = tuple[int, str]  # (coefficient, generator) in an additive expression
+
+
 @dataclass(frozen=True)
 class Family:
     """Everything the package knows about one quotient kind but its counting formula.
@@ -194,8 +238,9 @@ class Family:
     The quotient signature is (genus; sign; periods; cycles); its proper
     periods are the fixed ``periods`` followed by the cone orders named in
     ``params`` ("m", or "m" and "n").  They ascend, so that every
-    signature has one name (see ``admits``).  The ``presentation`` is
-    derived from the signature.  ``moves`` are outer automorphisms as
+    signature has one name (see ``admits``).  The presentation is not
+    part of the record: it follows from a quotient's signature alone
+    (``presentation``).  ``moves`` are outer automorphisms as
     substitutions on generator images; a move that sends an elliptic
     generator to one of another order does not apply.  ``full_moves`` says
     they generate the whole outer automorphism group.  ``classify_args``
@@ -214,46 +259,6 @@ class Family:
     moves: tuple[tuple[str, dict[str, tuple[Term, ...]]], ...] = ()
     full_moves: bool = False
     classify_args: tuple[str, ...] = ()
-
-    @cached_property
-    def presentation(self) -> PresentationSpec:
-        """The canonical presentation of the signature, abelianised for Z_N.
-
-        The generators (Wilkie, Math. Z. 91, 1966; Macbeath, Canad. J.
-        Math. 19, 1967) come in the order x (elliptic, one per proper
-        period), e (connector, one per cycle), c (reflection), d (glide,
-        one per unit of genus for sign '-'); a kind with one member drops
-        the index.  The reflections of cycle i are c_i0, c_i1, ..., or c_i
-        alone for an empty cycle; with one cycle i is dropped too.  In an
-        abelian image each non-empty cycle's tail c_is equals c_i0, and
-        the long relation sum x + sum e + 2 sum d = 0 derives the last
-        connector.  Sign '+' with genus > 0 would add hyperbolic
-        generators, which no catalog family has.
-        """
-        assert self.genus == 0 or not self.orientable, f"{self.kind} has hyperbolic generators"
-        r, k = len(self.periods) + len(self.params), len(self.cycles)
-        gens = [*_indexed("x", r), *_indexed("e", k)]
-        rings = []
-        for i, links in enumerate(self.cycles, 1):
-            stem = "c" if k == 1 else f"c{i}"
-            names = [f"{stem}{j}" for j in range(len(links) + 1)] if links else [stem]
-            rings.append(tuple(range(len(gens), len(gens) + len(names))))
-            gens.extend(names)
-        glides = () if self.orientable else tuple(range(len(gens), len(gens) + self.genus))
-        gens.extend(_indexed("d", len(glides)))
-        long_relation = tuple((1, i) for i in range(r + k)) + tuple((2, d) for d in glides)
-        last = r + k - 1  # the last connector
-        derived = ((last, tuple((-c, i) for c, i in long_relation if i != last)),)
-        derived += tuple((ring[-1], ((1, ring[0]),)) for ring in rings if len(ring) > 1)
-        return PresentationSpec(
-            gens=tuple(gens),
-            elliptic=tuple(range(r)),
-            connectors=tuple(range(r, r + k)),
-            rings=tuple(rings),
-            glides=glides,
-            long_relation=long_relation,
-            derived=derived,
-        )
 
     @cached_property
     def order_is_forced(self) -> bool:

@@ -1,11 +1,13 @@
 """Presentations, smoothness, orientability, boundary transfer, surfaces."""
 
+import itertools
 import json
 
 import pytest
 
 from necsurf.bsk import (
     BskMap,
+    PointRules,
     action_reverses_orientation,
     boundary_count,
     is_smooth,
@@ -14,7 +16,8 @@ from necsurf.bsk import (
     smoothness_failures,
     surface_of,
 )
-from necsurf.signatures import FAMILIES, QuotientType
+from necsurf.oracle import _free_domains, oracle_report
+from necsurf.signatures import FAMILIES, NecSignature, QuotientType, presentation
 
 
 def bmap(kind, N, images, **params):
@@ -53,10 +56,11 @@ def named(pres, terms):
 
 
 def test_presentation_generator_names():
-    """Every family's generators and free generators, as built from its signature."""
+    """Every family's generators and free generators, as built from the signature
+    of its first admitted point."""
     assert set(PRESENTATIONS) == set(FAMILIES)
     for kind, (gens, free) in PRESENTATIONS.items():
-        pres = FAMILIES[kind].presentation
+        pres = presentation(FAMILIES[kind].instances(range(2, 31))[0].signature())
         assert (pres.gens, pres.free) == (gens, free), kind
     pres = presentation_of(QuotientType("ann1", m=5))
     assert pres.elliptic_orders == {"x": 5}
@@ -68,10 +72,12 @@ def test_presentation_generator_names():
     # six corners, the last one closing the ring through the tail c6 = c0
     (ring,) = pres.rings
     assert names(pres, ring) == C
-    assert [names(pres, pair) for pair in pres.corners] == list(zip(C[:6], C[1:]))
+    assert [(*names(pres, (a, b)), n) for a, b, n in pres.corners] == [
+        (a, b, 2) for a, b in zip(C[:6], C[1:])
+    ]
     assert {pres.gens[i]: named(pres, t) for i, t in pres.derived} == {"e": (), "c6": ((1, "c0"),)}
     # an empty cycle's ring is its one reflection
-    pres = FAMILIES["ann2"].presentation
+    pres = presentation(QuotientType("ann2").signature())
     assert [names(pres, ring) for ring in pres.rings] == [("c1",), ("c20", "c21", "c22")]
     assert names(pres, pres.connectors) == ("e1", "e2")
 
@@ -121,6 +127,41 @@ def test_smoothness_rejects_relation_violations():
 def test_each_smoothness_rule_names_its_generators(kind, params, N, images, failures):
     """One broken map per rule: exact order, square, tail, corner, long relation, generation, border."""
     assert smoothness_failures(bmap(kind, N, images, **params)) == failures
+
+
+def smooth_vectors(pres, N):
+    """Every smooth residue vector of the spec ``pres`` at N, by brute force over the
+    free images (elliptic images of their exact order, reflections 0 or N/2)."""
+    rules = PointRules(pres, N)
+    vectors = (pres.complete(combo, N) for combo in itertools.product(*_free_domains(pres, N)))
+    return [vec for vec in vectors if rules.first_failure(vec) is None]
+
+
+def test_rules_compiled_from_signatures_outside_the_catalog():
+    """A bordered signature outside the catalog gets its spec and rules from the
+    signature alone.  A link period 3, or a cycle of odd length, admits no smooth
+    map at any N <= 16: a product of two reflections has order 1 or 2, and an odd
+    ring of reflections in {0, N/2} cannot alternate.  At catalog points the same
+    brute force counts the oracle's maps."""
+    link_3 = (NecSignature(0, True, (2,), ((2, 3),)), NecSignature(0, True, (3,), ((2, 3),)))
+    odd_cycle = NecSignature(0, True, (3,), ((2, 2, 2),))
+    for sig in (*link_3, odd_cycle):
+        pres = presentation(sig)
+        assert [n for *_, n in pres.corners] == [n for cycle in sig.period_cycles for n in cycle]
+        for N in range(2, 17):
+            assert smooth_vectors(pres, N) == [], (sig, N)
+    pres = presentation(link_3[0])
+    assert pres.gens == ("x", "e", "c0", "c1", "c2")
+    assert list(PointRules(pres, 2).failures((1, 1, 0, 1, 0))) == ["corner (c1 c2) has order 2, not 3"]
+    catalog = [(QuotientType("d2c-3m", m=4), 12, 8), (QuotientType("mb1", m=4), 8, 8),
+               (QuotientType("ann2"), 6, 16), (QuotientType("d21", m=2, n=3), 6, 2)]
+    for q, N, count in catalog:
+        assert len(smooth_vectors(presentation(q.signature()), N)) == count, (q, N)
+        assert oracle_report(q, N).map_count == count, (q, N)
+    with pytest.raises(AssertionError, match="hyperbolic generators"):
+        presentation(NecSignature(1, True, (3,), ((),)))
+    with pytest.raises(AssertionError, match="no period cycle"):
+        presentation(NecSignature(1, False))
 
 
 def test_orientability_examples():

@@ -5,7 +5,8 @@ re-derivation of the catalog below are reference code for these checks
 only; the package itself does not need them.
 """
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
@@ -103,41 +104,48 @@ def _canon(sig: NecSignature):
     )
 
 
-def generate_admissible_signatures(max_period: int) -> set[NecSignature]:
-    """Every admissible-shape signature with 0 < area < 1, by brute force.
+def bordered_signatures(max_period: int) -> list[NecSignature]:
+    """Every bordered signature with 0 < area < 1, link periods 2 and ascending proper
+    periods <= ``max_period``, its cycles of any length, odd ones included.
 
-    Cycles are empty or even runs of 2s, so only the base (eps*g + k - 2),
-    the proper periods and the total cycle length matter.  Area < 1 bounds
-    everything: eps*g + k <= 2, at most 3 proper periods, total cycle
-    length at most 6.  Used as double-entry bookkeeping against the
-    hard-coded catalog.
+    Area eps*g + k - 2 + sum(1 - 1/m) + (number of link periods)/4 < 1 with
+    k >= 1 leaves (0;+) with k <= 2 and (1;-) with k = 1, at most 3 proper
+    periods and at most 7 link periods in all.  Two cycles are listed
+    shortest first.
     """
-    out = set()
+    out = []
     for orientable, g, k in ((True, 0, 1), (True, 0, 2), (False, 1, 1)):
-        for r in range(4):
-            for periods in _nondecreasing_tuples(r, 2, max_period):
-                for lengths in _cycle_length_choices(k):
-                    cycles = tuple((2,) * s for s in lengths)
-                    sig = NecSignature(g, orientable, periods, cycles)
-                    if 0 < area(sig) < 1:
-                        out.add(NecSignature(g, orientable, periods, cycles))
+        for lengths in itertools.combinations_with_replacement(range(8), k):
+            sig = NecSignature(g, orientable, (), tuple((2,) * s for s in lengths))
+            for r in range(4):
+                out += _with_periods(sig, r, max_period)
     return out
 
 
-def _nondecreasing_tuples(r, lo, hi):
+def _with_periods(sig: NecSignature, r: int, hi: int) -> list[NecSignature]:
+    """``sig`` with r more proper periods, ascending up to ``hi``, at 0 < area < 1.
+
+    The least area of a completion repeats the next period r times; once
+    that reaches 1, so does every larger period's.
+    """
     if r == 0:
-        yield ()
-        return
-    for first in range(lo, hi + 1):
-        for rest in _nondecreasing_tuples(r - 1, first, hi):
-            yield (first, *rest)
+        return [sig] if 0 < area(sig) < 1 else []
+    out = []
+    for m in range(max(sig.proper_periods, default=2), hi + 1):
+        if area(replace(sig, proper_periods=sig.proper_periods + (m,) * r)) >= 1:
+            break
+        out += _with_periods(replace(sig, proper_periods=sig.proper_periods + (m,)), r - 1, hi)
+    return out
 
 
-def _cycle_length_choices(k):
-    per_cycle = (0, 2, 4, 6)
-    if k == 1:
-        return [(s,) for s in per_cycle]
-    return [(s1, s2) for s1 in per_cycle for s2 in per_cycle if s1 <= s2]
+def generate_admissible_signatures(max_period: int) -> set[NecSignature]:
+    """The ``bordered_signatures`` whose cycles all have even length: the shapes a
+    cyclic action allows.  Used as double-entry bookkeeping against the
+    hard-coded catalog."""
+    return {
+        sig for sig in bordered_signatures(max_period)
+        if all(len(cycle) % 2 == 0 for cycle in sig.period_cycles)
+    }
 
 
 def quotient_of_signature(sig: NecSignature) -> QuotientType | None:
@@ -296,6 +304,27 @@ def test_generated_catalog_matches_hardcoded():
         q = quotient_of_signature(s)
         assert q is not None
         assert _canon(q.signature()) == _canon(s)
+
+
+def test_catalog_is_every_bordered_signature_with_even_cycles():
+    """Completeness at link period 2 (proper periods <= 30): of the 797 bordered
+    signatures of area < 1, the 616 whose cycles all have even length are
+    exactly the catalog quotients, each accepted by ``QuotientType`` at its
+    periods; the other 181 each have a cycle of odd length."""
+    sigs = bordered_signatures(30)
+    even = generate_admissible_signatures(30)
+    assert (len(sigs), len(set(sigs)), len(even)) == (797, 797, 616)
+    for sig in even:
+        (fam,) = [
+            fam for fam in FAMILIES.values()
+            if (fam.genus, fam.orientable, fam.cycles) == (sig.genus, sig.orientable, sig.period_cycles)
+            and sig.proper_periods[:len(fam.periods)] == fam.periods
+            and len(sig.proper_periods) == len(fam.periods) + len(fam.params)
+        ]
+        q = QuotientType(fam.kind, *sig.proper_periods[len(fam.periods):])
+        assert q.signature() == sig
+    catalog = {q.signature() for fam in FAMILIES.values() for q in fam.instances(range(2, 31))}
+    assert even == catalog
 
 
 def test_admits_is_the_exact_area_test():
