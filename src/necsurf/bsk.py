@@ -21,9 +21,17 @@ one N, with element orders read from the per-N ``zmod.order_table``, it
 yields the failure messages lazily.
 ``smoothness_failures`` lists them all; ``is_smooth``, ``surface_of`` and
 the oracle's enumeration and orbit checks take only the first, so a smooth
-vector builds no message.  Caches: ``presentation_of`` keeps the last 64
-quotients and ``point_rules`` the last 16 points, both LRU; only the
-per-N order tables are kept without bound, and none is built at import.
+vector builds no message.  The invariants exist once too, as the
+``PointRules`` methods ``orientable``, ``boundary_count``, ``reversing``,
+``connector_orders`` and ``surface``; ``point_rules(q, N)`` hands the
+compiled point its genus, so the genus is worked out once per point, and
+``surface`` keeps the ``SurfaceTopology`` of each (orientable, boundary
+count) it meets.  The public ``orientability``, ``boundary_count``,
+``has_reversing_image`` and ``surface_of`` read the compiled point.
+Caches: ``presentation_of`` keeps the last 64 quotients and
+``point_rules`` the last 16 points, both LRU, and the surface memo lives
+on the compiled point; only the per-N order tables are kept without
+bound, and none is built at import.
 """
 
 from __future__ import annotations
@@ -95,16 +103,38 @@ class PointRules:
     corners with their link periods and the long relation; element orders
     are read from ``order_table(N)``.  Any signature's spec will do, in the
     catalog or not.  ``failures`` is the one rule body.
+
+    The invariants of a smooth vector are compiled the same way: the
+    orientation-preserving and -reversing positions, each empty cycle's
+    reflection and connector, and the boundary the non-empty cycles
+    contribute, which depends on N alone.  ``genus`` is the point's
+    algebraic genus, or None where it has none; ``surface`` keeps the
+    ``SurfaceTopology`` of each (orientable, boundary count) it has met.
     """
 
-    __slots__ = ("N", "pres", "_orders", "_elliptic", "_tails")
+    __slots__ = (
+        "N", "pres", "genus", "_orders", "_elliptic", "_tails", "_empty_cycles", "_cycle_boundary",
+        "_cycle_error", "_surfaces",
+    )
 
-    def __init__(self, pres: PresentationSpec, N: int):
-        self.N, self.pres = N, pres
+    def __init__(self, pres: PresentationSpec, N: int, genus: int | None = None):
+        self.N, self.pres, self.genus = N, pres, genus
         self._orders = order_table(N)
         self._elliptic = tuple((i, pres.elliptic_orders[pres.gens[i]]) for i in pres.elliptic)
         # an empty cycle's ring, its one reflection, has no tail
         self._tails = tuple((ring[-1], ring[0]) for ring in pres.rings if len(ring) > 1)
+        self._empty_cycles = tuple(
+            (ring[0], connector) for ring, connector in zip(pres.rings, pres.connectors)
+            if len(ring) == 1
+        )
+        lengths = [len(ring) - 1 for ring in pres.rings if len(ring) > 1]
+        self._cycle_boundary = sum(length * N // 4 for length in lengths)
+        self._cycle_error = next(
+            (f"cycle contribution {length}*{N}/4 is not integral" for length in lengths
+             if length * N % 4),
+            None,
+        )
+        self._surfaces: dict[tuple[bool, int], SurfaceTopology] = {}
 
     def failures(self, vec: tuple[int, ...]) -> Iterator[str]:
         """Each reason the residue vector ``vec`` is not smooth, in rule order, as it is met."""
@@ -136,11 +166,71 @@ class PointRules:
         """The first of ``failures``, or None for a smooth vector; no later rule runs."""
         return next(self.failures(vec), None)
 
+    def orientable(self, vec: tuple[int, ...]) -> bool:
+        """True when the covered surface of ``vec`` is orientable.
+
+        The surface is non-orientable iff the kernel contains a
+        non-orientable word: an orientation-reversing word, avoiding the
+        reflections that lie in the kernel, with image 0.  Over the abelian
+        target the reachable (image, orientation-character) pairs form the
+        subgroup of Z_N x Z_2 generated by the included generators, so the
+        test is membership of (0, -1): with w one included reversing image,
+        the surface is non-orientable iff w lies in the subgroup generated
+        by the preserving images, the differences of reversing images, and
+        2w.  (Which included reversing image is w does not matter: any two
+        differ by an element of that subgroup.)
+        """
+        pres = self.pres
+        reversing = [vec[i] for i in pres.glides] + [vec[i] for i in pres.reflections if vec[i]]
+        if not reversing:
+            return True
+        w = reversing[0]
+        gens = [vec[i] for i in pres.preserving] + [x - w for x in reversing[1:]] + [2 * w]
+        return w % math.gcd(self.N, *gens) != 0
+
+    def reversing(self, vec: tuple[int, ...]) -> bool:
+        """Does a glide, or a reflection with image N/2, survive outside the kernel?"""
+        pres = self.pres
+        return bool(pres.glides) or any([vec[i] for i in pres.reflections])
+
+    def boundary_count(self, vec: tuple[int, ...]) -> int:
+        """Boundary components of the covered surface of ``vec``.
+
+        Each period cycle contributes: 0 if empty with the reflection
+        outside the kernel; N/order(theta(e)) = gcd(theta(e), N) if empty
+        with the reflection in the kernel; s*N/4 if non-empty of length s.
+        Integrality of s*N/4 holds for every smooth map (non-empty cycles
+        force N even) and is asserted, not rounded.
+        """
+        assert self._cycle_error is None, self._cycle_error
+        total, N = self._cycle_boundary, self.N
+        for reflection, connector in self._empty_cycles:
+            if vec[reflection] == 0:
+                total += math.gcd(vec[connector], N)
+        return total
+
+    def connector_orders(self, vec: tuple[int, ...]) -> tuple[int, ...]:
+        """The orders of the connector images, ascending."""
+        orders = self._orders
+        return tuple(sorted([orders[vec[i]] for i in self.pres.connectors]))
+
+    def surface(self, vec: tuple[int, ...]) -> SurfaceTopology:
+        """Topological type of the covered surface; raises ValueError if ``vec`` is not smooth."""
+        failure = self.first_failure(vec)
+        if failure is not None:
+            raise ValueError(f"map is not smooth: {failure}")
+        assert self.genus is not None, f"a smooth map at order {self.N}, a point without a genus"
+        key = (self.orientable(vec), self.boundary_count(vec))
+        surface = self._surfaces.get(key)
+        if surface is None:
+            surface = self._surfaces[key] = SurfaceTopology.of_genus(key[0], self.genus, key[1])
+        return surface
+
 
 @lru_cache(maxsize=16)
 def point_rules(q: QuotientType, N: int) -> PointRules:
-    """The compiled rules at (q, N), memoised for the last 16 points."""
-    return PointRules(presentation_of(q), N)
+    """The compiled rules and invariants at (q, N), memoised for the last 16 points."""
+    return PointRules(presentation_of(q), N, FAMILIES[q.kind].point_genus(q.m, q.n, N))
 
 
 def smoothness_failures(bmap: BskMap) -> list[str]:
@@ -153,28 +243,8 @@ def is_smooth(bmap: BskMap) -> bool:
 
 
 def orientability(bmap: BskMap) -> bool:
-    """True when the covered surface is orientable.
-
-    The surface is non-orientable iff the kernel contains a non-orientable
-    word: an orientation-reversing word, avoiding the reflections that lie
-    in the kernel, with image 0.  Over the abelian target the reachable
-    (image, orientation-character) pairs form the subgroup of Z_N x Z_2
-    generated by the included generators, so the test is membership of
-    (0, -1): with w one included reversing image, the surface is
-    non-orientable iff w lies in the subgroup generated by the preserving
-    images, the differences of reversing images, and 2w.  (Which included
-    reversing image is w does not matter: any two differ by an element of
-    that subgroup.)
-    """
-    pres = presentation_of(bmap.quotient)
-    vec = bmap.images
-    reversing = [vec[i] for i in pres.glides] + [vec[i] for i in pres.reflections if vec[i]]
-    if not reversing:
-        return True
-    w = reversing[0]
-    gens = [vec[i] for i in pres.preserving] + [x - w for x in reversing[1:]] + [2 * w]
-    d = math.gcd(bmap.N, *gens)
-    return w % d != 0
+    """True when the covered surface is orientable (``PointRules.orientable``)."""
+    return point_rules(bmap.quotient, bmap.N).orientable(bmap.images)
 
 
 def has_reversing_image(bmap: BskMap) -> bool:
@@ -183,8 +253,7 @@ def has_reversing_image(bmap: BskMap) -> bool:
     That is a glide, or a reflection with image N/2.  On an orientable
     cover this says whether the action reverses orientation.
     """
-    pres = presentation_of(bmap.quotient)
-    return bool(pres.glides) or any(bmap.images[i] for i in pres.reflections)
+    return point_rules(bmap.quotient, bmap.N).reversing(bmap.images)
 
 
 def action_reverses_orientation(bmap: BskMap) -> bool | None:
@@ -200,33 +269,10 @@ def action_reverses_orientation(bmap: BskMap) -> bool | None:
 
 
 def boundary_count(bmap: BskMap) -> int:
-    """Boundary components of the covered surface.
-
-    Each period cycle contributes: 0 if empty with the reflection outside
-    the kernel; N/order(theta(e)) if empty with the reflection in the
-    kernel; s*N/4 if non-empty of length s.  Integrality of s*N/4 holds for
-    every smooth map (non-empty cycles force N even) and is asserted, not
-    rounded.
-    """
-    pres = presentation_of(bmap.quotient)
-    N, vec = bmap.N, bmap.images
-    total = 0
-    for ring, connector in zip(pres.rings, pres.connectors):
-        length = len(ring) - 1
-        if length:
-            assert length * N % 4 == 0, f"cycle contribution {length}*{N}/4 is not integral"
-            total += length * N // 4
-        elif vec[ring[0]] == 0:
-            total += math.gcd(vec[connector], N)  # N / order(theta(e))
-    return total
+    """Boundary components of the covered surface (``PointRules.boundary_count``)."""
+    return point_rules(bmap.quotient, bmap.N).boundary_count(bmap.images)
 
 
 def surface_of(bmap: BskMap) -> SurfaceTopology:
-    """Topological type of the covered surface of a smooth map."""
-    q = bmap.quotient
-    failure = point_rules(q, bmap.N).first_failure(bmap.images)
-    if failure is not None:
-        raise ValueError(f"map is not smooth: {failure}")
-    p = FAMILIES[q.kind].point_genus(q.m, q.n, bmap.N)
-    assert p is not None, f"a smooth map at {q}, order {bmap.N}, a point without a genus"
-    return SurfaceTopology.of_genus(orientability(bmap), p, boundary_count(bmap))
+    """Topological type of the covered surface of a smooth map; raises ValueError otherwise."""
+    return point_rules(bmap.quotient, bmap.N).surface(bmap.images)

@@ -27,22 +27,31 @@ and moves.  The surface invariants are computed on every canonical map
 and asserted constant on each orbit.  The product search over every
 smooth map is the tests' reference for the canonical enumeration.
 
-Each point's rules are compiled once (``bsk.point_rules``), and the
-enumeration's leaves and the unit-generator checks take only their first
-failure, so a ``BskMap`` is built only for a map that is kept or inside a
-failing assertion's message.  Per-N tables, built on first use and kept,
-since N is at most ``ORACLE_MAX_N``: the element orders
-(``zmod.order_table``) and, per p^a || N, the scale of each residue
-(``_unit_scales``) that ``_unit_normaliser`` sums into the normalising
-unit.  Per-point state lives in the call or in the small LRUs of ``bsk``.
+Each point's rules and invariants are compiled once (``bsk.point_rules``):
+the enumeration's leaves and the unit-generator checks take only the
+first failure, so a ``BskMap`` is built only for a map that is kept or
+inside a failing assertion's message, and ``_invariants`` reads the
+surface, reversal and connector orders of each map off the compiled
+point.  Each move keeps the rows that differ from the identity, and its
+``apply`` recomputes only those.  Per-N tables, built on first use and
+kept, since N is at most ``ORACLE_MAX_N``: the element orders
+(``zmod.order_table``) and the residues of each order
+(``_residues_by_order``), which give the elliptic generators' domains;
+per p^a || N, the scale of each residue (``_unit_scales``) that
+``_unit_normaliser`` sums into the normalising unit; and for each
+residue v the units that take it to its least multiple gcd(v, N)
+(``_least_units``), where ``_least_multiple`` starts.  Per-point state
+lives in the call or on the compiled points in the small LRUs of ``bsk``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import os
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .bsk import BskMap, has_reversing_image, point_rules, presentation_of, surface_of
+from .bsk import BskMap, point_rules, presentation_of, surface_of
 from .classify import classification_buckets, parameter_space
 from .signatures import FAMILIES, PresentationSpec, QuotientType, SurfaceTopology
 from .zmod import crt_solve, euler_phi, factorize, order_table, unit_generators, units
@@ -57,14 +66,26 @@ class AutMove:
     Because the target is abelian, a substitution g -> word(generators)
     acts on an image vector linearly; ``rows[i]`` holds the
     (coefficient, source position) terms whose sum becomes the new image
-    of the generator at position i of ``PresentationSpec.gens``.
+    of the generator at position i of ``PresentationSpec.gens``.  Most
+    rows are the identity ``((1, i),)``; ``changed`` keeps the others,
+    with their positions, and ``apply`` recomputes only those.
     """
 
     name: str
     rows: tuple[tuple[tuple[int, int], ...], ...]
+    changed: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        changed = tuple((i, row) for i, row in enumerate(self.rows) if row != ((1, i),))
+        object.__setattr__(self, "changed", changed)
 
     def apply(self, vector: tuple[int, ...], N: int) -> tuple[int, ...]:
-        return tuple([sum([c * vector[src] for c, src in row]) % N for row in self.rows])
+        out = list(vector)
+        for i, row in self.changed:
+            out[i] = sum([c * vector[src] for c, src in row]) % N
+        return tuple(out)
 
 
 def moves_for(q: QuotientType) -> tuple[AutMove, ...]:
@@ -101,14 +122,22 @@ def moves_for(q: QuotientType) -> tuple[AutMove, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _residues_by_order(N: int) -> dict[int, tuple[int, ...]]:
+    """The residues mod N of each order d | N, ascending, keyed by d; built once per N."""
+    by_order: dict[int, list[int]] = {}
+    for v, d in enumerate(order_table(N)):
+        by_order.setdefault(d, []).append(v)
+    return {d: tuple(vs) for d, vs in by_order.items()}
+
+
 def _free_domains(pres: PresentationSpec, N: int) -> list[tuple[int, ...]]:
     reflections = set(pres.reflection_names)
-    orders = order_table(N)
+    by_order = _residues_by_order(N)
     domains = []
     for g in pres.free:
         if g in pres.elliptic_orders:
-            want = pres.elliptic_orders[g]
-            domains.append(tuple(v for v in range(N) if orders[v] == want))
+            domains.append(by_order.get(pres.elliptic_orders[g], ()))
         elif g in reflections:
             domains.append((0, N // 2) if N % 2 == 0 else (0,))
         else:
@@ -188,12 +217,14 @@ class OrbitReport:
 
 
 def _invariants(bmap: BskMap) -> tuple[SurfaceTopology, bool | None, tuple[int, ...]]:
-    """Surface, reversal and sorted connector orders of a map; raises if it is not smooth."""
+    """Surface, reversal and sorted connector orders of a map; raises if it is not smooth.
+
+    The surface comes from ``surface_of``, the rest from the compiled point.
+    """
     surface = surface_of(bmap)
-    reversing = has_reversing_image(bmap) if surface.orientable else None
-    vec, orders = bmap.images, order_table(bmap.N)
-    connectors = presentation_of(bmap.quotient).connectors
-    return surface, reversing, tuple(sorted(orders[vec[i]] for i in connectors))
+    rules, vec = point_rules(bmap.quotient, bmap.N), bmap.images
+    reversing = rules.reversing(vec) if surface.orientable else None
+    return surface, reversing, rules.connector_orders(vec)
 
 
 @lru_cache(maxsize=None)
@@ -244,15 +275,37 @@ def _unit_normaliser(pres: PresentationSpec, N: int):
     return normalise
 
 
+@lru_cache(maxsize=None)
+def _least_units(N: int) -> tuple[tuple[int, ...], ...]:
+    """``least[v]``: the units u, ascending, with u * v = gcd(v, N) mod N.
+
+    The unit multiples of v are the residues of its order, and gcd(v, N)
+    is the least of them, so these are the units that make v least.  One
+    entry per residue, tau(N) * phi(N) units in all; built once per N.
+    """
+    unit_list, least = units(N), []
+    for v in range(N):
+        d = math.gcd(v, N) % N
+        least.append(tuple(u for u in unit_list if u * v % N == d))
+    return tuple(least)
+
+
 def _least_multiple(vec: tuple[int, ...], order: tuple[int, ...], N: int) -> tuple[int, ...]:
-    """The least of the unit multiples u * vec, read at the positions ``order``."""
-    candidates = units(N)
-    for i in order:
-        least = min(u * vec[i] % N for u in candidates)
-        candidates = [u for u in candidates if u * vec[i] % N == least]
+    """The least of the unit multiples u * vec, read at the positions ``order``.
+
+    The first position's least multiple and its units come from
+    ``_least_units``; each later position keeps the units that make its
+    image least among those left.
+    """
+    candidates = _least_units(N)[vec[order[0]]]
+    for i in order[1:]:
         if len(candidates) == 1:
             break
-    return tuple(candidates[0] * vec[i] % N for i in order)
+        v = vec[i]
+        least = min([u * v % N for u in candidates])
+        candidates = [u for u in candidates if u * v % N == least]
+    u = candidates[0]
+    return tuple([u * vec[i] % N for i in order])
 
 
 def orbit_count(maps: list[BskMap], moves: tuple[AutMove, ...], N: int) -> OrbitReport:
@@ -422,10 +475,13 @@ def cross_check(kinds=None, n_max: int = 24, jobs: int = 1) -> CrossCheckReport:
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got jobs={jobs}")
     points = check_points(kinds, n_max)
-    if jobs > 1:
+    # the fork start method starts all max_workers processes at the first
+    # submit, so the pool is no larger than the points or the CPUs
+    workers = min(jobs, len(points), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(check_point, *zip(*points), chunksize=8))
     else:
         results = [check_point(q, N) for q, N in points]

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import pytest
 
@@ -10,14 +11,16 @@ from necsurf.bsk import (
     PointRules,
     action_reverses_orientation,
     boundary_count,
+    has_reversing_image,
     is_smooth,
     orientability,
+    point_rules,
     presentation_of,
     smoothness_failures,
     surface_of,
 )
 from necsurf.oracle import _free_domains, oracle_report
-from necsurf.signatures import FAMILIES, NecSignature, QuotientType, presentation
+from necsurf.signatures import FAMILIES, NecSignature, QuotientType, SurfaceTopology, presentation
 
 
 def bmap(kind, N, images, **params):
@@ -162,6 +165,74 @@ def test_rules_compiled_from_signatures_outside_the_catalog():
         presentation(NecSignature(1, True, (3,), ((),)))
     with pytest.raises(AssertionError, match="no period cycle"):
         presentation(NecSignature(1, False))
+
+
+def orientability_reference(bmap):
+    """The non-orientable-word test on a ``BskMap``, reading its quotient's spec.
+
+    The body ``orientability`` had before it read the compiled point, kept
+    as the reference of ``PointRules.orientable``.
+    """
+    pres = presentation_of(bmap.quotient)
+    vec = bmap.images
+    reversing = [vec[i] for i in pres.glides] + [vec[i] for i in pres.reflections if vec[i]]
+    if not reversing:
+        return True
+    w = reversing[0]
+    gens = [vec[i] for i in pres.preserving] + [x - w for x in reversing[1:]] + [2 * w]
+    d = math.gcd(bmap.N, *gens)
+    return w % d != 0
+
+
+def boundary_count_reference(bmap):
+    """The per-cycle boundary transfer on a ``BskMap``: the body ``boundary_count``
+    had before it read the compiled point, kept as the reference of
+    ``PointRules.boundary_count``."""
+    pres = presentation_of(bmap.quotient)
+    N, vec = bmap.N, bmap.images
+    total = 0
+    for ring, connector in zip(pres.rings, pres.connectors):
+        length = len(ring) - 1
+        if length:
+            assert length * N % 4 == 0, f"cycle contribution {length}*{N}/4 is not integral"
+            total += length * N // 4
+        elif vec[ring[0]] == 0:
+            total += math.gcd(vec[connector], N)  # N / order(theta(e))
+    return total
+
+
+def test_compiled_invariants_match_map_based_reference(smooth_maps_48):
+    """On every smooth map with N <= 48 the compiled point's orientability, boundary
+    count, reversal and surface equal the ``BskMap``-based bodies and Hurwitz-Riemann
+    at the family's point genus; the public functions read the compiled point."""
+    checked = 0
+    for (q, N), maps in smooth_maps_48.items():
+        rules, p = point_rules(q, N), FAMILIES[q.kind].point_genus(q.m, q.n, N)
+        pres = presentation_of(q)
+        assert rules.genus == p
+        for seen, bmap in enumerate(maps):
+            vec = bmap.images
+            orientable, k = orientability_reference(bmap), boundary_count_reference(bmap)
+            reversing = bool(pres.glides) or any(vec[i] for i in pres.reflections)
+            invariants = (orientable, k, reversing, SurfaceTopology.of_genus(orientable, p, k))
+            compiled = (rules.orientable(vec), rules.boundary_count(vec), rules.reversing(vec),
+                        rules.surface(vec))
+            assert compiled == invariants, bmap
+            if seen < 2:
+                public = (orientability(bmap), boundary_count(bmap), has_reversing_image(bmap),
+                          surface_of(bmap))
+                assert public == invariants, bmap
+            checked += 1
+    assert checked == 120887
+
+
+def test_boundary_count_asserts_an_integral_cycle_contribution():
+    """d6 at N = 3: a six-corner cycle would contribute 6*3/4 boundary components."""
+    odd = BskMap(QuotientType("d6"), 3, (0,) * 8)
+    with pytest.raises(AssertionError, match=r"cycle contribution 6\*3/4 is not integral"):
+        boundary_count(odd)
+    with pytest.raises(AssertionError, match=r"cycle contribution 6\*3/4 is not integral"):
+        boundary_count_reference(odd)
 
 
 def test_orientability_examples():

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, formats, exit codes."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from necsurf import oracle
 from necsurf.cli import main
+from test_oracle import FakePool
 
 
 def run(capsys, *argv):
@@ -190,6 +192,19 @@ def test_verify_rejects_jobs_below_one_before_any_work(capsys, monkeypatch):
     for jobs in ("0", "-3"):
         code, out, err = run(capsys, "verify", "--n-max", "4", "--jobs", jobs)
         assert code == 2 and "jobs" in err and not out, jobs
+
+
+def test_verify_jobs_forks_no_more_workers_than_points(capsys, monkeypatch):
+    """``verify --types d6 --n-max 4 --jobs 5000`` has 3 points and asks for a pool
+    of 3; the executor is a serial fake, so no process starts."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+    serial = run(capsys, "verify", "--types", "d6", "--n-max", "4", "--format", "json")
+    assert FakePool.sizes == [] and serial[0] == 0
+    assert run(capsys, "verify", "--types", "d6", "--n-max", "4", "--format", "json",
+               "--jobs", "5000") == serial
+    assert FakePool.sizes == [3]
 
 
 def test_verify_rejects_csv_before_any_work(capsys, monkeypatch):

@@ -1,7 +1,9 @@
 """Enumeration, orbit counting, and the oracle-vs-formula cross-check."""
 
+import concurrent.futures
 import itertools
 import math
+import random
 import re
 import subprocess
 import sys
@@ -24,7 +26,7 @@ from necsurf.oracle import (
     orbit_count,
 )
 from necsurf.signatures import QuotientType
-from necsurf.zmod import crt_solve, euler_phi, factorize, order_mod, order_table, units
+from necsurf.zmod import crt_solve, divisors, euler_phi, factorize, order_mod, order_table, units
 
 
 def full_smooth(q, N):
@@ -101,6 +103,44 @@ def unit_normaliser_reference(pres, N):
         return tuple(u * v % N for v in vec)
 
     return normalise
+
+
+def least_multiple_reference(vec, order, N):
+    """The least unit multiple of ``vec`` at the positions ``order``, by a scan of every unit.
+
+    The body ``oracle._least_multiple`` had before it started from the
+    per-N table ``oracle._least_units``, kept as its reference.
+    """
+    candidates = units(N)
+    for i in order:
+        least = min(u * vec[i] % N for u in candidates)
+        candidates = [u for u in candidates if u * vec[i] % N == least]
+        if len(candidates) == 1:
+            break
+    return tuple(candidates[0] * vec[i] % N for i in order)
+
+
+def apply_reference(move, vector, N):
+    """A move's image by its definition: every row summed, the identity rows included."""
+    return tuple(sum(c * vector[src] for c, src in row) % N for row in move.rows)
+
+
+class FakePool:
+    """Stands in for ``ProcessPoolExecutor``: records each pool's size and maps serially."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
 
 
 def orientability_case_rule(bmap: BskMap) -> bool:
@@ -425,6 +465,93 @@ def test_unit_normaliser_matches_dict_reference():
     assert vectors > 100_000
 
 
+def test_least_multiple_matches_scan_reference():
+    """On every canonical map of every point with N <= 48, read at all positions and
+    at the free ones, and on seeded raw vectors whose first entry is zero, a non-unit
+    or any residue, read in a shuffled order of some of their positions."""
+    maps = 0
+    for q, N in check_points(None, 48):
+        pres = presentation_of(q)
+        everything = tuple(range(len(pres.gens)))
+        for m in enumerate_smooth(q, N):
+            for order in (everything, pres.free_positions):
+                want = least_multiple_reference(m.images, order, N)
+                assert oracle._least_multiple(m.images, order, N) == want, (q, N, m, order)
+            maps += 1
+    assert maps == 7583
+    rng = random.Random(20261019)
+    for N in range(2, ORACLE_MAX_N + 1):
+        non_units = [v for v in range(2, N) if math.gcd(v, N) > 1] or [0]
+        for first in (0, rng.choice(non_units), rng.randrange(N)):
+            for _ in range(4):
+                vec = (first, *(rng.randrange(N) for _ in range(rng.randint(0, 6))))
+                order = (0, *rng.sample(range(1, len(vec)), rng.randint(0, len(vec) - 1)))
+                got = oracle._least_multiple(vec, order, N)
+                assert got == least_multiple_reference(vec, order, N), (N, vec, order)
+    assert oracle._least_multiple((0, 0, 0), (0, 1, 2), 12) == (0, 0, 0)
+
+
+def test_least_units_table_matches_definition():
+    """``_least_units(N)[v]`` is every unit u with u * v = gcd(v, N) mod N, and that
+    residue is the least unit multiple of v: tau(N) * phi(N) units per N."""
+    for N in range(2, ORACLE_MAX_N + 1):
+        table = oracle._least_units(N)
+        assert len(table) == N
+        for v in range(N):
+            d = math.gcd(v, N)
+            assert table[v] == tuple(u for u in units(N) if (u * v - d) % N == 0), (N, v)
+            assert min(u * v % N for u in units(N)) == d % N, (N, v)
+        assert sum(map(len, table)) == len(divisors(N)) * euler_phi(N), N
+
+
+def test_residues_by_order_matches_order_scan():
+    for N in range(2, ORACLE_MAX_N + 1):
+        table = oracle._residues_by_order(N)
+        assert sorted(table) == list(divisors(N)), N
+        for d, residues in table.items():
+            assert residues == tuple(v for v in range(N) if order_mod(v, N) == d), (N, d)
+
+
+def test_compiled_moves_match_row_sums():
+    """Every move of every kind at each point with N <= 24: on its canonical maps and
+    on seeded raw vectors, ``apply`` equals the sum of every row."""
+    rng = random.Random(20261019)
+    seen = set()
+    for q, N in check_points(None, 24):
+        pres = presentation_of(q)
+        vectors = [m.images for m in enumerate_smooth(q, N)]
+        vectors += [tuple(rng.randrange(N) for _ in pres.gens) for _ in range(4)]
+        for move in moves_for(q):
+            for vec in vectors:
+                assert move.apply(vec, N) == apply_reference(move, vec, N), (q, N, move.name, vec)
+            seen.add((q.kind, move.name))
+    assert seen == {
+        ("ann1", "alpha"), ("ann1", "beta"), ("ann2", "shift1"), ("d12", "shift0"),
+        ("d14", "shift0"), ("d21", "alpha"), ("d21", "beta"), ("d2c-2m", "shift0"),
+        ("d2c-3m", "shift0"), ("d6", "shift0"), ("mb1", "delta"), ("mb1", "gamma"),
+        ("mb2", "shift0"),
+    }
+
+
+def test_cross_check_pool_is_no_larger_than_its_points_or_cpus(monkeypatch):
+    """A large ``jobs`` asks for no more workers than there are points or CPUs, and
+    a pool of one is no pool.  The executor is a serial fake: no process starts."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(FakePool, "sizes", [])
+    serial = cross_check(n_max=4)
+    points = len(serial.points)
+    assert points == 38
+    for jobs, cpus, size in ((5000, 64, points), (5000, 2, 2), (3, 64, 3), (5000, None, None)):
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+        FakePool.sizes.clear()
+        assert cross_check(n_max=4, jobs=jobs) == serial, (jobs, cpus)
+        assert FakePool.sizes == ([size] if size else []), (jobs, cpus)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 64)
+    FakePool.sizes.clear()
+    assert len(cross_check(kinds=["d6"], n_max=2, jobs=5000).points) == 1
+    assert FakePool.sizes == []
+
+
 def test_order_table_matches_order_mod():
     for N in range(1, ORACLE_MAX_N + 1):
         assert len(order_table(N)) == N
@@ -455,10 +582,16 @@ def test_caches_are_bounded_per_point_and_empty_at_import():
     probe = (
         "import necsurf.cli, necsurf.oracle as o, necsurf.bsk as b, necsurf.zmod as z; "
         "print(*(f.cache_info().currsize for f in "
-        "(z.order_table, o._unit_scales, b.presentation_of, b.point_rules)))"
+        "(z.order_table, o._unit_scales, o._least_units, o._residues_by_order, "
+        "b.presentation_of, b.point_rules)))"
     )
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["0"] * 4
+    assert out.stdout.split() == ["0"] * 6
+    # the per-point memo of surfaces lives on the compiled point, in its LRU
+    q, N = QuotientType("ann1", m=12), 12
+    oracle_report(q, N)
+    assert point_rules(q, N)._surfaces
+    assert set(point_rules(q, N)._surfaces.values()) == {o.surface for o in oracle_report(q, N).orbits}
 
 
 def test_orbit_count_unit_and_invariant_assertions_fire(monkeypatch):
