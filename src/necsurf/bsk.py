@@ -39,8 +39,8 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .signatures import FAMILIES, PresentationSpec, QuotientType, SurfaceTopology, presentation
 from .zmod import order_table
@@ -55,19 +55,31 @@ def presentation_of(q: QuotientType) -> PresentationSpec:
     return presentation(q.signature())
 
 
-@dataclass(frozen=True)
-class BskMap:
-    """Residues mod N for the canonical generators, in ``gens`` order: one each, in 0..N-1."""
-
+class _BskMapFields(NamedTuple):
     quotient: QuotientType
     N: int
     images: tuple[int, ...]
 
-    def __post_init__(self):
-        vec, gens = self.images, presentation_of(self.quotient).gens
-        if len(vec) != len(gens) or min(vec) < 0 or max(vec) >= self.N:
-            want = f"one residue in 0..{self.N - 1} per generator {gens}"
-            raise ValueError(f"{self.quotient} needs {want}, got {vec}")
+
+class BskMap(_BskMapFields):
+    """Residues mod N for the canonical generators, in ``gens`` order: one each, in 0..N-1.
+
+    An immutable, checked tuple of its fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, quotient: QuotientType, N: int, images: tuple[int, ...]) -> "BskMap":
+        gens = presentation_of(quotient).gens
+        if len(images) != len(gens) or min(images) < 0 or max(images) >= N:
+            want = f"one residue in 0..{N - 1} per generator {gens}"
+            raise ValueError(f"{quotient} needs {want}, got {images}")
+        return tuple.__new__(cls, (quotient, N, images))
+
+    @classmethod
+    def _make(cls, fields) -> "BskMap":
+        """Build through ``__new__``, so that ``_make`` and ``_replace`` keep its check."""
+        return cls(*fields)
 
     @classmethod
     def from_dict(cls, quotient: QuotientType, N: int, images: dict[str, int]) -> "BskMap":

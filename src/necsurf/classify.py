@@ -34,7 +34,6 @@ solves those at one genus p from the Hurwitz-Riemann equation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .signatures import (
@@ -78,17 +77,35 @@ class Realization(_RealizationFields):
         return cls(*fields)
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class _ResultFields(NamedTuple):
     quotient: QuotientType
     order: int  # the order N of the acting cyclic group
     exists: bool
     class_count: int
     realizations: tuple[Realization, ...] = ()
 
-    def __post_init__(self):
-        assert self.exists == (self.class_count >= 1)
-        assert self.class_count == sum(r.count for r in self.realizations)
+
+class ClassificationResult(_ResultFields):
+    """The realizations of one quotient at one order: an immutable, checked tuple."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        quotient: QuotientType,
+        order: int,
+        exists: bool,
+        class_count: int,
+        realizations: tuple[Realization, ...] = (),
+    ) -> "ClassificationResult":
+        assert exists == (class_count >= 1)
+        assert class_count == sum(r.count for r in realizations)
+        return tuple.__new__(cls, (quotient, order, exists, class_count, realizations))
+
+    @classmethod
+    def _make(cls, fields) -> "ClassificationResult":
+        """Build through ``__new__``, so that ``_make`` and ``_replace`` keep its checks."""
+        return cls(*fields)
 
 
 def _ceil_half(x: int) -> int:

@@ -22,7 +22,7 @@ which is what makes the ten-family catalog exhaustive for these problems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classify import ActionRecord, actions_for_order, genera_for_order
 from .zmod import is_prime, smallest_prime_factor
@@ -31,8 +31,9 @@ MIN_GENUS_VARIANTS = ("p", "p+", "p-", "p++", "p+-")
 MAX_ORDER_VARIANTS = ("N", "N+", "N-", "N++", "N+-")
 
 
-@dataclass(frozen=True)
-class ExtremalAnswer:
+class ExtremalAnswer(NamedTuple):
+    """The extremal value of one query variant and its realizers, as an immutable tuple."""
+
     query: str  # "min-genus" or "max-order"
     variant: str
     argument: int  # the fixed N (min-genus) or fixed p (max-order)

@@ -48,8 +48,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .bsk import BskMap, point_rules, presentation_of, surface_of
 from .classify import classification_buckets, parameter_space
@@ -59,8 +59,12 @@ from .zmod import crt_solve, euler_phi, factorize, order_table, unit_generators,
 ORACLE_MAX_N = 192
 
 
-@dataclass(frozen=True)
-class AutMove:
+class _MoveFields(NamedTuple):
+    name: str
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+
+
+class AutMove(_MoveFields):
     """An outer automorphism move, recorded additively on image vectors.
 
     Because the target is abelian, a substitution g -> word(generators)
@@ -68,18 +72,14 @@ class AutMove:
     (coefficient, source position) terms whose sum becomes the new image
     of the generator at position i of ``PresentationSpec.gens``.  Most
     rows are the identity ``((1, i),)``; ``changed`` keeps the others,
-    with their positions, and ``apply`` recomputes only those.
+    with their positions, and ``apply`` recomputes only those.  An
+    immutable tuple of its fields; ``changed`` is cached in an instance
+    dict, outside the fields, so it is neither compared nor shown.
     """
 
-    name: str
-    rows: tuple[tuple[tuple[int, int], ...], ...]
-    changed: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self):
-        changed = tuple((i, row) for i, row in enumerate(self.rows) if row != ((1, i),))
-        object.__setattr__(self, "changed", changed)
+    @cached_property
+    def changed(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        return tuple((i, row) for i, row in enumerate(self.rows) if row != ((1, i),))
 
     def apply(self, vector: tuple[int, ...], N: int) -> tuple[int, ...]:
         out = list(vector)
@@ -191,8 +191,7 @@ def enumerate_smooth(q: QuotientType, N: int) -> list[BskMap]:
     return out
 
 
-@dataclass(frozen=True)
-class OrbitInfo:
+class OrbitInfo(NamedTuple):
     representative: BskMap
     size: int
     surface: SurfaceTopology
@@ -200,8 +199,7 @@ class OrbitInfo:
     connector_orders: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     quotient: QuotientType | None
     N: int
     map_count: int
@@ -394,8 +392,7 @@ def oracle_report(q: QuotientType, N: int) -> OrbitReport:
 
 # --- cross-checking against the closed forms -------------------------------
 
-@dataclass(frozen=True)
-class CheckPoint:
+class CheckPoint(NamedTuple):
     quotient: QuotientType
     N: int
     ok: bool
@@ -414,8 +411,7 @@ class CheckPoint:
         )
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     points: tuple[CheckPoint, ...]
 
     @property

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -27,22 +26,39 @@ from typing import NamedTuple
 from .zmod import divisors
 
 
-@dataclass(frozen=True)
-class NecSignature:
+class _SignatureFields(NamedTuple):
     genus: int
     orientable: bool
     proper_periods: tuple[int, ...] = ()
     period_cycles: tuple[tuple[int, ...], ...] = ()
 
-    def __post_init__(self):
-        if self.genus < 0:
+
+class NecSignature(_SignatureFields):
+    """An NEC signature: an immutable, checked tuple of its fields."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        genus: int,
+        orientable: bool,
+        proper_periods: tuple[int, ...] = (),
+        period_cycles: tuple[tuple[int, ...], ...] = (),
+    ) -> "NecSignature":
+        if genus < 0:
             raise ValueError("orbit genus must be >= 0")
-        if not self.orientable and self.genus < 1:
+        if not orientable and genus < 1:
             raise ValueError("sign '-' requires orbit genus >= 1")
-        if any(m < 2 for m in self.proper_periods):
+        if any(m < 2 for m in proper_periods):
             raise ValueError("proper periods must be >= 2")
-        if any(n < 2 for cycle in self.period_cycles for n in cycle):
+        if any(n < 2 for cycle in period_cycles for n in cycle):
             raise ValueError("link periods must be >= 2")
+        return tuple.__new__(cls, (genus, orientable, proper_periods, period_cycles))
+
+    @classmethod
+    def _make(cls, fields) -> "NecSignature":
+        """Build through ``__new__``, so that ``_make`` and ``_replace`` keep its checks."""
+        return cls(*fields)
 
     @property
     def epsilon(self) -> int:
@@ -109,23 +125,7 @@ def check_arguments(kind: str, takes: tuple[str, ...], **given) -> None:
 PosTerms = tuple[tuple[int, int], ...]  # (coefficient, generator position) terms
 
 
-@dataclass(frozen=True)
-class PresentationSpec:
-    """The canonical presentation of an NEC group, abelianised for Z_N.
-
-    ``presentation`` builds it from a signature alone.  Its relation
-    fields hold positions in ``gens``, the order of a map's residue vector.
-    ``elliptic`` lists the elliptic generators in the order of the proper
-    periods; their relations x^m are ``elliptic_orders``, a read-only
-    mapping keyed by name, as ``bsk.presentation_of`` shares one spec.
-    Each period cycle has one of ``connectors`` and one of ``rings``: its
-    reflections in order, closed by the tail c_s = c_0, or the single
-    reflection of an empty cycle.  The rings give the reflections' squares
-    and ``corners``; the other relation is ``long_relation``.  ``derived``
-    expresses the generators those relations determine (the last
-    connector and each cycle's tail) through the free ones.
-    """
-
+class _PresentationFields(NamedTuple):
     gens: tuple[str, ...]
     elliptic: tuple[int, ...]
     elliptic_orders: Mapping[str, int]
@@ -138,6 +138,25 @@ class PresentationSpec:
     long_relation: PosTerms
     # (dependent position, its terms in the free positions)
     derived: tuple[tuple[int, PosTerms], ...]
+
+
+class PresentationSpec(_PresentationFields):
+    """The canonical presentation of an NEC group, abelianised for Z_N.
+
+    ``presentation`` builds it from a signature alone.  Its relation
+    fields hold positions in ``gens``, the order of a map's residue vector.
+    ``elliptic`` lists the elliptic generators in the order of the proper
+    periods; their relations x^m are ``elliptic_orders``, a read-only
+    mapping keyed by name, as ``bsk.presentation_of`` shares one spec.
+    Each period cycle has one of ``connectors`` and one of ``rings``: its
+    reflections in order, closed by the tail c_s = c_0, or the single
+    reflection of an empty cycle.  The rings give the reflections' squares
+    and ``corners``; the other relation is ``long_relation``.  ``derived``
+    expresses the generators those relations determine (the last
+    connector and each cycle's tail) through the free ones.  An immutable
+    tuple of its fields; the derived positions below are cached in an
+    instance dict, outside the fields.
+    """
 
     def complete(self, free_images: Sequence[int], N: int) -> tuple[int, ...]:
         """The residue vector with ``free_images`` at the ``free`` generators, in their order."""
@@ -231,8 +250,21 @@ def presentation(sig: NecSignature) -> PresentationSpec:
 Term = tuple[int, str]  # (coefficient, generator) in an additive expression
 
 
-@dataclass(frozen=True)
-class Family:
+class _FamilyFields(NamedTuple):
+    kind: str
+    number: int  # catalog family number
+    description: str  # of the catalog family
+    genus: int
+    orientable: bool
+    periods: tuple[int, ...]
+    params: tuple[str, ...]
+    cycles: tuple[tuple[int, ...], ...]
+    moves: tuple[tuple[str, dict[str, tuple[Term, ...]]], ...] = ()
+    full_moves: bool = False
+    classify_args: tuple[str, ...] = ()
+
+
+class Family(_FamilyFields):
     """Everything the package knows about one quotient kind but its counting formula.
 
     The quotient signature is (genus; sign; periods; cycles); its proper
@@ -245,20 +277,9 @@ class Family:
     generator to one of another order does not apply.  ``full_moves`` says
     they generate the whole outer automorphism group.  ``classify_args``
     are the extra arguments ``classify`` needs: the boundary count "k" and
-    the "orientable" flag of the covered surface.
+    the "orientable" flag of the covered surface.  An immutable tuple of
+    its fields; the derived values below are cached in an instance dict.
     """
-
-    kind: str
-    number: int  # catalog family number
-    description: str  # of the catalog family
-    genus: int
-    orientable: bool
-    periods: tuple[int, ...]
-    params: tuple[str, ...]
-    cycles: tuple[tuple[int, ...], ...]
-    moves: tuple[tuple[str, dict[str, tuple[Term, ...]]], ...] = ()
-    full_moves: bool = False
-    classify_args: tuple[str, ...] = ()
 
     @cached_property
     def order_is_forced(self) -> bool:
@@ -400,25 +421,39 @@ class Family:
         ]
 
 
-@dataclass(frozen=True)
-class QuotientType:
-    """One of the ten quotient-orbifold families, with its cone orders."""
-
+class _QuotientFields(NamedTuple):
     kind: str
     m: int | None = None
     n: int | None = None
 
-    def __post_init__(self):
-        fam = FAMILIES.get(self.kind)
+
+class QuotientType(_QuotientFields):
+    """One of the ten quotient-orbifold families, with its cone orders.
+
+    An immutable, checked tuple of its fields: it hashes and compares by
+    value, in C, as the oracle's LRU lookups need.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, m: int | None = None, n: int | None = None) -> "QuotientType":
+        self = tuple.__new__(cls, (kind, m, n))
+        fam = FAMILIES.get(kind)
         if fam is None:
-            raise ValueError(f"unknown quotient kind {self.kind!r}")
-        check_arguments(self.kind, fam.params, m=self.m, n=self.n)
-        if self.m is not None and not fam.admits(self.m, self.n):
-            order = f"{fam.least_cone} <= m" + (" <= n" if self.n is not None else "")
+            raise ValueError(f"unknown quotient kind {kind!r}")
+        check_arguments(kind, fam.params, m=m, n=n)
+        if m is not None and not fam.admits(m, n):
+            order = f"{fam.least_cone} <= m" + (" <= n" if n is not None else "")
             raise ValueError(
-                f"{self.label()} is outside the catalog: the cone orders of {self.kind} "
+                f"{self.label()} is outside the catalog: the cone orders of {kind} "
                 f"ascend ({order}) and the area lies in (0, 1)"
             )
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "QuotientType":
+        """Build through ``__new__``, so that ``_make`` and ``_replace`` keep its checks."""
+        return cls(*fields)
 
     def signature(self) -> NecSignature:
         fam = FAMILIES[self.kind]

@@ -3,10 +3,12 @@
 import concurrent.futures
 import itertools
 import math
+import os
 import random
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -585,7 +587,10 @@ def test_caches_are_bounded_per_point_and_empty_at_import():
         "(z.order_table, o._unit_scales, o._least_units, o._residues_by_order, "
         "b.presentation_of, b.point_rules)))"
     )
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
     assert out.stdout.split() == ["0"] * 6
     # the per-point memo of surfaces lives on the compiled point, in its LRU
     q, N = QuotientType("ann1", m=12), 12

@@ -6,7 +6,7 @@ only; the package itself does not need them.
 """
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -132,9 +132,9 @@ def _with_periods(sig: NecSignature, r: int, hi: int) -> list[NecSignature]:
         return [sig] if 0 < area(sig) < 1 else []
     out = []
     for m in range(max(sig.proper_periods, default=2), hi + 1):
-        if area(replace(sig, proper_periods=sig.proper_periods + (m,) * r)) >= 1:
+        if area(sig._replace(proper_periods=sig.proper_periods + (m,) * r)) >= 1:
             break
-        out += _with_periods(replace(sig, proper_periods=sig.proper_periods + (m,)), r - 1, hi)
+        out += _with_periods(sig._replace(proper_periods=sig.proper_periods + (m,)), r - 1, hi)
     return out
 
 
