@@ -201,20 +201,29 @@ def _d21(q: QuotientType, N: int, p: int) -> list[Realization]:
     that Z_N is generated by elements of orders m, n, N/k summing to zero.
     For t = gcd(m, n) it amounts to k | t, gcd(k, N/t) = 1, and k even
     when N is even with N/t odd (so that exactly one of N/m, N/n, N/k is
-    even).  So k runs over the divisors of biggest_coprime_divisor(t, N/t),
-    and ``harvey_check`` decides each.  The cover is always orientable and
-    orientation-preserving.  The Maclachlan decomposition (A, A1, A2, A3)
-    of (m, n, N/k) has A = t/k and A1*A2*A3 = N/A, and ``_pair_count``
-    counts the classes from A; for m = n the maps pair off under inversion
-    with multiplier k.
+    even).  So k runs over the divisors of biggest_coprime_divisor(t, N/t).
+
+    ``harvey_check`` and ``maclachlan`` each run once per point, at k = 1.
+    Every k of the set divides t and is coprime to N/t, so the lcm
+    conditions of (m, n, N/k) hold by construction and only the parity is
+    left.  N/m and N/n are coprime, so at most one of them is even.  When
+    N is odd, or N/t is even, every k of the set is odd, and the k = 1
+    test ``harvey_check(m, n, N, N)`` passes; when N is even and N/t odd,
+    that test fails and exactly the even k pass.  So k passes iff (k odd)
+    equals the one test.  The Maclachlan decomposition of (m, n, N) has
+    A = t, and that of (m, n, N/k) has A = t/k and A1*A2*A3 = N/A, from
+    which ``_pair_count`` counts the classes.  The cover is always
+    orientable and orientation-preserving; for m = n the maps pair off
+    under inversion with multiplier k.
     """
     m, n = q.m, q.n
-    t = math.gcd(m, n)
+    t = maclachlan(m, n, N).a
+    odd_k_pass = harvey_check(m, n, N, N)
     reals = []
     for k in divisors(biggest_coprime_divisor(t, N // t)):
-        if not harvey_check(m, n, N // k, N):
+        if (k % 2 == 1) != odd_k_pass:
             continue
-        count = _pair_count(maclachlan(m, n, N // k).a, N, m == n, k)
+        count = _pair_count(t // k, N, m == n, k)
         reals.append(Realization(SurfaceTopology.of_genus(True, p, k), count, reversing=False))
     return reals
 
@@ -270,9 +279,11 @@ def _ann1(q: QuotientType, N: int, p: int) -> list[Realization]:
 
     The k-sets are those of ``_cover_boundary_bases``.  The splittings
     are the coprime pairs n1 <= n2 of divisors of m*, found as
-    n2 | biggest_coprime_divisor(m*, n1).  At each k the realizations come
-    in the order mirror (kind 1), the splittings by n1, then the
-    non-orientable one.
+    n2 | biggest_coprime_divisor(m*, n1).  The parity rule is hoisted
+    out of the splitting loop: ``all_odd`` (N even and N/m odd) is worked
+    out once per point, and each splitting then tests only n1 and n2.  At
+    each k the realizations come in the order mirror (kind 1), the
+    splittings by n1, then the non-orientable one.
     """
     m = q.m
     m_star, half_base = _cover_boundary_bases(m, N)
@@ -283,11 +294,12 @@ def _ann1(q: QuotientType, N: int, p: int) -> list[Realization]:
             surf = SurfaceTopology.of_genus(True, p, k)
             count = euler_phi(math.gcd(m, N // k))
             by_k[k] = [Realization(surf, count, reversing=True, label="mirror")]
+    all_odd = N % 2 == 0 and (N // m) % 2 == 1
     for n1 in single:
         for n2 in divisors(biggest_coprime_divisor(m_star, n1)):
             if n2 < n1:
                 continue
-            if N % 2 == 0 and all(v % 2 != 0 for v in (N // m, n1, n2)):
+            if all_odd and n1 % 2 and n2 % 2:
                 continue
             k = n1 + n2
             count = _pair_count(m // (n1 * n2), N, k == 2, N // m)

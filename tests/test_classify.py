@@ -24,7 +24,9 @@ from necsurf.classify import (
 from necsurf.signatures import (
     FAMILIES, Family, QuotientType, SurfaceTopology, kernel_algebraic_genus,
 )
-from necsurf.zmod import biggest_coprime_divisor, divisors, euler_phi, psi
+from necsurf.zmod import (
+    biggest_coprime_divisor, divisors, euler_phi, harvey_check, maclachlan, psi,
+)
 
 
 @pytest.fixture
@@ -407,6 +409,42 @@ def test_all_k_formulas_match_per_k_reference():
     assert calls > 50000
 
 
+TAIL_ORDERS = (720, 2520, 5040)
+
+
+def test_d21_per_point_rule_matches_per_k_calls():
+    """``_d21`` calls ``harvey_check`` and ``maclachlan`` once per point, at
+    k = 1, and reads every k off them.  At every d21 point and every k of
+    its set, the per-k calls it replaces agree: the Harvey test at N/k is
+    (k odd) == the k = 1 test, and the decomposition's A at N/k is t // k,
+    with t = A at k = 1 = gcd(m, n)."""
+    checks = 0
+    for N in itertools.chain(range(2, 401), TAIL_ORDERS):
+        for m, n, _ in FAMILIES["d21"].points(N):
+            t = maclachlan(m, n, N).a
+            assert t == math.gcd(m, n), (m, n, N)
+            odd_k_pass = harvey_check(m, n, N, N)
+            for k in divisors(biggest_coprime_divisor(t, N // t)):
+                assert harvey_check(m, n, N // k, N) == ((k % 2 == 1) == odd_k_pass), (m, n, N, k)
+                assert maclachlan(m, n, N // k).a == t // k, (m, n, N, k)
+                checks += 1
+    assert checks > 10000
+
+
+def test_all_k_formulas_match_per_k_reference_at_tail_orders():
+    """The one-pass formulas of mb1, ann1 and d21 equal their per-k
+    references at every catalog point of the divisor-rich tail orders,
+    beyond the exhaustive N <= 60 of ``test_all_k_formulas_match_per_k_reference``."""
+    points = 0
+    for N in TAIL_ORDERS:
+        for kind in PER_K:
+            for m, n, _ in FAMILIES[kind].points(N):
+                q = QuotientType(kind, m, n)
+                assert results_for(q, N) == reference_results(q, N), (q, N)
+                points += 1
+    assert points == 696
+
+
 def test_enumeration_at_order_two():
     records = actions_for_order(2)
     assert len(records) == 14
@@ -415,10 +453,6 @@ def test_enumeration_at_order_two():
 
 def test_realized_counts_satisfy_harvey():
     """Whenever d21 classes exist, the three orders pass the generation test."""
-    import math
-
-    from necsurf.zmod import harvey_check
-
     for N in range(2, 41):
         for m in (d for d in range(2, N + 1) if N % d == 0):
             for n in (d for d in range(m, N + 1) if N % d == 0):  # d21 takes m <= n
