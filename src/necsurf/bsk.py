@@ -43,7 +43,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .signatures import FAMILIES, PresentationSpec, QuotientType, SurfaceTopology, presentation
-from .zmod import order_table
+from .zmod import _Checked, order_table
 
 
 @lru_cache(maxsize=64)
@@ -61,7 +61,7 @@ class _BskMapFields(NamedTuple):
     images: tuple[int, ...]
 
 
-class BskMap(_BskMapFields):
+class BskMap(_Checked, _BskMapFields):
     """Residues mod N for the canonical generators, in ``gens`` order: one each, in 0..N-1.
 
     An immutable, checked tuple of its fields.
@@ -75,11 +75,6 @@ class BskMap(_BskMapFields):
             want = f"one residue in 0..{N - 1} per generator {gens}"
             raise ValueError(f"{quotient} needs {want}, got {images}")
         return tuple.__new__(cls, (quotient, N, images))
-
-    @classmethod
-    def _make(cls, fields) -> "BskMap":
-        """Build through ``__new__``, so that ``_make`` and ``_replace`` keep its check."""
-        return cls(*fields)
 
     @classmethod
     def from_dict(cls, quotient: QuotientType, N: int, images: dict[str, int]) -> "BskMap":

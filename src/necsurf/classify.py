@@ -40,7 +40,7 @@ from .signatures import (
     FAMILIES, QuotientType, SurfaceTopology, check_arguments, kernel_algebraic_genus,
 )
 from .zmod import (
-    biggest_coprime_divisor, divisors, euler_phi, factorize, harvey_check, maclachlan, psi,
+    _Checked, biggest_coprime_divisor, divisors, euler_phi, factorize, harvey_check, maclachlan, psi
 )
 
 
@@ -51,7 +51,7 @@ class _RealizationFields(NamedTuple):
     label: str = ""
 
 
-class Realization(_RealizationFields):
+class Realization(_Checked, _RealizationFields):
     """One realized surface with its class count.
 
     ``reversing`` records, for orientable surfaces, whether the generators
@@ -71,11 +71,6 @@ class Realization(_RealizationFields):
         assert count >= 1, f"a realization without classes: {self}"
         return self
 
-    @classmethod
-    def _make(cls, fields) -> "Realization":
-        """Build through ``__new__``, so that ``_make`` and ``_replace`` keep its check."""
-        return cls(*fields)
-
 
 class _ResultFields(NamedTuple):
     quotient: QuotientType
@@ -85,7 +80,7 @@ class _ResultFields(NamedTuple):
     realizations: tuple[Realization, ...] = ()
 
 
-class ClassificationResult(_ResultFields):
+class ClassificationResult(_Checked, _ResultFields):
     """The realizations of one quotient at one order: an immutable, checked tuple."""
 
     __slots__ = ()
@@ -101,11 +96,6 @@ class ClassificationResult(_ResultFields):
         assert exists == (class_count >= 1)
         assert class_count == sum(r.count for r in realizations)
         return tuple.__new__(cls, (quotient, order, exists, class_count, realizations))
-
-    @classmethod
-    def _make(cls, fields) -> "ClassificationResult":
-        """Build through ``__new__``, so that ``_make`` and ``_replace`` keep its checks."""
-        return cls(*fields)
 
 
 def _ceil_half(x: int) -> int:

@@ -27,16 +27,17 @@ and moves.  The surface invariants are computed on every canonical map
 and asserted constant on each orbit.  The product search over every
 smooth map is the tests' reference for the canonical enumeration.
 
-Each point's rules and invariants are compiled once (``bsk.point_rules``):
-the enumeration's leaves and the unit-generator checks take only the
-first failure, so a ``BskMap`` is built only for a map that is kept or
-inside a failing assertion's message, and ``_invariants`` reads the
-surface, reversal and connector orders of each map off the compiled
-point.  Each move keeps the rows that differ from the identity, and its
-``apply`` recomputes only those.  Per-N tables, built on first use and
-kept, since N is at most ``ORACLE_MAX_N``: the element orders
-(``zmod.order_table``) and the residues of each order
-(``_residues_by_order``), which give the elliptic generators' domains;
+A map is its residue vector, read against one compiled point
+(``bsk.point_rules``); ``canonical_vectors`` searches any bordered
+signature's point, and its leaves, the unit-generator checks and
+``_invariants`` read the compiled point.  A ``BskMap`` is built only for
+each orbit's representative, whose surface ``surface_of`` must match its
+orbit's, or inside a failing assertion's message.  Each move keeps the
+rows that differ from the identity, and its ``apply`` recomputes only
+those.  Per-N tables, built on first use and kept, since N is at most
+``ORACLE_MAX_N``: the element orders (``zmod.order_table``) and the
+residues of each order (``_residues_by_order``), which give the elliptic
+generators' domains;
 per p^a || N, the scale of each residue (``_unit_scales``) that
 ``_unit_normaliser`` sums into the normalising unit; and for each
 residue v the units that take it to its least multiple gcd(v, N)
@@ -48,10 +49,10 @@ from __future__ import annotations
 
 import math
 import os
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
-from .bsk import BskMap, point_rules, presentation_of, surface_of
+from .bsk import BskMap, PointRules, point_rules, presentation_of, surface_of
 from .classify import classification_buckets, parameter_space
 from .signatures import FAMILIES, PresentationSpec, QuotientType, SurfaceTopology
 from .zmod import crt_solve, euler_phi, factorize, order_table, unit_generators, units
@@ -145,23 +146,21 @@ def _free_domains(pres: PresentationSpec, N: int) -> list[tuple[int, ...]]:
     return domains
 
 
-def enumerate_smooth(q: QuotientType, N: int) -> list[BskMap]:
-    """One smooth map per unit class for (q, N): its unit-canonical form.
+def canonical_vectors(rules: PointRules) -> list[tuple[int, ...]]:
+    """One smooth vector per unit class at any bordered signature's point: its canonical form.
 
     Every unit class has phi(N) members and exactly one canonical one
     (see ``orbit_count`` and ``_unit_normaliser``): for each p^a || N,
     its first free image that is a unit mod p is 1 mod p^a.  The search
     runs depth first over the free generators, values ascending, so the
-    maps come in ascending order of their free images; images determined
-    by relations are filled in.  At each position it keeps only the
-    values that obey the rule at the primes with no unit image yet, from
-    a table memoised on that set of primes.  A choice that leaves a prime
-    without a unit image cannot generate Z_N and is never built.
+    vectors come in ascending order of their free images; images
+    determined by relations are filled in.  At each position it keeps
+    only the values that obey the rule at the primes with no unit image
+    yet, from a table memoised on that set of primes.  A choice that
+    leaves a prime without a unit image cannot generate Z_N and is never
+    built.
     """
-    if N < 2 or N > ORACLE_MAX_N:
-        raise ValueError(f"order {N} outside the enumeration bound 2..{ORACLE_MAX_N}")
-    rules = point_rules(q, N)
-    pres = rules.pres
+    pres, N = rules.pres, rules.N
     domains = _free_domains(pres, N)
     tables: list[dict[frozenset, list]] = [{} for _ in domains]
 
@@ -182,13 +181,20 @@ def enumerate_smooth(q: QuotientType, N: int) -> list[BskMap]:
             if not pending:
                 vec = pres.complete(images, N)
                 if rules.first_failure(vec) is None:
-                    out.append(BskMap(q, N, vec))
+                    out.append(vec)
             return
         for v, rest in allowed(pos, pending):
             search(pos + 1, rest, images + (v,))
 
     search(0, frozenset((p, p**a) for p, a in factorize(N)), ())
     return out
+
+
+def enumerate_smooth(q: QuotientType, N: int) -> list[tuple[int, ...]]:
+    """``canonical_vectors`` at (q, N); a bad N raises before any per-N table is built."""
+    if N < 2 or N > ORACLE_MAX_N:
+        raise ValueError(f"order {N} outside the enumeration bound 2..{ORACLE_MAX_N}")
+    return canonical_vectors(point_rules(q, N))
 
 
 class OrbitInfo(NamedTuple):
@@ -200,7 +206,7 @@ class OrbitInfo(NamedTuple):
 
 
 class OrbitReport(NamedTuple):
-    quotient: QuotientType | None
+    quotient: QuotientType
     N: int
     map_count: int
     orbit_count: int
@@ -214,13 +220,9 @@ class OrbitReport(NamedTuple):
         return out
 
 
-def _invariants(bmap: BskMap) -> tuple[SurfaceTopology, bool | None, tuple[int, ...]]:
-    """Surface, reversal and sorted connector orders of a map; raises if it is not smooth.
-
-    The surface comes from ``surface_of``, the rest from the compiled point.
-    """
-    surface = surface_of(bmap)
-    rules, vec = point_rules(bmap.quotient, bmap.N), bmap.images
+def _invariants(rules: PointRules, vec: tuple) -> tuple[SurfaceTopology, bool | None, tuple]:
+    """Surface, reversal and sorted connector orders of a vector; raises if it is not smooth."""
+    surface = rules.surface(vec)
     reversing = rules.reversing(vec) if surface.orientable else None
     return surface, reversing, rules.connector_orders(vec)
 
@@ -306,45 +308,39 @@ def _least_multiple(vec: tuple[int, ...], order: tuple[int, ...], N: int) -> tup
     return tuple([u * vec[i] % N for i in order])
 
 
-def orbit_count(maps: list[BskMap], moves: tuple[AutMove, ...], N: int) -> OrbitReport:
-    """Orbits of theta ~ c * (theta o phi), from one smooth map per unit class.
+def orbit_count(q: QuotientType, maps: list, moves: tuple[AutMove, ...], N: int) -> OrbitReport:
+    """Orbits of theta ~ c * (theta o phi) at (q, N), from one smooth vector per unit class.
 
     Z_N^* acts freely on smooth maps: u * theta = theta means (u - 1) kills
     every image, and the images generate Z_N, so u = 1.  Each unit class
     therefore has exactly phi(N) members and one unit-canonical form
-    (``_unit_normaliser``), and ``maps`` holds those forms, as
-    ``enumerate_smooth`` returns them.  The moves are Z-linear, so they
-    commute with unit multiplication, and a union-find joins the classes
-    along the move edges; each move image is normalised before its lookup.
+    (``_unit_normaliser``), and ``maps`` holds those forms' residue
+    vectors, as ``enumerate_smooth`` returns them.  The moves are Z-linear,
+    so they commute with unit multiplication, and a union-find joins the
+    classes along the move edges; each move image is normalised first.
 
-    Asserted on the way: for every map and every generator g of Z_N^*
+    Asserted on the way: for every vector and every generator g of Z_N^*
     (``unit_generators``), g * theta is smooth and normalises back to
-    theta; every move image normalises to a map of the set; and the
-    invariants, computed on every map, are constant on each orbit.  An
-    orbit of c classes has c * phi(N) maps.  It is represented by the
-    least image vector among the unit multiples of its classes, and the
-    orbits come in order of the least free-image tuple among those
-    multiples: the order in which an ascending search over every smooth
-    map meets them first.  Maps of another order than N, of two
-    quotients, or not in unit-canonical form raise ValueError.
+    theta; every move image normalises to a vector of the set; the
+    invariants are constant on each orbit, and ``surface_of`` agrees on
+    its representative: the ``BskMap`` of the least image vector among the
+    unit multiples of its classes.  An orbit of c classes has c * phi(N)
+    maps.  The orbits come in order of the least free-image tuple among
+    those multiples: the order in which an ascending search over every
+    smooth map meets them first.  A vector not smooth at (q, N), such as
+    one of another order or quotient, or not unit-canonical raises ValueError.
     """
-    if not maps:
-        return OrbitReport(None, N, 0, 0, ())
-    q = maps[0].quotient
-    for m in maps:
-        if m.N != N or m.quotient != q:
-            raise ValueError(f"orbit_count of {q} at N={N} was given the map {m}")
-    # first, so that a map that is not smooth raises as surface_of does;
+    rules, bmap = point_rules(q, N), partial(BskMap, q, N)
+    # first, so that a vector that is not smooth raises as surface_of does;
     # equal invariants share one object, which keeps the list small
     distinct: dict[tuple, tuple] = {}
-    invariants = [distinct.setdefault(inv, inv) for inv in map(_invariants, maps)]
-    rules = point_rules(q, N)
-    pres = rules.pres
-    normalise = _unit_normaliser(pres, N)
-    for m in maps:
-        if normalise(m.images) != m.images:
-            raise ValueError(f"orbit_count of {q} at N={N} was given {m}, not in unit-canonical form")
-    index = {m.images: i for i, m in enumerate(maps)}
+    invariants = [distinct.setdefault(inv, inv) for inv in (_invariants(rules, v) for v in maps)]
+    normalise = _unit_normaliser(rules.pres, N)
+    for vec in maps:
+        if normalise(vec) != vec:
+            raise ValueError(f"orbit_count of {q} at N={N} was given {bmap(vec)}, "
+                             "not in unit-canonical form")
+    index = {vec: i for i, vec in enumerate(maps)}
     assert len(index) == len(maps)
     parent = list(range(len(maps)))
 
@@ -355,39 +351,39 @@ def orbit_count(maps: list[BskMap], moves: tuple[AutMove, ...], N: int) -> Orbit
         return c
 
     gens = unit_generators(N)
-    for i, m in enumerate(maps):
-        vec = m.images
+    for i, vec in enumerate(maps):
         for g in gens:
             scaled = tuple([g * v % N for v in vec])
             assert rules.first_failure(scaled) is None, (
-                f"equivalence left the smooth set: {BskMap(q, N, scaled)}"
+                f"equivalence left the smooth set: {bmap(scaled)}"
             )
-            assert normalise(scaled) == vec, f"{BskMap(q, N, scaled)} does not normalise to {m}"
+            assert normalise(scaled) == vec, f"{bmap(scaled)} does not normalise to {bmap(vec)}"
         for move in moves:
             moved = move.apply(vec, N)
             j = index.get(normalise(moved))
-            assert j is not None, f"equivalence left the smooth set: {BskMap(q, N, moved)}"
+            assert j is not None, f"equivalence left the smooth set: {bmap(moved)}"
             parent[find(j)] = find(i)
     members: dict[int, list[int]] = {}
     for i in range(len(maps)):
         members.setdefault(find(i), []).append(i)
     phi = euler_phi(N)
-    everything = tuple(range(len(pres.gens)))
-    free = pres.free_positions
+    everything = tuple(range(len(rules.pres.gens)))
+    free = rules.pres.free_positions
     orbits = []
     for orbit in members.values():
         inv = invariants[orbit[0]]
         for i in orbit[1:]:
             assert invariants[i] == inv, f"orbit invariants vary within an orbit of {q} at N={N}"
-        rep = min(_least_multiple(maps[i].images, everything, N) for i in orbit)
-        first = min(_least_multiple(maps[i].images, free, N) for i in orbit)
-        orbits.append((first, OrbitInfo(BskMap(q, N, rep), len(orbit) * phi, *inv)))
+        rep = bmap(min(_least_multiple(maps[i], everything, N) for i in orbit))
+        assert surface_of(rep) == inv[0], f"{rep} has another surface than its orbit"
+        first = min(_least_multiple(maps[i], free, N) for i in orbit)
+        orbits.append((first, OrbitInfo(rep, len(orbit) * phi, *inv)))
     orbits.sort(key=lambda entry: entry[0])
     return OrbitReport(q, N, len(maps) * phi, len(orbits), tuple(info for _, info in orbits))
 
 
 def oracle_report(q: QuotientType, N: int) -> OrbitReport:
-    return orbit_count(enumerate_smooth(q, N), moves_for(q), N)
+    return orbit_count(q, enumerate_smooth(q, N), moves_for(q), N)
 
 
 # --- cross-checking against the closed forms -------------------------------

@@ -23,7 +23,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .zmod import divisors
+from .zmod import _Checked, divisors
 
 
 class _SignatureFields(NamedTuple):
@@ -33,7 +33,7 @@ class _SignatureFields(NamedTuple):
     period_cycles: tuple[tuple[int, ...], ...] = ()
 
 
-class NecSignature(_SignatureFields):
+class NecSignature(_Checked, _SignatureFields):
     """An NEC signature: an immutable, checked tuple of its fields."""
 
     __slots__ = ()
@@ -54,11 +54,6 @@ class NecSignature(_SignatureFields):
         if any(n < 2 for cycle in period_cycles for n in cycle):
             raise ValueError("link periods must be >= 2")
         return tuple.__new__(cls, (genus, orientable, proper_periods, period_cycles))
-
-    @classmethod
-    def _make(cls, fields) -> "NecSignature":
-        """Build through ``__new__``, so that ``_make`` and ``_replace`` keep its checks."""
-        return cls(*fields)
 
     @property
     def epsilon(self) -> int:
@@ -427,7 +422,7 @@ class _QuotientFields(NamedTuple):
     n: int | None = None
 
 
-class QuotientType(_QuotientFields):
+class QuotientType(_Checked, _QuotientFields):
     """One of the ten quotient-orbifold families, with its cone orders.
 
     An immutable, checked tuple of its fields: it hashes and compares by
@@ -449,11 +444,6 @@ class QuotientType(_QuotientFields):
                 f"ascend ({order}) and the area lies in (0, 1)"
             )
         return self
-
-    @classmethod
-    def _make(cls, fields) -> "QuotientType":
-        """Build through ``__new__``, so that ``_make`` and ``_replace`` keep its checks."""
-        return cls(*fields)
 
     def signature(self) -> NecSignature:
         fam = FAMILIES[self.kind]
@@ -542,7 +532,7 @@ class _SurfaceFields(NamedTuple):
     boundary_count: int
 
 
-class SurfaceTopology(_SurfaceFields):
+class SurfaceTopology(_Checked, _SurfaceFields):
     """Topological type of a compact bordered surface of algebraic genus >= 2.
 
     An immutable tuple of its fields, built once per record of a catalog
@@ -561,11 +551,6 @@ class SurfaceTopology(_SurfaceFields):
         if (2 if orientable else 1) * genus + boundary_count - 1 < 2:
             raise ValueError(f"{self} is not hyperbolic (algebraic genus < 2)")
         return self
-
-    @classmethod
-    def _make(cls, fields) -> "SurfaceTopology":
-        """Build through ``__new__``, so that ``_make`` and ``_replace`` keep its checks."""
-        return cls(*fields)
 
     @classmethod
     def of_genus(cls, orientable: bool, algebraic_genus: int, k: int) -> "SurfaceTopology":

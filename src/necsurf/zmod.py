@@ -15,6 +15,16 @@ from functools import lru_cache
 from typing import NamedTuple
 
 
+class _Checked:
+    """First base of a checked NamedTuple: ``_make`` and ``_replace`` go through its ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, exponent), ...) with p ascending."""
@@ -192,7 +202,7 @@ class _QuadFields(NamedTuple):
     a3: int
 
 
-class MaclachlanQuad(_QuadFields):
+class MaclachlanQuad(_Checked, _QuadFields):
     """Decomposition (A, A1, A2, A3) of an order triple (m, n, l).
 
     A1 = N/m, A2 = N/n, A3 = N/l are pairwise coprime and A = N/(A1*A2*A3);
@@ -210,11 +220,6 @@ class MaclachlanQuad(_QuadFields):
         if math.gcd(a1, a2) != 1 or math.gcd(a1, a3) != 1 or math.gcd(a2, a3) != 1:
             raise AssertionError(f"A1, A2, A3 not pairwise coprime in {self}")
         return self
-
-    @classmethod
-    def _make(cls, fields) -> "MaclachlanQuad":
-        """Build through ``__new__``, so that ``_make`` and ``_replace`` keep its check."""
-        return cls(*fields)
 
     @property
     def m(self) -> int:

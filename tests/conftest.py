@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from necsurf.bsk import BskMap
 from necsurf.oracle import check_points, cross_check
 from test_oracle import full_smooth
 
@@ -21,9 +22,12 @@ def sweep_48():
 
 @pytest.fixture(scope="session")
 def smooth_maps_48():
-    """``{(q, N): full_smooth(q, N)}``, every smooth map, at each point of the N <= 48 sweep.
+    """``{(q, N): [BskMap ...]}``, every smooth map of ``full_smooth(q, N)``, at each point
+    of the N <= 48 sweep.
 
     Enumerated once per session; the orientability sweep reads all of it
     and criterion 6 the points with N <= 24.
     """
-    return {(q, N): full_smooth(q, N) for q, N in check_points(None, 48)}
+    return {
+        (q, N): [BskMap(q, N, vec) for vec in full_smooth(q, N)] for q, N in check_points(None, 48)
+    }

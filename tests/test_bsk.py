@@ -19,8 +19,9 @@ from necsurf.bsk import (
     smoothness_failures,
     surface_of,
 )
-from necsurf.oracle import _free_domains, oracle_report
+from necsurf.oracle import _free_domains, canonical_vectors, oracle_report
 from necsurf.signatures import FAMILIES, NecSignature, QuotientType, SurfaceTopology, presentation
+from necsurf.zmod import euler_phi
 
 
 def bmap(kind, N, images, **params):
@@ -143,23 +144,28 @@ def smooth_vectors(pres, N):
 def test_rules_compiled_from_signatures_outside_the_catalog():
     """A bordered signature outside the catalog gets its spec and rules from the
     signature alone.  A link period 3, or a cycle of odd length, admits no smooth
-    map at any N <= 16: a product of two reflections has order 1 or 2, and an odd
-    ring of reflections in {0, N/2} cannot alternate.  At catalog points the same
-    brute force counts the oracle's maps."""
+    map: a product of two reflections has order 1 or 2, and an odd ring of
+    reflections in {0, N/2} cannot alternate.  The oracle's canonical search finds
+    none at any N <= 48, nor does the brute force at N <= 16.  At catalog points
+    the same brute force counts the oracle's maps, phi(N) per canonical vector."""
     link_3 = (NecSignature(0, True, (2,), ((2, 3),)), NecSignature(0, True, (3,), ((2, 3),)))
     odd_cycle = NecSignature(0, True, (3,), ((2, 2, 2),))
     for sig in (*link_3, odd_cycle):
         pres = presentation(sig)
         assert [n for *_, n in pres.corners] == [n for cycle in sig.period_cycles for n in cycle]
-        for N in range(2, 17):
-            assert smooth_vectors(pres, N) == [], (sig, N)
+        for N in range(2, 49):
+            assert canonical_vectors(PointRules(pres, N)) == [], (sig, N)
+            if N <= 16:
+                assert smooth_vectors(pres, N) == [], (sig, N)
     pres = presentation(link_3[0])
     assert pres.gens == ("x", "e", "c0", "c1", "c2")
     assert list(PointRules(pres, 2).failures((1, 1, 0, 1, 0))) == ["corner (c1 c2) has order 2, not 3"]
     catalog = [(QuotientType("d2c-3m", m=4), 12, 8), (QuotientType("mb1", m=4), 8, 8),
                (QuotientType("ann2"), 6, 16), (QuotientType("d21", m=2, n=3), 6, 2)]
     for q, N, count in catalog:
-        assert len(smooth_vectors(presentation(q.signature()), N)) == count, (q, N)
+        pres = presentation(q.signature())
+        assert len(smooth_vectors(pres, N)) == count, (q, N)
+        assert euler_phi(N) * len(canonical_vectors(PointRules(pres, N))) == count, (q, N)
         assert oracle_report(q, N).map_count == count, (q, N)
     with pytest.raises(AssertionError, match="hyperbolic generators"):
         presentation(NecSignature(1, True, (3,), ((),)))

@@ -158,9 +158,11 @@ def _selftest_reached() -> dict:
     raise AssertionError("bench/selftest.py defines no REACHED")
 
 
-def test_bench_selftest_layers_are_reached(capsys):
+def test_bench_selftest_layers_are_reached(capsys, monkeypatch):
     """Every function the bench selftest expects its tiny traced passes to
-    reach (the ``.calls`` entries of ``REACHED``) gets a span on those inputs."""
+    reach (the ``.calls`` entries of ``REACHED``) gets a span on those inputs,
+    and the worker's per-layer metrics, which read the hooked arguments, are
+    computed from them as under ``bench/run.py --trace 1``."""
     wanted = {
         name.removesuffix(".calls")
         for names in _selftest_reached().values()
@@ -183,6 +185,13 @@ def test_bench_selftest_layers_are_reached(capsys):
     capsys.readouterr()
     spans = Counter(tracer.names[i] for i in tracer.name_id)
     assert {name for name in wanted if not spans[name]} == set()
+    monkeypatch.syspath_prepend(str(_BENCH))  # the worker imports its neighbours by name
+    worker = _load_bench("worker")
+    metrics = tracer.metrics(worker.enumeration_candidates)
+    maps = metrics["oracle.enumerate_smooth.maps"]
+    assert 0 < maps <= metrics["oracle.enumerate_smooth.candidates"]
+    assert maps == sum(len(oracle.enumerate_smooth(q, N)) for q, N in oracle.check_points(None, 10))
+    assert 0 < metrics["oracle.orbit_count.orbits"] <= maps
 
 
 def test_presentation_of_serves_the_bench_candidate_count():

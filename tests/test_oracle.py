@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from necsurf import oracle
-from necsurf.bsk import BskMap, is_smooth, orientability, presentation_of
+from necsurf.bsk import BskMap, is_smooth, orientability, point_rules, presentation_of
 from necsurf.oracle import (
     ORACLE_MAX_N,
     OrbitInfo,
@@ -32,25 +32,28 @@ from necsurf.zmod import crt_solve, divisors, euler_phi, factorize, order_mod, o
 
 
 def full_smooth(q, N):
-    """Every smooth map for (q, N): the product search over all free images,
-    ascending, kept as the reference for the unit-canonical ``enumerate_smooth``."""
+    """Every smooth residue vector for (q, N): the product search over all free
+    images, ascending, kept as the reference for the unit-canonical ``enumerate_smooth``."""
     pres = presentation_of(q)
     domains = oracle._free_domains(pres, N)
-    maps = (BskMap(q, N, pres.complete(combo, N)) for combo in itertools.product(*domains))
-    return [bmap for bmap in maps if is_smooth(bmap)]
+    vectors = (pres.complete(combo, N) for combo in itertools.product(*domains))
+    return [vec for vec in vectors if is_smooth(BskMap(q, N, vec))]
 
 
-def orbit_count_bfs(maps, moves, N):
-    """Orbits by breadth-first closure under every unit and every move.
+def image_dict(q, N, vec):
+    return BskMap(q, N, vec).image_dict
+
+
+def orbit_count_bfs(q, maps, moves, N):
+    """Orbits of the residue vectors ``maps`` of (q, N) by breadth-first closure
+    under every unit and every move.
 
     The search ``orbit_count`` replaced, kept as its reference: it visits
     all phi(N) unit multiples of every map, so it needs neither the
     freeness of the unit action nor the generating set.
     """
-    if not maps:
-        return OrbitReport(None, N, 0, 0, ())
-    q = maps[0].quotient
-    index = {m.images: i for i, m in enumerate(maps)}
+    rules = point_rules(q, N)
+    index = {vec: i for i, vec in enumerate(maps)}
     assert len(index) == len(maps)
     unit_list = units(N)
     seen = [False] * len(maps)
@@ -62,7 +65,7 @@ def orbit_count_bfs(maps, moves, N):
         queue = [start]
         members = [start]
         while queue:
-            vec = maps[queue.pop()].images
+            vec = maps[queue.pop()]
             neighbours = [tuple(u * v % N for v in vec) for u in unit_list]
             neighbours += [move.apply(vec, N) for move in moves]
             for nb in neighbours:
@@ -72,12 +75,12 @@ def orbit_count_bfs(maps, moves, N):
                     seen[j] = True
                     queue.append(j)
                     members.append(j)
-        inv = _invariants(maps[members[0]])
+        inv = _invariants(rules, maps[members[0]])
         for i in members[1:]:
-            assert _invariants(maps[i]) == inv, (
+            assert _invariants(rules, maps[i]) == inv, (
                 f"orbit invariants vary within an orbit of {q} at N={N}"
             )
-        rep = maps[min(members, key=lambda i: maps[i].images)]
+        rep = BskMap(q, N, min(maps[i] for i in members))
         orbits.append(OrbitInfo(rep, len(members), inv[0], inv[1], inv[2]))
     return OrbitReport(q, N, len(maps), len(orbits), tuple(orbits))
 
@@ -179,21 +182,22 @@ def orientability_case_rule(bmap: BskMap) -> bool:
 
 def test_enumerate_two_cone_disc():
     q = QuotientType("d21", m=2, n=3)
-    maps = full_smooth(q, 6)
+    maps = [image_dict(q, 6, vec) for vec in full_smooth(q, 6)]
     assert len(maps) == 2
     # x1 and c are forced; only x2 varies over the two elements of order 3
-    assert sorted(m.image_dict["x2"] for m in maps) == [2, 4]
-    assert all(m.image_dict["x1"] == 3 and m.image_dict["c"] == 0 for m in maps)
+    assert sorted(m["x2"] for m in maps) == [2, 4]
+    assert all(m["x1"] == 3 and m["c"] == 0 for m in maps)
     # one unit class: its canonical form has x2 = 1 mod 3 (x1 = 3 is 1 mod 2 already)
-    assert [m.image_dict["x2"] for m in enumerate_smooth(q, 6)] == [4]
+    assert [image_dict(q, 6, vec)["x2"] for vec in enumerate_smooth(q, 6)] == [4]
     assert enumerate_smooth(q, 5) == []
 
 
 def test_enumerate_six_corner_disc():
-    maps = enumerate_smooth(QuotientType("d6"), 2)
+    q = QuotientType("d6")
+    maps = enumerate_smooth(q, 2)
     assert len(maps) == 2  # the two alternating assignments
-    for m in maps:
-        values = [m.image_dict[f"c{i}"] for i in range(6)]
+    for vec in maps:
+        values = [image_dict(q, 2, vec)[f"c{i}"] for i in range(6)]
         assert values in ([0, 1, 0, 1, 0, 1], [1, 0, 1, 0, 1, 0])
     assert enumerate_smooth(QuotientType("d6"), 4) == []
 
@@ -217,8 +221,29 @@ def test_orbit_count_single_map_no_moves():
     # at N = 2 the unit group is trivial, so a single map closed in itself
     q = QuotientType("d6")
     maps = enumerate_smooth(q, 2)[:1]
-    report = orbit_count(maps, (), 2)
+    report = orbit_count(q, maps, (), 2)
     assert report.orbit_count == 1
+    # an empty report still names its point
+    assert orbit_count(q, [], (), 2) == OrbitReport(q, 2, 0, 0, ())
+
+
+def test_oracle_report_builds_one_bsk_map_per_orbit(monkeypatch):
+    """The oracle's currency is the residue vector: at every point with N <= 24
+    ``oracle_report`` builds a ``BskMap`` for each orbit's representative and
+    for nothing else."""
+    built = []
+    new = BskMap.__new__
+
+    def counting(cls, *fields):
+        built.append(fields)
+        return new(cls, *fields)
+
+    monkeypatch.setattr(BskMap, "__new__", counting)
+    for q, N in check_points(None, 24):
+        built.clear()
+        report = oracle_report(q, N)
+        assert len(built) == report.orbit_count, (q, N)
+        assert sorted(built) == sorted(tuple(o.representative) for o in report.orbits), (q, N)
 
 
 def test_orbit_count_matches_bfs_reference():
@@ -228,7 +253,7 @@ def test_orbit_count_matches_bfs_reference():
     points = check_points(None, 24)
     for q, N in points:
         moves = moves_for(q)
-        assert oracle_report(q, N) == orbit_count_bfs(full_smooth(q, N), moves, N), (q, N)
+        assert oracle_report(q, N) == orbit_count_bfs(q, full_smooth(q, N), moves, N), (q, N)
     assert len(points) == 527
 
 
@@ -241,7 +266,7 @@ def test_canonical_maps_stand_for_every_smooth_map(smooth_maps_48, sweep_48):
     for point, ((q, N), maps) in zip(report.points, smooth_maps_48.items()):
         assert (point.quotient, point.N) == (q, N)
         canonical = enumerate_smooth(q, N)
-        multiples = {tuple(u * v % N for v in m.images) for m in canonical for u in units(N)}
+        multiples = {tuple(u * v % N for v in vec) for vec in canonical for u in units(N)}
         assert len(multiples) == len(canonical) * euler_phi(N), (q, N)
         assert multiples == {m.images for m in maps}, (q, N)
         assert point.map_count == len(maps), (q, N)
@@ -258,14 +283,14 @@ def test_orbit_count_rejects_a_set_not_closed_under_equivalence(kind, m, N, drop
     if moves_for(q):
         del maps[drop]
         with pytest.raises(AssertionError, match="equivalence left the smooth set"):
-            orbit_count(maps, moves_for(q), N)
+            orbit_count(q, maps, moves_for(q), N)
     else:
         # without moves no class leads to another, so a dropped class is seen
         # only against the full reference; a unit multiple in its place is
         # not canonical
-        maps[drop] = BskMap(q, N, tuple(3 * v % N for v in maps[drop].images))
+        maps[drop] = tuple(3 * v % N for v in maps[drop])
         with pytest.raises(ValueError, match="not in unit-canonical form"):
-            orbit_count(maps, moves_for(q), N)
+            orbit_count(q, maps, moves_for(q), N)
 
 
 def test_orbit_count_rejects_every_other_unit_multiple():
@@ -275,19 +300,20 @@ def test_orbit_count_rejects_every_other_unit_multiple():
     assert maps
     for theta in maps:
         for u in units(12)[1:]:
-            other = BskMap(q, 12, tuple(u * v % 12 for v in theta.images))
-            with pytest.raises(ValueError, match=re.escape(f"{other}, not in unit-canonical form")):
-                orbit_count([other], moves_for(q), 12)
+            other = tuple(u * v % 12 for v in theta)
+            shown = BskMap(q, 12, other)
+            with pytest.raises(ValueError, match=re.escape(f"{shown}, not in unit-canonical form")):
+                orbit_count(q, [other], moves_for(q), 12)
 
 
 def test_orbit_count_rejects_a_map_that_is_not_smooth():
     q = QuotientType("d6")
-    bmap = BskMap(q, 2, (0,) * 8)  # no image generates Z_2
-    assert not is_smooth(bmap)
+    vec = (0,) * 8  # no image generates Z_2
+    assert not is_smooth(BskMap(q, 2, vec))
     with pytest.raises(ValueError, match="not smooth"):
-        orbit_count([bmap], (), 2)
+        orbit_count(q, [vec], (), 2)
     with pytest.raises(ValueError, match="not smooth"):
-        orbit_count_bfs([bmap], (), 2)
+        orbit_count_bfs(q, [vec], (), 2)
 
 
 def test_annulus_worked_example_orbits():
@@ -341,15 +367,15 @@ def test_moves_preserve_smoothness():
         maps = full_smooth(q, N)
         assert maps
         for move in moves_for(q):
-            for m in maps:
-                assert is_smooth(BskMap(q, N, move.apply(m.images, N)))
+            for vec in maps:
+                assert is_smooth(BskMap(q, N, move.apply(vec, N)))
 
 
 def test_enumeration_order_independent():
     """The smooth-map set does not depend on the generator search order."""
     for q, N in ((QuotientType("ann1", m=3), 6), (QuotientType("mb1", m=2), 4)):
         pres = presentation_of(q)
-        want = {m.images for m in full_smooth(q, N)}
+        want = set(full_smooth(q, N))
         domains = {
             g: [v for v in range(N)] for g in pres.free
         }
@@ -395,16 +421,21 @@ def test_cross_check_rejects_jobs_below_one_before_any_work(monkeypatch):
             cross_check(n_max=4, jobs=jobs)
 
 
-def test_orbit_count_rejects_maps_of_another_order_or_quotient():
-    """Not the late "equivalence left the smooth set" of a mismatched call."""
+def test_orbit_count_rejects_maps_of_another_order_or_quotient(monkeypatch):
+    """Not the late "equivalence left the smooth set" of a mismatched call: the
+    point's own smoothness check refuses them before any orbit work."""
+    def no_orbit_work(pres, N):
+        raise AssertionError("orbit work began")
+
+    monkeypatch.setattr(oracle, "_unit_normaliser", no_orbit_work)
     q = QuotientType("mb1", m=3)
     maps = enumerate_smooth(q, 6)
-    with pytest.raises(ValueError, match=r"mb1\(3\) at N=12 was given the map mb1\(3\)@Z_6"):
-        orbit_count(maps, moves_for(q), 12)
+    with pytest.raises(ValueError, match="^map is not smooth: long relation evaluates to 6$"):
+        orbit_count(q, maps, moves_for(q), 12)
     other = enumerate_smooth(QuotientType("mb1", m=6), 6)
     assert maps and other
-    with pytest.raises(ValueError, match=r"mb1\(3\) at N=6 was given the map mb1\(6\)@Z_6"):
-        orbit_count(maps + other, moves_for(q), 6)
+    with pytest.raises(ValueError, match="^map is not smooth: x has order 6, requires exact order 3$"):
+        orbit_count(q, maps + other, moves_for(q), 6)
 
 
 def test_cross_check_rejects_unknown_kind():
@@ -475,10 +506,10 @@ def test_least_multiple_matches_scan_reference():
     for q, N in check_points(None, 48):
         pres = presentation_of(q)
         everything = tuple(range(len(pres.gens)))
-        for m in enumerate_smooth(q, N):
+        for vec in enumerate_smooth(q, N):
             for order in (everything, pres.free_positions):
-                want = least_multiple_reference(m.images, order, N)
-                assert oracle._least_multiple(m.images, order, N) == want, (q, N, m, order)
+                want = least_multiple_reference(vec, order, N)
+                assert oracle._least_multiple(vec, order, N) == want, (q, N, vec, order)
             maps += 1
     assert maps == 7583
     rng = random.Random(20261019)
@@ -521,7 +552,7 @@ def test_compiled_moves_match_row_sums():
     seen = set()
     for q, N in check_points(None, 24):
         pres = presentation_of(q)
-        vectors = [m.images for m in enumerate_smooth(q, N)]
+        vectors = enumerate_smooth(q, N)
         vectors += [tuple(rng.randrange(N) for _ in pres.gens) for _ in range(4)]
         for move in moves_for(q):
             for vec in vectors:
@@ -571,7 +602,7 @@ def test_shared_presentation_is_read_only():
     with pytest.raises(TypeError):
         del pres.elliptic_orders["x1"]
     assert pres.elliptic_orders == {"x1": 2, "x2": 3}
-    assert [m.images for m in enumerate_smooth(q, 6)] == [(3, 4, 5, 0)]
+    assert enumerate_smooth(q, 6) == [(3, 4, 5, 0)]
 
 
 def test_caches_are_bounded_per_point_and_empty_at_import():
@@ -604,17 +635,18 @@ def test_orbit_count_unit_and_invariant_assertions_fire(monkeypatch):
     each fires, by name, once its premise is broken on purpose."""
     q, N = QuotientType("mb1", m=4), 12
     maps = enumerate_smooth(q, N)
-    scaled = BskMap(q, N, tuple(2 * v % N for v in maps[0].images))
+    first = BskMap(q, N, maps[0])
+    scaled = BskMap(q, N, tuple(2 * v % N for v in maps[0]))
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "unit_generators", lambda n: (2,))  # not a unit mod 12
         with pytest.raises(AssertionError, match=re.escape(f"equivalence left the smooth set: {scaled}")):
-            orbit_count(maps, moves_for(q), N)
-    scaled = BskMap(q, N, tuple(oracle.unit_generators(N)[0] * v % N for v in maps[0].images))
+            orbit_count(q, maps, moves_for(q), N)
+    scaled = BskMap(q, N, tuple(oracle.unit_generators(N)[0] * v % N for v in maps[0]))
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "_unit_normaliser", lambda pres, n: lambda vec: vec)
-        with pytest.raises(AssertionError, match=re.escape(f"{scaled} does not normalise to {maps[0]}")):
-            orbit_count(maps, moves_for(q), N)
+        with pytest.raises(AssertionError, match=re.escape(f"{scaled} does not normalise to {first}")):
+            orbit_count(q, maps, moves_for(q), N)
     with monkeypatch.context() as patch:
-        patch.setattr(oracle, "_invariants", lambda bmap: (bmap.images,))
+        patch.setattr(oracle, "_invariants", lambda rules, vec: (vec,))
         with pytest.raises(AssertionError, match=r"orbit invariants vary within an orbit of mb1\(4\) at N=12"):
-            orbit_count(maps, moves_for(q), N)
+            orbit_count(q, maps, moves_for(q), N)

@@ -42,7 +42,7 @@ def sample(q, N):
     vectors += [tuple(rng.choice(d) for d in domains) for _ in range(24)]
     free = [domains[i] for i in pres.free_positions]
     vectors += [pres.complete([rng.choice(d) for d in free], N) for _ in range(16)]
-    vectors += [m.images for m in enumerate_smooth(q, N)[:4]]
+    vectors += enumerate_smooth(q, N)[:4]
     return [BskMap(q, N, vec) for vec in vectors]
 
 
