@@ -30,24 +30,22 @@ smooth map is the tests' reference for the canonical enumeration.
 A map is its residue vector, read against one compiled point
 (``bsk.point_rules``); ``canonical_vectors`` searches any bordered
 signature's point, and its leaves, the unit-generator checks and
-``_invariants`` read the compiled point.  A ``BskMap`` is built only for
-each orbit's representative, whose surface ``surface_of`` must match its
+``_invariants`` read the compiled point.  Each orbit is named by its
+first canonical form in enumeration order; a ``BskMap`` is built only
+for that representative, whose surface ``surface_of`` must match its
 orbit's, or inside a failing assertion's message.  Each move keeps the
 rows that differ from the identity, and its ``apply`` recomputes only
 those.  Per-N tables, built on first use and kept, since N is at most
 ``ORACLE_MAX_N``: the element orders (``zmod.order_table``) and the
 residues of each order (``_residues_by_order``), which give the elliptic
-generators' domains;
-per p^a || N, the scale of each residue (``_unit_scales``) that
-``_unit_normaliser`` sums into the normalising unit; and for each
-residue v the units that take it to its least multiple gcd(v, N)
-(``_least_units``), where ``_least_multiple`` starts.  Per-point state
-lives in the call or on the compiled points in the small LRUs of ``bsk``.
+generators' domains; and per p^a || N, the scale of each residue
+(``_unit_scales``) that ``_unit_normaliser`` sums into the normalising
+unit.  Per-point state lives in the call or on the compiled points in
+the small LRUs of ``bsk``.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
@@ -55,7 +53,7 @@ from typing import NamedTuple
 from .bsk import BskMap, PointRules, point_rules, presentation_of, surface_of
 from .classify import classification_buckets, parameter_space
 from .signatures import FAMILIES, PresentationSpec, QuotientType, SurfaceTopology
-from .zmod import crt_solve, euler_phi, factorize, order_table, unit_generators, units
+from .zmod import crt_solve, euler_phi, factorize, order_table, unit_generators
 
 ORACLE_MAX_N = 192
 
@@ -275,39 +273,6 @@ def _unit_normaliser(pres: PresentationSpec, N: int):
     return normalise
 
 
-@lru_cache(maxsize=None)
-def _least_units(N: int) -> tuple[tuple[int, ...], ...]:
-    """``least[v]``: the units u, ascending, with u * v = gcd(v, N) mod N.
-
-    The unit multiples of v are the residues of its order, and gcd(v, N)
-    is the least of them, so these are the units that make v least.  One
-    entry per residue, tau(N) * phi(N) units in all; built once per N.
-    """
-    unit_list, least = units(N), []
-    for v in range(N):
-        d = math.gcd(v, N) % N
-        least.append(tuple(u for u in unit_list if u * v % N == d))
-    return tuple(least)
-
-
-def _least_multiple(vec: tuple[int, ...], order: tuple[int, ...], N: int) -> tuple[int, ...]:
-    """The least of the unit multiples u * vec, read at the positions ``order``.
-
-    The first position's least multiple and its units come from
-    ``_least_units``; each later position keeps the units that make its
-    image least among those left.
-    """
-    candidates = _least_units(N)[vec[order[0]]]
-    for i in order[1:]:
-        if len(candidates) == 1:
-            break
-        v = vec[i]
-        least = min([u * v % N for u in candidates])
-        candidates = [u for u in candidates if u * v % N == least]
-    u = candidates[0]
-    return tuple([u * vec[i] % N for i in order])
-
-
 def orbit_count(q: QuotientType, maps: list, moves: tuple[AutMove, ...], N: int) -> OrbitReport:
     """Orbits of theta ~ c * (theta o phi) at (q, N), from one smooth vector per unit class.
 
@@ -323,25 +288,27 @@ def orbit_count(q: QuotientType, maps: list, moves: tuple[AutMove, ...], N: int)
     (``unit_generators``), g * theta is smooth and normalises back to
     theta; every move image normalises to a vector of the set; the
     invariants are constant on each orbit, and ``surface_of`` agrees on
-    its representative: the ``BskMap`` of the least image vector among the
-    unit multiples of its classes.  An orbit of c classes has c * phi(N)
-    maps.  The orbits come in order of the least free-image tuple among
-    those multiples: the order in which an ascending search over every
-    smooth map meets them first.  A vector not smooth at (q, N), such as
-    one of another order or quotient, or not unit-canonical raises ValueError.
+    its representative: the ``BskMap`` of its first vector in ``maps``.
+    An orbit of c classes has c * phi(N) maps.  The orbits come in the
+    order of their first vectors, so from ``enumerate_smooth`` each is
+    named by its least canonical form, by free images.  A vector not
+    smooth at (q, N), such as one of another order or quotient, given
+    twice, or not unit-canonical raises ValueError.
     """
     rules, bmap = point_rules(q, N), partial(BskMap, q, N)
     # first, so that a vector that is not smooth raises as surface_of does;
     # equal invariants share one object, which keeps the list small
     distinct: dict[tuple, tuple] = {}
     invariants = [distinct.setdefault(inv, inv) for inv in (_invariants(rules, v) for v in maps)]
+    index: dict[tuple, int] = {}
+    for i, vec in enumerate(maps):
+        if index.setdefault(vec, i) != i:
+            raise ValueError(f"orbit_count of {q} at N={N} was given {bmap(vec)} twice")
     normalise = _unit_normaliser(rules.pres, N)
     for vec in maps:
         if normalise(vec) != vec:
             raise ValueError(f"orbit_count of {q} at N={N} was given {bmap(vec)}, "
                              "not in unit-canonical form")
-    index = {vec: i for i, vec in enumerate(maps)}
-    assert len(index) == len(maps)
     parent = list(range(len(maps)))
 
     def find(c: int) -> int:
@@ -367,19 +334,15 @@ def orbit_count(q: QuotientType, maps: list, moves: tuple[AutMove, ...], N: int)
     for i in range(len(maps)):
         members.setdefault(find(i), []).append(i)
     phi = euler_phi(N)
-    everything = tuple(range(len(rules.pres.gens)))
-    free = rules.pres.free_positions
     orbits = []
     for orbit in members.values():
         inv = invariants[orbit[0]]
         for i in orbit[1:]:
             assert invariants[i] == inv, f"orbit invariants vary within an orbit of {q} at N={N}"
-        rep = bmap(min(_least_multiple(maps[i], everything, N) for i in orbit))
+        rep = bmap(maps[orbit[0]])
         assert surface_of(rep) == inv[0], f"{rep} has another surface than its orbit"
-        first = min(_least_multiple(maps[i], free, N) for i in orbit)
-        orbits.append((first, OrbitInfo(rep, len(orbit) * phi, *inv)))
-    orbits.sort(key=lambda entry: entry[0])
-    return OrbitReport(q, N, len(maps) * phi, len(orbits), tuple(info for _, info in orbits))
+        orbits.append(OrbitInfo(rep, len(orbit) * phi, *inv))
+    return OrbitReport(q, N, len(maps) * phi, len(orbits), tuple(orbits))
 
 
 def oracle_report(q: QuotientType, N: int) -> OrbitReport:

@@ -257,3 +257,18 @@ def test_python_dash_m_runs_the_cli():
             proc.stderr.close()
             assert (fmt, unbuffered, proc.wait(timeout=60)) == (fmt, unbuffered, 141)
             assert "Traceback" not in err and "Error" not in err, (fmt, unbuffered, err)
+
+
+def test_output_does_not_rest_on_assertions():
+    """``python -O`` strips every ``assert``; the output must not change, so no
+    assertion carries a result."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv in (("verify", "--n-max", "16", "--format", "json"),
+                 ("enumerate", "--N", "720", "--format", "json")):
+        outputs = [
+            subprocess.run([sys.executable, *flags, "-m", "necsurf", *argv], env=env,
+                           capture_output=True, check=True, timeout=120).stdout
+            for flags in ((), ("-O",))
+        ]
+        assert outputs[0] and outputs[0] == outputs[1], argv

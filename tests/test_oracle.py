@@ -50,9 +50,17 @@ def orbit_count_bfs(q, maps, moves, N):
 
     The search ``orbit_count`` replaced, kept as its reference: it visits
     all phi(N) unit multiples of every map, so it needs neither the
-    freeness of the unit action nor the generating set.
+    freeness of the unit action nor the generating set.  Each orbit is
+    named by its least member, by free images, that the dict-based
+    ``unit_normaliser_reference`` leaves fixed, and the orbits are sorted
+    by that name.
     """
     rules = point_rules(q, N)
+    normalise = unit_normaliser_reference(rules.pres, N)
+
+    def by_free(vec):
+        return tuple(vec[i] for i in rules.pres.free_positions)
+
     index = {vec: i for i, vec in enumerate(maps)}
     assert len(index) == len(maps)
     unit_list = units(N)
@@ -80,8 +88,9 @@ def orbit_count_bfs(q, maps, moves, N):
             assert _invariants(rules, maps[i]) == inv, (
                 f"orbit invariants vary within an orbit of {q} at N={N}"
             )
-        rep = BskMap(q, N, min(maps[i] for i in members))
-        orbits.append(OrbitInfo(rep, len(members), inv[0], inv[1], inv[2]))
+        rep = min((maps[i] for i in members if normalise(maps[i]) == maps[i]), key=by_free)
+        orbits.append(OrbitInfo(BskMap(q, N, rep), len(members), *inv))
+    orbits.sort(key=lambda orbit: by_free(orbit.representative.images))
     return OrbitReport(q, N, len(maps), len(orbits), tuple(orbits))
 
 
@@ -108,21 +117,6 @@ def unit_normaliser_reference(pres, N):
         return tuple(u * v % N for v in vec)
 
     return normalise
-
-
-def least_multiple_reference(vec, order, N):
-    """The least unit multiple of ``vec`` at the positions ``order``, by a scan of every unit.
-
-    The body ``oracle._least_multiple`` had before it started from the
-    per-N table ``oracle._least_units``, kept as its reference.
-    """
-    candidates = units(N)
-    for i in order:
-        least = min(u * vec[i] % N for u in candidates)
-        candidates = [u for u in candidates if u * vec[i] % N == least]
-        if len(candidates) == 1:
-            break
-    return tuple(candidates[0] * vec[i] % N for i in order)
 
 
 def apply_reference(move, vector, N):
@@ -255,6 +249,58 @@ def test_orbit_count_matches_bfs_reference():
         moves = moves_for(q)
         assert oracle_report(q, N) == orbit_count_bfs(q, full_smooth(q, N), moves, N), (q, N)
     assert len(points) == 527
+
+
+def test_orbits_are_named_by_their_first_canonical_form():
+    """At every point with N <= 48 ``enumerate_smooth`` ascends by free images, and
+    the report names each orbit by its first vector there: the representatives
+    are a subsequence of the enumeration, in order, and each is the first
+    canonical form met by a closure over the moves, normalised by the dict-based
+    reference."""
+    points = check_points(None, 48)
+    for q, N in points:
+        pres, moves = presentation_of(q), moves_for(q)
+        canonical = enumerate_smooth(q, N)
+        free = [tuple(vec[i] for i in pres.free_positions) for vec in canonical]
+        assert free == sorted(set(free)), (q, N)
+        report = oracle_report(q, N)
+        reps = [o.representative.images for o in report.orbits]
+        positions = [canonical.index(rep) for rep in reps]
+        assert positions == sorted(positions), (q, N)
+        normalise = unit_normaliser_reference(pres, N)
+        firsts, sizes, seen = [], [], set()
+        for vec in canonical:
+            if vec in seen:
+                continue
+            orbit, queue = {vec}, [vec]
+            while queue:
+                current = queue.pop()
+                moved = {normalise(move.apply(current, N)) for move in moves}
+                queue += moved - orbit
+                orbit |= moved
+            seen |= orbit
+            firsts.append(vec)
+            sizes.append(len(orbit) * euler_phi(N))
+        assert reps == firsts, (q, N)
+        assert [o.size for o in report.orbits] == sizes, (q, N)
+    assert len(points) == 1291
+
+
+def test_orbit_count_rejects_a_repeated_vector(monkeypatch):
+    """A vector given twice is refused by name, before any orbit work.  The
+    refusal is a ValueError, not an assertion, so ``python -O`` cannot turn it
+    into a count of 20 maps for these 16."""
+    def no_orbit_work(pres, N):
+        raise AssertionError("orbit work began")
+
+    monkeypatch.setattr(oracle, "_unit_normaliser", no_orbit_work)
+    q, N = QuotientType("mb1", m=4), 12
+    maps = enumerate_smooth(q, N)
+    assert len(maps) * euler_phi(N) == 16
+    shown = BskMap(q, N, maps[1])
+    for repeated in (maps + maps[1:2], maps[1:2] + maps):
+        with pytest.raises(ValueError, match=re.escape(f"mb1(4) at N=12 was given {shown} twice")):
+            orbit_count(q, repeated, moves_for(q), N)
 
 
 def test_canonical_maps_stand_for_every_smooth_map(smooth_maps_48, sweep_48):
@@ -498,45 +544,6 @@ def test_unit_normaliser_matches_dict_reference():
     assert vectors > 100_000
 
 
-def test_least_multiple_matches_scan_reference():
-    """On every canonical map of every point with N <= 48, read at all positions and
-    at the free ones, and on seeded raw vectors whose first entry is zero, a non-unit
-    or any residue, read in a shuffled order of some of their positions."""
-    maps = 0
-    for q, N in check_points(None, 48):
-        pres = presentation_of(q)
-        everything = tuple(range(len(pres.gens)))
-        for vec in enumerate_smooth(q, N):
-            for order in (everything, pres.free_positions):
-                want = least_multiple_reference(vec, order, N)
-                assert oracle._least_multiple(vec, order, N) == want, (q, N, vec, order)
-            maps += 1
-    assert maps == 7583
-    rng = random.Random(20261019)
-    for N in range(2, ORACLE_MAX_N + 1):
-        non_units = [v for v in range(2, N) if math.gcd(v, N) > 1] or [0]
-        for first in (0, rng.choice(non_units), rng.randrange(N)):
-            for _ in range(4):
-                vec = (first, *(rng.randrange(N) for _ in range(rng.randint(0, 6))))
-                order = (0, *rng.sample(range(1, len(vec)), rng.randint(0, len(vec) - 1)))
-                got = oracle._least_multiple(vec, order, N)
-                assert got == least_multiple_reference(vec, order, N), (N, vec, order)
-    assert oracle._least_multiple((0, 0, 0), (0, 1, 2), 12) == (0, 0, 0)
-
-
-def test_least_units_table_matches_definition():
-    """``_least_units(N)[v]`` is every unit u with u * v = gcd(v, N) mod N, and that
-    residue is the least unit multiple of v: tau(N) * phi(N) units per N."""
-    for N in range(2, ORACLE_MAX_N + 1):
-        table = oracle._least_units(N)
-        assert len(table) == N
-        for v in range(N):
-            d = math.gcd(v, N)
-            assert table[v] == tuple(u for u in units(N) if (u * v - d) % N == 0), (N, v)
-            assert min(u * v % N for u in units(N)) == d % N, (N, v)
-        assert sum(map(len, table)) == len(divisors(N)) * euler_phi(N), N
-
-
 def test_residues_by_order_matches_order_scan():
     for N in range(2, ORACLE_MAX_N + 1):
         table = oracle._residues_by_order(N)
@@ -615,14 +622,14 @@ def test_caches_are_bounded_per_point_and_empty_at_import():
     probe = (
         "import necsurf.cli, necsurf.oracle as o, necsurf.bsk as b, necsurf.zmod as z; "
         "print(*(f.cache_info().currsize for f in "
-        "(z.order_table, o._unit_scales, o._least_units, o._residues_by_order, "
+        "(z.order_table, o._unit_scales, o._residues_by_order, "
         "b.presentation_of, b.point_rules)))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split() == ["0"] * 6
+    assert out.stdout.split() == ["0"] * 5
     # the per-point memo of surfaces lives on the compiled point, in its LRU
     q, N = QuotientType("ann1", m=12), 12
     oracle_report(q, N)

@@ -58,7 +58,7 @@ CHECK_TEXT = (
 )
 ORBIT_TEXT = (
     "OrbitInfo(representative=BskMap(quotient=QuotientType(kind='d21', m=2, n=3), N=6, "
-    "images=(3, 2, 1, 0)), size=2, surface=SurfaceTopology(orientable=True, genus=1, "
+    "images=(3, 4, 5, 0)), size=2, surface=SurfaceTopology(orientable=True, genus=1, "
     "boundary_count=1), reversing=False, connector_orders=(6,))"
 )
 

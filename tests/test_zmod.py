@@ -2,6 +2,7 @@
 
 import ast
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -206,3 +207,29 @@ def test_criterion_7_functions_keep_a_caller_in_the_package():
             if name in wanted:
                 callers[name].append(f"{path.name}:{node.lineno}")
     assert all(callers.values()), callers
+
+
+def test_package_is_stdlib_only_and_exact():
+    """Every module of ``src/necsurf`` imports only itself, ``__future__`` and the
+    standard library, and computes in integers: no float literal, no ``float``
+    or ``round`` call and no true division (``/`` or ``/=``)."""
+    found = []
+    for path in sorted(Path(necsurf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                names = []
+            for name in names:
+                if name != "__future__" and name.partition(".")[0] not in sys.stdlib_module_names:
+                    found.append(f"{where} imports {name}")
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{where} float literal {node.value!r}")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("float", "round"):
+                found.append(f"{where} calls {node.func.id}")
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{where} true division")
+    assert found == []
