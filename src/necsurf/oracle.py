@@ -11,10 +11,11 @@ homomorphisms into an abelian target (theta(h g h^-1) = theta(g)), so the
 equivalence relation theta' = c * (theta o phi) is generated by unit
 multiplication together with a finite move set.  For the once-punctured
 Moebius band, the once-punctured annulus and the twice-punctured disc the
-move set generates the full outer automorphism group, so orbit counts are
-exact ground truth.  For the remaining families the moves are the ones the
-uniqueness arguments actually use (cycle rotation); a mismatch there is
-reported verbatim, never reconciled.
+moves, together with the units, make every equivalence the outer
+automorphism group makes, so orbit counts are exact ground truth.  For
+the remaining families the moves are the ones the uniqueness arguments
+actually use (cycle rotation); a mismatch there is reported verbatim,
+never reconciled.
 
 The orbits are counted without a search.  Z_N^* acts freely on smooth
 maps, because their images generate Z_N, so every unit class has phi(N)
@@ -33,9 +34,9 @@ signature's point, and its leaves, the unit-generator checks and
 ``_invariants`` read the compiled point.  Each orbit is named by its
 first canonical form in enumeration order; a ``BskMap`` is built only
 for that representative, whose surface ``surface_of`` must match its
-orbit's, or inside a failing assertion's message.  Each move keeps the
-rows that differ from the identity, and its ``apply`` recomputes only
-those.  Per-N tables, built on first use and kept, since N is at most
+orbit's, or inside a failing assertion's message.  Each move keeps only
+the rows it changes, and its ``apply`` recomputes only those.  Per-N
+tables, built on first use and kept, since N is at most
 ``ORACLE_MAX_N``: the element orders (``zmod.order_table``) and the
 residues of each order (``_residues_by_order``), which give the elliptic
 generators' domains; and per p^a || N, the scale of each residue
@@ -47,7 +48,7 @@ the small LRUs of ``bsk``.
 from __future__ import annotations
 
 import os
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .bsk import BskMap, PointRules, point_rules, presentation_of, surface_of
@@ -58,27 +59,19 @@ from .zmod import crt_solve, euler_phi, factorize, order_table, unit_generators
 ORACLE_MAX_N = 192
 
 
-class _MoveFields(NamedTuple):
-    name: str
-    rows: tuple[tuple[tuple[int, int], ...], ...]
-
-
-class AutMove(_MoveFields):
+class AutMove(NamedTuple):
     """An outer automorphism move, recorded additively on image vectors.
 
     Because the target is abelian, a substitution g -> word(generators)
-    acts on an image vector linearly; ``rows[i]`` holds the
-    (coefficient, source position) terms whose sum becomes the new image
-    of the generator at position i of ``PresentationSpec.gens``.  Most
-    rows are the identity ``((1, i),)``; ``changed`` keeps the others,
-    with their positions, and ``apply`` recomputes only those.  An
-    immutable tuple of its fields; ``changed`` is cached in an instance
-    dict, outside the fields, so it is neither compared nor shown.
+    acts on an image vector linearly.  ``changed`` holds one
+    (position, terms) row per generator whose image the move changes, by
+    its position in ``PresentationSpec.gens``: the (coefficient, source
+    position) terms whose sum becomes its new image.  Every other image
+    stays, and ``apply`` recomputes only these rows.
     """
 
-    @cached_property
-    def changed(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        return tuple((i, row) for i, row in enumerate(self.rows) if row != ((1, i),))
+    name: str
+    changed: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
     def apply(self, vector: tuple[int, ...], N: int) -> tuple[int, ...]:
         out = list(vector)
@@ -93,14 +86,18 @@ def moves_for(q: QuotientType) -> tuple[AutMove, ...]:
     The family's outer moves (``Family.moves``), less any that would send
     an elliptic generator to one of another order (the d21 cone swap when
     m != n).  Every family with a period cycle of two or more corners
-    also gets the rotation that shifts the cycle's ring by one.
-    Generators a move does not name keep their image.
+    also gets the rotation that shifts the cycle's ring by one.  Each
+    move keeps only the rows of the generators it names.  Where
+    ``full_moves`` holds, these moves together with the units make every
+    equivalence the outer automorphism group makes.
     """
     pres = presentation_of(q)
     orders = pres.elliptic_orders
     pos = {g: i for i, g in enumerate(pres.gens)}
     moves = [
-        (name, {pos[g]: tuple((c, pos[src]) for c, src in expr) for g, expr in mapping.items()})
+        AutMove(name, tuple(
+            (pos[g], tuple((c, pos[src]) for c, src in expr)) for g, expr in mapping.items()
+        ))
         for name, mapping in FAMILIES[q.kind].moves
         if all(
             orders[g] == orders.get(src)
@@ -112,13 +109,9 @@ def moves_for(q: QuotientType) -> tuple[AutMove, ...]:
     for idx, ring in enumerate(pres.rings):
         if len(ring) > 2:
             *reflections, tail = ring  # the tail stays equal to the new c_0
-            rows = {r: ((1, reflections[j - 1]),) for j, r in enumerate(reflections)}
-            rows[tail] = ((1, reflections[-1]),)
-            moves.append((f"shift{idx}", rows))
-    return tuple(
-        AutMove(name, tuple(rows.get(i, ((1, i),)) for i in range(len(pres.gens))))
-        for name, rows in moves
-    )
+            rows = tuple((r, ((1, reflections[j - 1]),)) for j, r in enumerate(reflections))
+            moves.append(AutMove(f"shift{idx}", rows + ((tail, ((1, reflections[-1]),)),)))
+    return tuple(moves)
 
 
 @lru_cache(maxsize=None)

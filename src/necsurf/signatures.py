@@ -269,8 +269,11 @@ class Family(_FamilyFields):
     part of the record: it follows from a quotient's signature alone
     (``presentation``).  ``moves`` are outer automorphisms as
     substitutions on generator images; a move that sends an elliptic
-    generator to one of another order does not apply.  ``full_moves`` says
-    they generate the whole outer automorphism group.  ``classify_args``
+    generator to one of another order does not apply, and a move that acts
+    as a unit is left out: the orientation reversal negates every image
+    but the reflections', which are 0 or N/2, so it is the unit -1.
+    ``full_moves`` says that, together with the units, the moves make every
+    equivalence the outer automorphism group makes.  ``classify_args``
     are the extra arguments ``classify`` needs: the boundary count "k" and
     the "orientable" flag of the covered surface.  An immutable tuple of
     its fields; the derived values below are cached in an instance dict.
@@ -363,10 +366,6 @@ class Family(_FamilyFields):
             for n in values[i:]
             if (order is None or math.lcm(m, n) == order) and self.admits(m, n)
         ]
-
-    def instances(self, values) -> list[QuotientType]:
-        """Every admitted choice of cone orders from the ascending sequence ``values``."""
-        return [QuotientType(self.kind, m, n) for m, n in self._admitted(values)]
 
     def cone_orders(self, N: int) -> list[tuple[int | None, int | None]]:
         """The cone orders (m, n) that could carry order-N actions, ascending.
@@ -464,10 +463,6 @@ class QuotientType(_Checked, _QuotientFields):
         return self.label()
 
 
-def _negate(*gens: str) -> dict[str, tuple[Term, ...]]:
-    return {g: ((-1, g),) for g in gens}
-
-
 def _swap(a: str, b: str) -> dict[str, tuple[Term, ...]]:
     return {a: ((1, b),), b: ((1, a),)}
 
@@ -485,28 +480,22 @@ FAMILIES: dict[str, Family] = {f.kind: f for f in (
     ),
     Family(
         "mb1", 6, "Moebius band with 1 cone point", 1, False, (), ("m",), ((),),
-        # the two involutions generating its Klein-four outer group
-        moves=(
-            ("gamma", _negate("x", "e", "d")),
-            ("delta", {**_negate("e"), "d": ((-1, "d"), (-1, "x"))}),
-        ),
+        # with the unit -1, its orientation reversal, delta generates its Klein-four outer group
+        moves=(("delta", {"e": ((-1, "e"),), "d": ((-1, "d"), (-1, "x"))}),),
         full_moves=True,
         classify_args=("k", "orientable"),
     ),
     Family(
         "d21", 7, "disc with 2 cone points", 0, True, (), ("m", "n"), ((),),
-        # the boundary reflection, and the cone swap when m = n
-        moves=(("alpha", _negate("x1", "x2", "e")), ("beta", _swap("x1", "x2"))),
+        # the cone swap when m = n; the boundary reflection is the unit -1
+        moves=(("beta", _swap("x1", "x2")),),
         full_moves=True,
         classify_args=("k",),
     ),
     Family(
         "ann1", 8, "annulus with 1 cone point", 0, True, (), ("m",), ((), ()),
-        # as for mb1; beta swaps the two boundary cycles
-        moves=(
-            ("alpha", _negate("x", "e1", "e2")),
-            ("beta", {**_swap("e1", "e2"), **_swap("c1", "c2")}),
-        ),
+        # beta swaps the two boundary cycles; the reflection is the unit -1
+        moves=(("beta", {**_swap("e1", "e2"), **_swap("c1", "c2")}),),
         full_moves=True,
         classify_args=("k", "orientable"),
     ),

@@ -5,6 +5,7 @@ import json
 import math
 
 import pytest
+from catalog_points import instances
 
 from necsurf.bsk import (
     BskMap,
@@ -64,7 +65,7 @@ def test_presentation_generator_names():
     of its first admitted point."""
     assert set(PRESENTATIONS) == set(FAMILIES)
     for kind, (gens, free) in PRESENTATIONS.items():
-        pres = presentation(FAMILIES[kind].instances(range(2, 31))[0].signature())
+        pres = presentation(instances(FAMILIES[kind], range(2, 31))[0].signature())
         assert (pres.gens, pres.free) == (gens, free), kind
     pres = presentation_of(QuotientType("ann1", m=5))
     assert pres.elliptic_orders == {"x": 5}

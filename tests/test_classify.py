@@ -5,6 +5,7 @@ import itertools
 import math
 
 import pytest
+from catalog_points import instances
 from classify_reference import PER_K, flags, reference_classify, reference_results
 
 from necsurf.classify import (
@@ -351,7 +352,7 @@ def test_formula_table_matches_registry(no_formulas):
     gated = [
         (q, N)
         for kind in FAMILIES
-        for q in FAMILIES[kind].instances(range(2, 31))
+        for q in instances(FAMILIES[kind], range(2, 31))
         for N in range(2, 61)
         if FAMILIES[q.kind].point_genus(q.m, q.n, N) is None
     ]
@@ -400,7 +401,7 @@ def test_all_k_formulas_match_per_k_reference():
     calls = 0
     for N in range(2, 61):
         for kind in PER_K:
-            for q in FAMILIES[kind].instances(divisors(N)[1:]):
+            for q in instances(FAMILIES[kind], divisors(N)[1:]):
                 assert results_for(q, N) == reference_results(q, N), (q, N)
                 for k in range(1, 2 * N + 2):
                     for flag in flags(kind):

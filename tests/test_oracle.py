@@ -120,8 +120,19 @@ def unit_normaliser_reference(pres, N):
 
 
 def apply_reference(move, vector, N):
-    """A move's image by its definition: every row summed, the identity rows included."""
-    return tuple(sum(c * vector[src] for c, src in row) % N for row in move.rows)
+    """A move's image by its definition: every row summed, with the identity row
+    ``((1, i),)`` at each position i that the move does not change."""
+    rows = dict(move.changed)
+    return tuple(
+        sum(c * vector[src] for c, src in rows.get(i, ((1, i),))) % N for i in range(len(vector))
+    )
+
+
+def reversal_reference(q, vector, N):
+    """The orientation reversal that mb1 (``gamma``), d21 and ann1 (``alpha``) once
+    listed as a move: every image negated but the reflections'."""
+    reflections = set(presentation_of(q).reflections)
+    return tuple(v if i in reflections else -v % N for i, v in enumerate(vector))
 
 
 class FakePool:
@@ -395,10 +406,10 @@ def test_equivalence_invariants_distinguish_kinds():
 
 
 def test_move_set_sizes():
-    assert [m.name for m in moves_for(QuotientType("mb1", m=3))] == ["gamma", "delta"]
-    assert [m.name for m in moves_for(QuotientType("ann1", m=3))] == ["alpha", "beta"]
-    assert [m.name for m in moves_for(QuotientType("d21", m=2, n=3))] == ["alpha"]
-    assert [m.name for m in moves_for(QuotientType("d21", m=4, n=4))] == ["alpha", "beta"]
+    assert [m.name for m in moves_for(QuotientType("mb1", m=3))] == ["delta"]
+    assert [m.name for m in moves_for(QuotientType("ann1", m=3))] == ["beta"]
+    assert [m.name for m in moves_for(QuotientType("d21", m=2, n=3))] == []
+    assert [m.name for m in moves_for(QuotientType("d21", m=4, n=4))] == ["beta"]
     assert [m.name for m in moves_for(QuotientType("d6"))] == ["shift0"]
     assert [m.name for m in moves_for(QuotientType("ann2"))] == ["shift1"]
     assert moves_for(QuotientType("d3-22m", m=3)) == ()
@@ -566,11 +577,46 @@ def test_compiled_moves_match_row_sums():
                 assert move.apply(vec, N) == apply_reference(move, vec, N), (q, N, move.name, vec)
             seen.add((q.kind, move.name))
     assert seen == {
-        ("ann1", "alpha"), ("ann1", "beta"), ("ann2", "shift1"), ("d12", "shift0"),
-        ("d14", "shift0"), ("d21", "alpha"), ("d21", "beta"), ("d2c-2m", "shift0"),
-        ("d2c-3m", "shift0"), ("d6", "shift0"), ("mb1", "delta"), ("mb1", "gamma"),
-        ("mb2", "shift0"),
+        ("ann1", "beta"), ("ann2", "shift1"), ("d12", "shift0"), ("d14", "shift0"),
+        ("d21", "beta"), ("d2c-2m", "shift0"), ("d2c-3m", "shift0"), ("d6", "shift0"),
+        ("mb1", "delta"), ("mb2", "shift0"),
     }
+
+
+def test_orientation_reversal_is_the_unit_minus_one():
+    """At every mb1, d21 and ann1 point with N <= 48 the orientation reversal sends
+    each canonical vector v to -v mod N, as the reflections' images are 0 or N/2,
+    and that normalises back to v: it joins no two unit classes, so it is no move."""
+    vectors = 0
+    for q, N in check_points(["mb1", "d21", "ann1"], 48):
+        normalise = oracle._unit_normaliser(presentation_of(q), N)
+        for vec in enumerate_smooth(q, N):
+            reversed_vec = reversal_reference(q, vec, N)
+            assert reversed_vec == tuple(-v % N for v in vec), (q, N, vec)
+            assert normalise(reversed_vec) == vec, (q, N, vec)
+            vectors += 1
+    assert vectors == 7110
+
+
+def test_every_move_changes_some_canonical_form():
+    """A move that sends every canonical vector back to its own unit class joins no
+    classes.  Each move that ``moves_for`` returns at some point with N <= 48 sends
+    some canonical vector to another canonical form; the counts are (changed,
+    vectors) over the points where the move applies."""
+    counts = {}
+    for q, N in check_points(None, 48):
+        normalise = oracle._unit_normaliser(presentation_of(q), N)
+        vectors = enumerate_smooth(q, N)
+        for move in moves_for(q):
+            changed = sum(normalise(move.apply(vec, N)) != vec for vec in vectors)
+            got, total = counts.get((q.kind, move.name), (0, 0))
+            counts[(q.kind, move.name)] = (got + changed, total + len(vectors))
+    assert all(changed for changed, _ in counts.values()), counts
+    assert counts.pop(("d21", "beta")) == (568, 710)
+    assert counts.pop(("mb1", "delta")) == (1638, 1734)
+    assert counts.pop(("ann1", "beta")) == (4082, 4178)
+    assert {name for _, name in counts} == {"shift0", "shift1"}
+    assert all(changed == total for changed, total in counts.values()), counts
 
 
 def test_cross_check_pool_is_no_larger_than_its_points_or_cpus(monkeypatch):

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from catalog_points import instances
 
 from necsurf.signatures import (
     FAMILIES,
@@ -155,7 +156,7 @@ def quotient_of_signature(sig: NecSignature) -> QuotientType | None:
     """
     key = _canon(sig)
     for fam in FAMILIES.values():
-        for q in fam.instances(sorted(set(sig.proper_periods))):
+        for q in instances(fam, sorted(set(sig.proper_periods))):
             if _canon(q.signature()) == key:
                 return q
     return None
@@ -180,7 +181,7 @@ def test_area_matches_fraction_sum():
     """The integer-sum ``area`` equals the term-by-term ``Fraction`` sum on
     every catalog signature with cone orders up to 200, and on signatures
     off the catalog: orbit genus > 0, several cycles, area <= 0."""
-    sigs = [q.signature() for fam in FAMILIES.values() for q in fam.instances(range(2, 201))]
+    sigs = [q.signature() for fam in FAMILIES.values() for q in instances(fam, range(2, 201))]
     assert len(sigs) > 20000
     sigs += [
         NecSignature(0, True),
@@ -252,7 +253,7 @@ def test_canonical_fuchsian_needs_reflections():
 def test_fuchsian_area_doubles():
     for kind in ("d6", "ann2", "mb2", "d12", "d14", "mb1", "d21", "ann1",
                  "d3-22m", "d3-23m", "d2c-2m", "d2c-3m"):
-        for q in FAMILIES[kind].instances(range(2, 61)):
+        for q in instances(FAMILIES[kind], range(2, 61)):
             sig = q.signature()
             assert fuchsian_area(canonical_fuchsian(sig)) == 2 * area(sig)
 
@@ -286,7 +287,7 @@ def test_catalog_has_ten_families():
 def test_catalog_areas_in_unit_interval():
     for kind in ("d6", "ann2", "mb2", "d12", "d14", "mb1", "d21", "ann1",
                  "d3-22m", "d3-23m", "d2c-2m", "d2c-3m"):
-        for q in FAMILIES[kind].instances(range(2, 61)):
+        for q in instances(FAMILIES[kind], range(2, 61)):
             assert 0 < area(q.signature()) < 1, q
 
 
@@ -297,7 +298,7 @@ def test_generated_catalog_matches_hardcoded():
     expanded = set()
     for kind in ("d6", "ann2", "mb2", "d12", "d14", "mb1", "d21", "ann1",
                  "d3-22m", "d3-23m", "d2c-2m", "d2c-3m"):
-        for q in FAMILIES[kind].instances(range(2, max_period + 1)):
+        for q in instances(FAMILIES[kind], range(2, max_period + 1)):
             expanded.add(_canon(q.signature()))
     assert generated == expanded
     for s in generate_admissible_signatures(max_period):
@@ -323,7 +324,7 @@ def test_catalog_is_every_bordered_signature_with_even_cycles():
         ]
         q = QuotientType(fam.kind, *sig.proper_periods[len(fam.periods):])
         assert q.signature() == sig
-    catalog = {q.signature() for fam in FAMILIES.values() for q in fam.instances(range(2, 31))}
+    catalog = {q.signature() for fam in FAMILIES.values() for q in instances(fam, range(2, 31))}
     assert even == catalog
 
 
@@ -347,7 +348,7 @@ def test_every_catalog_signature_has_one_name():
     """
     names = {}
     for fam in FAMILIES.values():
-        for q in fam.instances(range(2, 31)):
+        for q in instances(fam, range(2, 31)):
             other = names.setdefault(_canon(q.signature()), q)
             assert other == q, (other, q)
     assert len(names) == 616
@@ -367,7 +368,7 @@ def test_family_kernel_genus_is_the_exact_area_genus():
     forced order."""
     checked = 0
     for fam in FAMILIES.values():
-        for q in fam.instances(range(2, 49)):
+        for q in instances(fam, range(2, 49)):
             sig = q.signature()
             for N in range(2, 97):
                 got = fam.point_genus(q.m, q.n, N)
