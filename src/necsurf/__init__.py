@@ -8,14 +8,7 @@ them, and minimum-genus / maximum-order solvers.
 """
 
 from .bsk import BskMap, boundary_count, is_smooth, orientability, presentation_of, surface_of
-from .classify import (
-    ActionRecord,
-    ClassificationResult,
-    Realization,
-    actions_for_order,
-    classify,
-    classify_ann1,
-)
+from .classify import ActionRecord, ClassificationResult, Realization, actions_for_order, classify
 from .extremal import (
     ExtremalAnswer,
     max_order_closed,

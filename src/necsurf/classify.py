@@ -72,30 +72,25 @@ class Realization(_Checked, _RealizationFields):
         return self
 
 
-class _ResultFields(NamedTuple):
+class ClassificationResult(NamedTuple):
+    """The realizations of one quotient at one order: an immutable tuple.
+
+    Existence and the class count are read off the realizations; each
+    ``Realization`` has at least one class, so ``exists`` is
+    ``class_count >= 1``.
+    """
+
     quotient: QuotientType
     order: int  # the order N of the acting cyclic group
-    exists: bool
-    class_count: int
     realizations: tuple[Realization, ...] = ()
 
+    @property
+    def exists(self) -> bool:
+        return bool(self.realizations)
 
-class ClassificationResult(_Checked, _ResultFields):
-    """The realizations of one quotient at one order: an immutable, checked tuple."""
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        quotient: QuotientType,
-        order: int,
-        exists: bool,
-        class_count: int,
-        realizations: tuple[Realization, ...] = (),
-    ) -> "ClassificationResult":
-        assert exists == (class_count >= 1)
-        assert class_count == sum(r.count for r in realizations)
-        return tuple.__new__(cls, (quotient, order, exists, class_count, realizations))
+    @property
+    def class_count(self) -> int:
+        return sum(r.count for r in self.realizations)
 
 
 def _ceil_half(x: int) -> int:
@@ -379,7 +374,7 @@ def classify(
         r for r in results_for(q, N)
         if k in (None, r.surface.boundary_count) and orientable in (None, r.surface.orientable)
     )
-    return ClassificationResult(q, N, bool(reals), sum(r.count for r in reals), reals)
+    return ClassificationResult(q, N, reals)
 
 
 def classify_ann1(N: int, m: int, k: int, want_orientable: bool) -> ClassificationResult:

@@ -345,14 +345,24 @@ def oracle_report(q: QuotientType, N: int) -> OrbitReport:
 # --- cross-checking against the closed forms -------------------------------
 
 class CheckPoint(NamedTuple):
+    """The oracle's sorted buckets and the closed form's at one point; ok when they are equal."""
+
     quotient: QuotientType
     N: int
-    ok: bool
     oracle_buckets: tuple
     expected_buckets: tuple
     map_count: int
     orbit_count: int
-    note: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.oracle_buckets == self.expected_buckets
+
+    @property
+    def note(self) -> str:
+        if self.ok or FAMILIES[self.quotient.kind].full_moves:
+            return ""
+        return "proof-level move set (units + cycle rotation); discrepancy surfaced, not reconciled"
 
     def describe(self) -> str:
         status = "ok" if self.ok else "MISMATCH"
@@ -376,23 +386,15 @@ class CrossCheckReport(NamedTuple):
 
 
 def check_point(q: QuotientType, N: int) -> CheckPoint:
-    """Compare oracle orbits with the closed-form counts at one parameter point."""
+    """The oracle's orbit buckets and the closed-form buckets at one parameter point."""
     report = oracle_report(q, N)
-    got = report.buckets()
-    want = classification_buckets(q, N)
-    ok = got == want
-    note = ""
-    if not ok and not FAMILIES[q.kind].full_moves:
-        note = "proof-level move set (units + cycle rotation); discrepancy surfaced, not reconciled"
     return CheckPoint(
         q,
         N,
-        ok,
-        tuple(sorted(got.items())),
-        tuple(sorted(want.items())),
+        tuple(sorted(report.buckets().items())),
+        tuple(sorted(classification_buckets(q, N).items())),
         report.map_count,
         report.orbit_count,
-        note,
     )
 
 

@@ -350,31 +350,25 @@ class Family(_FamilyFields):
             return m >= self.least_cone and (a - b) * m < b < a * m
         return self.least_cone <= m <= n and (a - b) * m * n < b * (m + n) < a * m * n
 
-    def _admitted(self, values, order: int | None = None) -> list[tuple[int | None, int | None]]:
-        """Every admitted (m, n) from the ascending sequence ``values`` (None where unused).
+    def cone_orders(self, N: int) -> list[tuple[int | None, int | None]]:
+        """The cone orders (m, n) that could carry order-N actions, ascending (None where unused).
 
-        With ``order`` a pair must have lcm equal to it, the condition for
-        two cone points alone to carry a surjection onto Z_order.
+        Cone orders must divide N (their images have exact order), which
+        bounds everything; a pair must have lcm(m, n) = N, the condition
+        for two cone points alone to carry a surjection onto Z_N.  This is
+        O(d(N)) points for one parameter and O(d(N)^2) steps for two.
         """
         if not self.params:
             return [(None, None)]
+        values = divisors(N)[1:]
         if len(self.params) == 1:
             return [(m, None) for m in values if self.admits(m)]
         return [
             (m, n)
             for i, m in enumerate(values)
             for n in values[i:]
-            if (order is None or math.lcm(m, n) == order) and self.admits(m, n)
+            if math.lcm(m, n) == N and self.admits(m, n)
         ]
-
-    def cone_orders(self, N: int) -> list[tuple[int | None, int | None]]:
-        """The cone orders (m, n) that could carry order-N actions, ascending.
-
-        Cone orders must divide N (their images have exact order), which
-        bounds everything; a pair must have lcm(m, n) = N.  This is
-        O(d(N)) points for one parameter and O(d(N)^2) steps for two.
-        """
-        return self._admitted(divisors(N)[1:], order=N)
 
     def points(self, N: int, genus: int | None = None) -> list[tuple[int | None, int | None, int]]:
         """The points of ``cone_orders(N)`` that carry order-N actions, as (m, n, p).

@@ -131,4 +131,4 @@ def reference_classify(q, N, k, flag):
     """``classify(q, N, k, flag)`` as the per-k formula answered it."""
     p = _genus(q, N)
     reals = () if p is None else tuple(PER_K[q.kind][0](q, N, p, k, flag))
-    return ClassificationResult(q, N, bool(reals), sum(r.count for r in reals), reals)
+    return ClassificationResult(q, N, reals)

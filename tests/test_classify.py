@@ -172,10 +172,10 @@ def _ann1_linear_reference(N, m, k, want_orientable):
     p = 1 + N * (m - 1) // m
     if not want_orientable:
         if N % 2 != 0 or N % k != 0 or N != math.lcm(m, N // k):
-            return ClassificationResult(q, N, False, 0)
+            return ClassificationResult(q, N)
         count = euler_phi(math.gcd(m, N // k))
         reals = [Realization(SurfaceTopology.of_genus(False, p, k), count)]
-        return ClassificationResult(q, N, True, count, tuple(reals))
+        return ClassificationResult(q, N, tuple(reals))
     reals = []
     if N % k == 0 and N == 2 * math.lcm(m, N // k) and (N // 2) % 2 == 1:
         t = math.gcd(m, N // k)
@@ -195,7 +195,7 @@ def _ann1_linear_reference(N, m, k, want_orientable):
         surf = SurfaceTopology.of_genus(True, p, k)
         reals.append(Realization(surf, count, False, f"split{{{n1},{n2}}}"))
     reals = tuple(r for r in reals if r.count > 0)
-    return ClassificationResult(q, N, bool(reals), sum(r.count for r in reals), reals)
+    return ClassificationResult(q, N, reals)
 
 
 def test_ann1_divisor_search_matches_linear_reference():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from necsurf import oracle
+from necsurf import extremal, oracle
 from necsurf.cli import main
 from test_oracle import FakePool
 
@@ -161,6 +161,59 @@ def test_verify_json(capsys):
     payload = json.loads(out)
     assert payload["result"]["passed"] is True
     assert payload["result"]["points"]
+
+
+# a d21 point, whose family has the full move set, and a d12 point, whose family has not
+DROPPED = {("d21(2,3)", 6), ("d12(4)", 4)}
+NOTE = "(proof-level move set (units + cycle rotation); discrepancy surfaced, not reconciled)"
+
+
+def _drop_a_bucket(monkeypatch):
+    """The closed form loses its first bucket at the points of ``DROPPED``."""
+    buckets = oracle.classification_buckets
+
+    def fewer(q, N):
+        want = buckets(q, N)
+        return dict(list(want.items())[1:]) if (q.label(), N) in DROPPED else want
+
+    monkeypatch.setattr(oracle, "classification_buckets", fewer)
+
+
+def test_verify_reports_mismatches(capsys, monkeypatch):
+    _drop_a_bucket(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--n-max", "6", "--types", "d21,d12")
+    assert code == 1
+    lines = out.splitlines()
+    d21 = [line for line in lines if line.lstrip().startswith("d21(2,3) N=6")]
+    d12 = [line for line in lines if line.lstrip().startswith("d12(4) N=4")]
+    assert len(d21) == 1 and d21[0].endswith("MISMATCH")
+    assert len(d12) == 1 and d12[0].endswith(f"MISMATCH {NOTE}")
+    assert lines[2].startswith("verify: 2/13 MISMATCHES; first:") and lines[2].endswith(NOTE)
+    assert "d12(4) N=4" in lines[2]
+    assert lines[3:] == [
+        "  oracle buckets:   (((False, None, 2), 1),)",
+        "  expected buckets: ()",
+    ]
+
+
+def test_verify_json_reports_mismatches(capsys, monkeypatch):
+    _drop_a_bucket(monkeypatch)
+    code, out, _ = run(capsys, "verify", "--n-max", "6", "--types", "d21,d12", "--format", "json")
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result["passed"] is False
+    failed = {(p["quotient"], p["N"]) for p in result["points"] if p["ok"] is False}
+    assert failed == DROPPED and len(result["points"]) == 13
+
+
+def test_min_genus_reports_a_mismatch(capsys, monkeypatch):
+    search = extremal.min_genus_search
+    monkeypatch.setattr(extremal, "min_genus_search",
+                        lambda N, variant: search(N, variant)._replace(value=N))
+    code, out, _ = run(capsys, "min-genus", "--N", "12", "--both", "--format", "json")
+    assert code == 1 and json.loads(out)["result"]["verdict"] == "MISMATCH"
+    code, out, _ = run(capsys, "min-genus", "--N", "12", "--both")
+    assert code == 1 and out.splitlines()[-1] == "-> min-genus[p](12) = 6 [MISMATCH]"
 
 
 def test_verify_rejects_bounds_before_any_work(capsys, monkeypatch):

@@ -5,6 +5,7 @@ these tests only read them.  A difference is a change of behaviour.
 """
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -71,6 +72,14 @@ def test_check_point_matches_golden_up_to_48(sweep_48):
         assert _result(p) == entry["result"], point["quotient"]
         checked += 1
     assert checked == 1291
+
+
+def test_verify_json_up_to_192_matches_recorded_md5(capsys):
+    """The last step of the byte contract: ``verify --format json --n-max 192``,
+    on a pool of two workers, prints exactly the recorded text."""
+    assert main(["verify", "--format", "json", "--n-max", "192", "--jobs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == "39e59a9efc9e5929cef8d27fa045fbc2"
 
 
 def test_check_point_matches_recorded_49_to_96():
@@ -207,14 +216,26 @@ def test_presentation_of_serves_the_bench_candidate_count():
     assert presentation_of(QuotientType("d6")).elliptic_orders == {}
 
 
+_ENUMERATED: dict[str, tuple[str, str]] = {}
+
+
+def _enumerate_digests(capsys, N: str) -> tuple[str, str]:
+    """``enumerate --N <N> --format json`` stdout, digested as printed and by its
+    rows (``rows_digest``).  Each N runs once per session, so both enumerate
+    goldens read the orders they share from one run."""
+    if N not in _ENUMERATED:
+        assert main(["enumerate", "--N", N, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        _ENUMERATED[N] = W.digest(out), W.rows_digest(json.loads(out)["result"]["rows"])
+    return _ENUMERATED[N]
+
+
 def test_enumerate_rows_match_golden(capsys):
     """Every recorded order: N = 2..2000, 2520 and 5040."""
     golden = W.load_golden("catalog-orders")
     assert len(golden) == 2001
     for N, digest in golden.items():
-        assert main(["enumerate", "--N", N, "--format", "json"]) == 0
-        rows = json.loads(capsys.readouterr().out)["result"]["rows"]
-        assert W.rows_digest(rows) == digest, N
+        assert _enumerate_digests(capsys, N)[1] == digest, N
 
 
 def test_enumerate_stdout_matches_recorded_order(capsys):
@@ -225,8 +246,7 @@ def test_enumerate_stdout_matches_recorded_order(capsys):
     recorded = json.loads((Path(__file__).parent / "enumerate_ordered_digests.json").read_text())
     assert list(recorded) == [str(N) for N in [*range(2, 601), 720, 2520, 5040]]
     for N, digest in recorded.items():
-        assert main(["enumerate", "--N", N, "--format", "json"]) == 0
-        assert W.digest(capsys.readouterr().out) == digest, N
+        assert _enumerate_digests(capsys, N)[0] == digest, N
 
 
 def test_extremal_queries_match_golden(capsys):

@@ -9,8 +9,10 @@ and ``ActionRecord`` (classify); ``ExtremalAnswer`` (extremal);
 the repr, the validation, the immutability and the value equality and
 hashing of a frozen record, and also equals a plain tuple of the same
 fields.  ``PresentationSpec`` and ``Family`` cache derived values in an
-instance dict, outside the fields.  Importing the package
-does not import ``dataclasses``.
+instance dict, outside the fields.  ``ClassificationResult`` and
+``CheckPoint`` store no answer twice: ``exists`` and ``class_count`` are
+read off the realizations, and ``ok`` and ``note`` off the two bucket
+tuples.  Importing the package does not import ``dataclasses``.
 """
 
 import os
@@ -52,9 +54,9 @@ assert MOVE.apply((1, 3, 4, 0), 8) == (3, 1, 4, 0) and MOVE._fields == ("name", 
 assert PRES.free_positions == (0, 1, 3) and FAMILY.least_cone == 2
 
 CHECK_TEXT = (
-    "CheckPoint(quotient=QuotientType(kind='d21', m=2, n=3), N=6, ok=True, "
+    "CheckPoint(quotient=QuotientType(kind='d21', m=2, n=3), N=6, "
     "oracle_buckets=(((True, False, 1), 1),), expected_buckets=(((True, False, 1), 1),), "
-    "map_count=2, orbit_count=1, note='')"
+    "map_count=2, orbit_count=1)"
 )
 ORBIT_TEXT = (
     "OrbitInfo(representative=BskMap(quotient=QuotientType(kind='d21', m=2, n=3), N=6, "
@@ -100,7 +102,7 @@ REPRS = [
     (
         RESULT,
         "ClassificationResult(quotient=QuotientType(kind='d6', m=None, n=None), order=2, "
-        "exists=True, class_count=1, realizations=(Realization(surface=SurfaceTopology("
+        "realizations=(Realization(surface=SurfaceTopology("
         "orientable=True, genus=0, boundary_count=3), count=1, reversing=True, label=''),))",
     ),
     (ANSWER, "ExtremalAnswer(query='min-genus', variant='p', argument=12, value=None, realizers=())"),
@@ -229,9 +231,6 @@ BROKEN = [
     (BMAP, {"images": (3, -1, 5, 0)}, ValueError, f"{BSK_WANT} (3, -1, 5, 0)"),
     (BMAP, {"N": 5}, ValueError,
      "d21(2,3) needs one residue in 0..4 per generator ('x1', 'x2', 'e', 'c'), got (3, 4, 5, 0)"),
-    (RESULT, {"class_count": 0}, AssertionError, ""),
-    (RESULT, {"exists": False, "class_count": 0}, AssertionError, ""),
-    (RESULT, {"realizations": ()}, AssertionError, ""),
 ]
 
 
@@ -259,6 +258,22 @@ def test_replace_and_make_keep_the_checks():
         REAL._replace(count=0)
     with pytest.raises(AssertionError, match="not pairwise coprime"):
         MaclachlanQuad._make((1, 2, 4, 1))
+
+
+def test_answers_are_derived_from_the_fields():
+    assert ClassificationResult._fields == ("quotient", "order", "realizations")
+    assert (RESULT.exists, RESULT.class_count) == (True, 1)
+    assert RESULT._replace(realizations=(REAL, REAL)).class_count == 6
+    none = RESULT._replace(realizations=())
+    assert (none.exists, none.class_count) == (False, 0)
+    assert CheckPoint._fields == (
+        "quotient", "N", "oracle_buckets", "expected_buckets", "map_count", "orbit_count"
+    )
+    assert (CHECK.ok, CHECK.note) == (True, "")
+    short = CHECK._replace(expected_buckets=())
+    assert not short.ok and not short.note  # d21 has the full move set
+    short = short._replace(quotient=QuotientType("d12", 4))
+    assert not short.ok and short.note.startswith("proof-level move set")
 
 
 def test_of_genus_and_derived_fields():
