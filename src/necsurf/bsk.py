@@ -105,22 +105,28 @@ class PointRules:
     """The BSK rules of one presentation at one order N, compiled from the spec.
 
     The rules (see the module docstring) become position tuples read off
-    the spec once: each elliptic generator with its exact order, the
-    reflections, each ring's tail with the reflection it equals, the
-    corners with their link periods and the long relation; element orders
-    are read from ``order_table(N)``.  Any signature's spec will do, in the
-    catalog or not.  ``failures`` is the one rule body.
+    the spec once and stored on the point: each elliptic generator with
+    its exact order (``_elliptic``), the reflections (``_reflections``),
+    each ring's tail with the reflection it equals (``_tails``), the
+    corners with their link periods (``_corners``) and the (coefficient,
+    position) terms of the long relation (``_long_relation``); element
+    orders are read from ``order_table(N)``.  Any signature's spec will
+    do, in the catalog or not.  ``failures`` is the one rule body; it
+    reads the reflections' images once, for their squares and for the
+    border rule.
 
     The invariants of a smooth vector are compiled the same way: the
-    orientation-preserving and -reversing positions, each empty cycle's
-    reflection and connector, and the boundary the non-empty cycles
-    contribute, which depends on N alone.  ``genus`` is the point's
-    algebraic genus, or None where it has none; ``surface`` keeps the
-    ``SurfaceTopology`` of each (orientable, boundary count) it has met.
+    orientation-preserving positions (``_preserving``) and the glides
+    (``_glides``), each empty cycle's reflection and connector, and the
+    boundary the non-empty cycles contribute, which depends on N alone.
+    ``genus`` is the point's algebraic genus, or None where it has none;
+    ``surface`` keeps the ``SurfaceTopology`` of each (orientable, boundary
+    count) it has met.
     """
 
     __slots__ = (
-        "N", "pres", "genus", "_orders", "_elliptic", "_tails", "_empty_cycles", "_cycle_boundary",
+        "N", "pres", "genus", "_orders", "_elliptic", "_reflections", "_tails", "_corners",
+        "_long_relation", "_glides", "_preserving", "_empty_cycles", "_cycle_boundary",
         "_cycle_error", "_surfaces",
     )
 
@@ -128,6 +134,9 @@ class PointRules:
         self.N, self.pres, self.genus = N, pres, genus
         self._orders = order_table(N)
         self._elliptic = tuple((i, pres.elliptic_orders[pres.gens[i]]) for i in pres.elliptic)
+        self._reflections, self._corners = pres.reflections, pres.corners
+        self._long_relation = pres.long_relation
+        self._glides, self._preserving = pres.glides, pres.preserving
         # an empty cycle's ring, its one reflection, has no tail
         self._tails = tuple((ring[-1], ring[0]) for ring in pres.rings if len(ring) > 1)
         self._empty_cycles = tuple(
@@ -145,28 +154,28 @@ class PointRules:
 
     def failures(self, vec: tuple[int, ...]) -> Iterator[str]:
         """Each reason the residue vector ``vec`` is not smooth, in rule order, as it is met."""
-        N, orders, pres = self.N, self._orders, self.pres
-        gens = pres.gens
+        N, orders, gens = self.N, self._orders, self.pres.gens
         for i, want in self._elliptic:
             got = orders[vec[i]]
             if got != want:
                 yield f"{gens[i]} has order {got}, requires exact order {want}"
-        for i in pres.reflections:
-            if 2 * vec[i] % N:
-                yield f"reflection {gens[i]} image {vec[i]} does not square to 0"
+        reflected = [vec[i] for i in self._reflections]
+        for i, image in zip(self._reflections, reflected):
+            if 2 * image % N:
+                yield f"reflection {gens[i]} image {image} does not square to 0"
         for tail, head in self._tails:
             if vec[tail] != vec[head]:
                 yield f"{gens[tail]} must equal the conjugate image of {gens[head]}"
-        for a, b, want in pres.corners:
+        for a, b, want in self._corners:
             got = orders[(vec[a] + vec[b]) % N]
             if got != want:
                 yield f"corner ({gens[a]} {gens[b]}) has order {got}, not {want}"
-        total = sum([c * vec[i] for c, i in pres.long_relation]) % N
+        total = sum([c * vec[i] for c, i in self._long_relation]) % N
         if total:
             yield f"long relation evaluates to {total}"
         if math.gcd(N, *vec) != 1:
             yield "images do not generate Z_N"
-        if all(vec[i] for i in pres.reflections):
+        if 0 not in reflected:
             yield "kernel contains no reflection (surface would be unbordered)"
 
     def first_failure(self, vec: tuple[int, ...]) -> str | None:
@@ -187,18 +196,16 @@ class PointRules:
         2w.  (Which included reversing image is w does not matter: any two
         differ by an element of that subgroup.)
         """
-        pres = self.pres
-        reversing = [vec[i] for i in pres.glides] + [vec[i] for i in pres.reflections if vec[i]]
+        reversing = [vec[i] for i in self._glides] + [vec[i] for i in self._reflections if vec[i]]
         if not reversing:
             return True
         w = reversing[0]
-        gens = [vec[i] for i in pres.preserving] + [x - w for x in reversing[1:]] + [2 * w]
+        gens = [vec[i] for i in self._preserving] + [x - w for x in reversing[1:]] + [2 * w]
         return w % math.gcd(self.N, *gens) != 0
 
     def reversing(self, vec: tuple[int, ...]) -> bool:
         """Does a glide, or a reflection with image N/2, survive outside the kernel?"""
-        pres = self.pres
-        return bool(pres.glides) or any([vec[i] for i in pres.reflections])
+        return bool(self._glides) or any([vec[i] for i in self._reflections])
 
     def boundary_count(self, vec: tuple[int, ...]) -> int:
         """Boundary components of the covered surface of ``vec``.

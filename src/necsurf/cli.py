@@ -20,6 +20,7 @@ from functools import cache
 from . import extremal, oracle
 from .classify import ClassificationResult, actions_for_order, classify
 from .signatures import FAMILIES, QuotientType
+from .zmod import FACTORIZE_BOUND
 
 SCHEMA_VERSION = "1"
 
@@ -203,6 +204,16 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+def _check_bounds(args) -> None:
+    """Reject an order N, or a genus p whose orders reach 2(p+1), that ``factorize`` cannot take."""
+    N, p = getattr(args, "N", None), getattr(args, "p", None)
+    if N is not None and N >= FACTORIZE_BOUND:
+        raise ValueError(f"--N must be below {FACTORIZE_BOUND}, the exact factorisation bound")
+    if p is not None and 2 * (p + 1) >= FACTORIZE_BOUND:
+        raise ValueError(
+            f"--p must have 2(p+1) below {FACTORIZE_BOUND}, the exact factorisation bound")
+
+
 def _add_mode(p) -> None:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--closed", dest="mode", action="store_const", const="closed")
@@ -218,13 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify, enumerate and verify cyclic actions on bordered surfaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    n_help = f"the order, below {FACTORIZE_BOUND} (the exact factorisation bound)"
 
     def add_format(p, choices=("table", "json", "csv")):
         p.add_argument("--format", choices=choices, default="table")
 
     p_cls = sub.add_parser("classify", help="classes for one quotient family")
     p_cls.add_argument("type", choices=tuple(FAMILIES))
-    p_cls.add_argument("--N", type=int)
+    p_cls.add_argument("--N", type=int, help=n_help)
     p_cls.add_argument("--m", type=int)
     p_cls.add_argument("--n", type=int)
     p_cls.add_argument("--k", type=int)
@@ -235,20 +247,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls.set_defaults(func=cmd_classify)
 
     p_enum = sub.add_parser("enumerate", help="all actions of a given order")
-    p_enum.add_argument("--N", type=int, required=True)
+    p_enum.add_argument("--N", type=int, required=True, help=n_help)
     p_enum.add_argument("--max-genus", type=int, default=None)
     add_format(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_min = sub.add_parser("min-genus", help="least algebraic genus for an order")
-    p_min.add_argument("--N", type=int, required=True)
+    p_min.add_argument("--N", type=int, required=True, help=n_help)
     p_min.add_argument("--variant", choices=extremal.MIN_GENUS_VARIANTS, default="p")
     _add_mode(p_min)
     add_format(p_min)
     p_min.set_defaults(func=cmd_minmax)
 
     p_max = sub.add_parser("max-order", help="largest order for an algebraic genus")
-    p_max.add_argument("--p", type=int, required=True)
+    p_max.add_argument("--p", type=int, required=True,
+                       help=f"algebraic genus, with 2(p+1) < {FACTORIZE_BOUND}")
     p_max.add_argument("--variant", choices=extremal.MAX_ORDER_VARIANTS, default="N")
     _add_mode(p_max)
     add_format(p_max)
@@ -282,6 +295,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        _check_bounds(args)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

@@ -37,12 +37,14 @@ for that representative, whose surface ``surface_of`` must match its
 orbit's, or inside a failing assertion's message.  Each move keeps only
 the rows it changes, and its ``apply`` recomputes only those.  Per-N
 tables, built on first use and kept, since N is at most
-``ORACLE_MAX_N``: the element orders (``zmod.order_table``) and the
+``ORACLE_MAX_N``: the element orders (``zmod.order_table``); the
 residues of each order (``_residues_by_order``), which give the elliptic
-generators' domains; and per p^a || N, the scale of each residue
-(``_unit_scales``) that ``_unit_normaliser`` sums into the normalising
-unit.  Per-point state lives in the call or on the compiled points in
-the small LRUs of ``bsk``.
+generators' domains; per residue, the bitmasks of the primes of N it is
+a unit at and of those whose prime power it is 1 modulo
+(``_prime_bits``), which ``canonical_vectors`` reads; and per p^a || N,
+the scale of each residue (``_unit_scales``) that ``_unit_normaliser``
+sums into the normalising unit.  Per-point state lives in the call or on
+the compiled points in the small LRUs of ``bsk``.
 """
 
 from __future__ import annotations
@@ -137,6 +139,20 @@ def _free_domains(pres: PresentationSpec, N: int) -> list[tuple[int, ...]]:
     return domains
 
 
+@lru_cache(maxsize=None)
+def _prime_bits(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per residue v, two bitmasks over the primes of N, bit i for the i-th of ``factorize(N)``.
+
+    ``unit[v]`` has the primes p | N with p not dividing v, and ``one[v]``
+    those p^a || N with v = 1 mod p^a.  Built once per N and kept; the
+    oracle's N is at most ``ORACLE_MAX_N``.
+    """
+    powers = [(p, p**a) for p, a in factorize(N)]
+    unit = tuple(sum([1 << i for i, (p, _) in enumerate(powers) if v % p]) for v in range(N))
+    one = tuple(sum([1 << i for i, (_, q) in enumerate(powers) if v % q == 1]) for v in range(N))
+    return unit, one
+
+
 def canonical_vectors(rules: PointRules) -> list[tuple[int, ...]]:
     """One smooth vector per unit class at any bordered signature's point: its canonical form.
 
@@ -145,39 +161,49 @@ def canonical_vectors(rules: PointRules) -> list[tuple[int, ...]]:
     its first free image that is a unit mod p is 1 mod p^a.  The search
     runs depth first over the free generators, values ascending, so the
     vectors come in ascending order of their free images; images
-    determined by relations are filled in.  At each position it keeps
-    only the values that obey the rule at the primes with no unit image
-    yet, from a table memoised on that set of primes.  A choice that
-    leaves a prime without a unit image cannot generate Z_N and is never
-    built.
+    determined by relations are filled in.  The primes with no unit image
+    yet are a bitmask over ``factorize(N)``, read against the masks of
+    ``_prime_bits``: a value v is allowed when each pending prime it is a
+    unit at has v = 1 mod p^a, and leaves pending the primes dividing it.
+    ``reach[pos]`` holds the primes some value of a free domain from
+    ``pos`` on is a unit at; a choice that leaves pending a prime no later
+    domain reaches cannot generate Z_N, and its subtree is never walked.
+    So every leaf has a unit image at each prime.  The choices at each
+    position are kept per pending mask for the one call.
     """
     pres, N = rules.pres, rules.N
     domains = _free_domains(pres, N)
-    tables: list[dict[frozenset, list]] = [{} for _ in domains]
+    unit, one = _prime_bits(N)
+    reach = [0] * (len(domains) + 1)
+    for pos in reversed(range(len(domains))):
+        reach[pos] = reach[pos + 1]
+        for v in domains[pos]:
+            reach[pos] |= unit[v]
+    tables: list[dict[int, list[tuple[int, int]]]] = [{} for _ in domains]
 
-    def allowed(pos: int, pending: frozenset) -> list[tuple[int, frozenset]]:
-        table = tables[pos]
-        if pending not in table:
-            table[pending] = [
-                (v, frozenset((p, pa) for p, pa in pending if v % p == 0))
-                for v in domains[pos]
-                if all(v % pa == 1 for p, pa in pending if v % p)
+    def allowed(pos: int, pending: int) -> list[tuple[int, int]]:
+        choices = tables[pos].get(pending)
+        if choices is None:
+            unreached = ~reach[pos + 1]
+            choices = tables[pos][pending] = [
+                (v, rest) for v in domains[pos]
+                if not unit[v] & pending & ~one[v] and not (rest := pending & ~unit[v]) & unreached
             ]
-        return table[pending]
+        return choices
 
     out = []
+    last = len(domains)
 
-    def search(pos: int, pending: frozenset, images: tuple[int, ...]) -> None:
-        if pos == len(domains):
-            if not pending:
-                vec = pres.complete(images, N)
-                if rules.first_failure(vec) is None:
-                    out.append(vec)
+    def search(pos: int, pending: int, images: tuple[int, ...]) -> None:
+        if pos == last:
+            vec = pres.complete(images, N)
+            if rules.first_failure(vec) is None:
+                out.append(vec)
             return
         for v, rest in allowed(pos, pending):
             search(pos + 1, rest, images + (v,))
 
-    search(0, frozenset((p, p**a) for p, a in factorize(N)), ())
+    search(0, (1 << len(factorize(N))) - 1, ())
     return out
 
 

@@ -1,6 +1,8 @@
 """Exact modular arithmetic underlying the class-counting formulas.
 
-Everything here is plain integer arithmetic, no floats: the Euler totient,
+Everything here is plain integer arithmetic, no floats: factorisation
+below ``FACTORIZE_BOUND`` (trial division, Pollard's rho and
+deterministic Miller-Rabin), the Euler totient,
 its companion ``psi`` with psi(p^a) = (p-2)*p^(a-1), a generating set of
 the unit group, CRT solving, lifting units along reduction maps
 Z_N* -> Z_n*, Harvey's criterion for generating a cyclic group by three
@@ -11,6 +13,7 @@ decomposition of an order triple.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -25,22 +28,111 @@ class _Checked:
         return cls(*fields)
 
 
+# Miller-Rabin on the 13 prime bases 2..41 is exact below this bound (J. Sorenson
+# and J. Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+FACTORIZE_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _primes_below(n: int) -> tuple[int, ...]:
+    """The primes below n, ascending, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(p for p in range(n) if sieve[p])
+
+
+_SMALL_PRIMES = _primes_below(1000)
+
+
+def _is_prime_mr(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd n > 41 below ``FACTORIZE_BOUND``."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard's rho with Brent's cycle search.
+
+    The walk is y -> y^2 + c from y = 2, with c = 1, 2, ... tried in turn;
+    the gcds are batched over 128 steps, and a batch that overshoots to n
+    is replayed one step at a time (J. M. Pollard, BIT 15, 1975; R. P.
+    Brent, BIT 20, 1980).
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, g, q = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _large_prime_factors(n: int) -> list[int]:
+    """The prime factors of n > 1, with multiplicity, when no prime below 1000 divides n."""
+    if _is_prime_mr(n):
+        return [n]
+    d = _rho_factor(n)
+    return _large_prime_factors(d) + _large_prime_factors(n // d)
+
+
 @lru_cache(maxsize=None)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((p, exponent), ...) with p ascending."""
-    if n < 1:
-        raise ValueError(f"factorize expects n >= 1, got {n}")
+    """Prime factorization of 1 <= n < ``FACTORIZE_BOUND`` as ((p, exponent), ...), p ascending.
+
+    Trial division by the primes below 1000 first, which alone factors
+    every n below 1000^2.  What it leaves of a larger n, when that is
+    1000^2 or more, has no prime factor below 1000: it is split by
+    Pollard's rho, each part proved prime or composite by deterministic
+    Miller-Rabin, exact below the bound.
+    """
+    if not 1 <= n < FACTORIZE_BOUND:
+        raise ValueError(f"factorize expects 1 <= n < {FACTORIZE_BOUND}, got {n}")
     out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
             e = 0
-            while n % d == 0:
-                n //= d
+            while n % p == 0:
+                n //= p
                 e += 1
-            out.append((d, e))
-        d += 1 if d == 2 else 2
-    if n > 1:
+            out.append((p, e))
+    if n >= 1000 * 1000:  # every prime below 1000 was tried
+        out.extend(sorted(Counter(_large_prime_factors(n)).items()))
+    elif n > 1:
         out.append((n, 1))
     return tuple(out)
 

@@ -122,6 +122,62 @@ def test_enumerate_rejects_negative_max_genus(capsys):
     assert code == 2 and "--max-genus" in err and not out
 
 
+def test_nineteen_digit_queries_answer_within_a_second():
+    """Orders of 19 digits: 10^18 + 3 is prime, and max-order --p 10^18 + 2
+    factors 2(p+1).  Each command answers, closed form and search alike, in
+    under a second; a subprocess bounds the wait should factorising hang."""
+    script = (
+        "import contextlib, io, time\n"
+        "from necsurf.cli import main\n"
+        "for argv in (['enumerate', '--N', '1000000000000000003'],\n"
+        "             ['min-genus', '--N', '1000000000000000003', '--variant', 'p'],\n"
+        "             ['max-order', '--p', '1000000000000000002', '--variant', 'N++']):\n"
+        "    start = time.perf_counter()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(argv[0], code, time.perf_counter() - start)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    answers = [line.split() for line in out.splitlines()]
+    assert [(name, code) for name, code, _ in answers] == [
+        ("enumerate", "0"), ("min-genus", "0"), ("max-order", "0")]
+    assert all(float(seconds) < 1.0 for *_, seconds in answers), answers
+
+
+def test_orders_past_the_factorisation_bound_are_usage_errors(capsys, monkeypatch):
+    """An order N, or a genus p with 2(p+1), at or above the bound of exact
+    factorisation exits 2 before any work; just below it, an answer comes."""
+    from necsurf import cli
+    from necsurf.zmod import FACTORIZE_BOUND
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    with monkeypatch.context() as patch:
+        for name in ("actions_for_order", "classify"):
+            patch.setattr(cli, name, no_work)
+        for name in ("min_genus_closed", "min_genus_search", "max_order_closed", "max_order_search"):
+            patch.setattr(extremal, name, no_work)
+        half = FACTORIZE_BOUND // 2  # the bound is odd: 2(half + 1) is the bound plus one
+        for argv, flag in (
+            (("enumerate", "--N", str(FACTORIZE_BOUND)), "--N"),
+            (("classify", "ann1", "--N", str(FACTORIZE_BOUND), "--m", "2", "--k", "1",
+              "--orientable"), "--N"),
+            (("min-genus", "--N", str(10**30)), "--N"),
+            (("max-order", "--p", str(half)), "--p"),
+            (("max-order", "--p", str(10**30)), "--p"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out and f"{flag} must" in err and str(FACTORIZE_BOUND) in err, argv
+    code, out, _ = run(capsys, "max-order", "--p", str(half - 1), "--variant", "N++", "--closed")
+    assert code == 0 and out.rstrip().endswith(f"= {2 * (half - 1)}")  # p is odd: N++ is 2p
+    code, out, _ = run(capsys, "enumerate", "--N", str(FACTORIZE_BOUND - 2), "--format", "json")
+    assert code == 0 and json.loads(out)["result"]["rows"]
+
+
 def test_min_genus_both_match(capsys):
     code, out, _ = run(capsys, "min-genus", "--N", "15", "--variant", "p+")
     assert code == 0

@@ -13,6 +13,8 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from necsurf import oracle
 from necsurf.bsk import presentation_of
 from necsurf.cli import main
@@ -80,6 +82,17 @@ def test_verify_json_up_to_192_matches_recorded_md5(capsys):
     assert main(["verify", "--format", "json", "--n-max", "192", "--jobs", "2"]) == 0
     out = capsys.readouterr().out
     assert hashlib.md5(out.encode()).hexdigest() == "39e59a9efc9e5929cef8d27fa045fbc2"
+
+
+@pytest.mark.parametrize("n_max, md5", [
+    (48, "e96164b321c78643c61aa7e99073a3c7"),
+    (96, "8b3f4db6b48f5b65b4dbcce8b57c44b6"),
+])
+def test_verify_json_up_to_48_and_96_matches_recorded_md5(capsys, n_max, md5):
+    """The rest of the byte contract: serial ``verify --format json`` at
+    ``--n-max`` 48 and 96 prints exactly the recorded text."""
+    assert main(["verify", "--format", "json", "--n-max", str(n_max)]) == 0
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == md5
 
 
 def test_check_point_matches_recorded_49_to_96():

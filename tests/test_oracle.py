@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from necsurf import oracle
-from necsurf.bsk import BskMap, is_smooth, orientability, point_rules, presentation_of
+from necsurf.bsk import BskMap, PointRules, is_smooth, orientability, point_rules, presentation_of
 from necsurf.oracle import (
     ORACLE_MAX_N,
     OrbitInfo,
@@ -27,7 +27,7 @@ from necsurf.oracle import (
     oracle_report,
     orbit_count,
 )
-from necsurf.signatures import QuotientType
+from necsurf.signatures import NecSignature, QuotientType, presentation
 from necsurf.zmod import crt_solve, divisors, euler_phi, factorize, order_mod, order_table, units
 
 
@@ -38,6 +38,44 @@ def full_smooth(q, N):
     domains = oracle._free_domains(pres, N)
     vectors = (pres.complete(combo, N) for combo in itertools.product(*domains))
     return [vec for vec in vectors if is_smooth(BskMap(q, N, vec))]
+
+
+def canonical_vectors_reference(rules):
+    """The frozenset search ``oracle.canonical_vectors`` replaced, kept as its reference.
+
+    The primes with no unit image yet are a frozenset of (p, p^a) pairs,
+    the choices at each position are memoised on that set, and a subtree
+    is walked until its leaf even when a pending prime can no longer get
+    a unit image; such a leaf is dropped there.
+    """
+    pres, N = rules.pres, rules.N
+    domains = oracle._free_domains(pres, N)
+    tables = [{} for _ in domains]
+
+    def allowed(pos, pending):
+        table = tables[pos]
+        if pending not in table:
+            table[pending] = [
+                (v, frozenset((p, pa) for p, pa in pending if v % p == 0))
+                for v in domains[pos]
+                if all(v % pa == 1 for p, pa in pending if v % p)
+            ]
+        return table[pending]
+
+    out = []
+
+    def search(pos, pending, images):
+        if pos == len(domains):
+            if not pending:
+                vec = pres.complete(images, N)
+                if rules.first_failure(vec) is None:
+                    out.append(vec)
+            return
+        for v, rest in allowed(pos, pending):
+            search(pos + 1, rest, images + (v,))
+
+    search(0, frozenset((p, p**a) for p, a in factorize(N)), ())
+    return out
 
 
 def image_dict(q, N, vec):
@@ -555,6 +593,50 @@ def test_unit_normaliser_matches_dict_reference():
     assert vectors > 100_000
 
 
+class LeafRecorder(PointRules):
+    """A compiled point that records the first failure of every vector it is asked about."""
+
+    def __init__(self, pres, N):
+        super().__init__(pres, N)
+        self.leaf_failures = []
+
+    def first_failure(self, vec):
+        failure = super().first_failure(vec)
+        self.leaf_failures.append(failure)
+        return failure
+
+
+def test_canonical_vectors_match_frozenset_reference():
+    """The bitmask search returns the frozenset search's vectors, in its order: at
+    every catalog point with N <= 96, and at N <= 48 for the three signatures
+    outside the catalog of ``test_rules_compiled_from_signatures_outside_the_catalog``.
+    Its pruning leaves no leaf whose images fail to generate Z_N."""
+    link_3 = (NecSignature(0, True, (2,), ((2, 3),)), NecSignature(0, True, (3,), ((2, 3),)))
+    odd_cycle = NecSignature(0, True, (3,), ((2, 2, 2),))
+    points = [(presentation_of(q), N) for q, N in check_points(None, 96)]
+    points += [(presentation(sig), N) for sig in (*link_3, odd_cycle) for N in range(2, 49)]
+    vectors = 0
+    for pres, N in points:
+        rules = LeafRecorder(pres, N)
+        got = oracle.canonical_vectors(rules)
+        assert "images do not generate Z_N" not in rules.leaf_failures, (pres.gens, N)
+        assert got == canonical_vectors_reference(PointRules(pres, N)), (pres.gens, N)
+        vectors += len(got)
+    assert len(points) == 3084 + 3 * 47
+    assert vectors > 10_000
+
+
+def test_prime_bits_match_their_definition():
+    for N in range(2, ORACLE_MAX_N + 1):
+        unit, one = oracle._prime_bits(N)
+        assert len(unit) == len(one) == N
+        for v in range(N):
+            for i, (p, a) in enumerate(factorize(N)):
+                assert bool(unit[v] >> i & 1) == (v % p != 0), (N, v, p)
+                assert bool(one[v] >> i & 1) == (v % p**a == 1), (N, v, p)
+            assert unit[v] < 1 << len(factorize(N)) and one[v] < 1 << len(factorize(N)), (N, v)
+
+
 def test_residues_by_order_matches_order_scan():
     for N in range(2, ORACLE_MAX_N + 1):
         table = oracle._residues_by_order(N)
@@ -668,14 +750,14 @@ def test_caches_are_bounded_per_point_and_empty_at_import():
     probe = (
         "import necsurf.cli, necsurf.oracle as o, necsurf.bsk as b, necsurf.zmod as z; "
         "print(*(f.cache_info().currsize for f in "
-        "(z.order_table, o._unit_scales, o._residues_by_order, "
+        "(z.order_table, o._unit_scales, o._residues_by_order, o._prime_bits, "
         "b.presentation_of, b.point_rules)))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split() == ["0"] * 5
+    assert out.stdout.split() == ["0"] * 6
     # the per-point memo of surfaces lives on the compiled point, in its LRU
     q, N = QuotientType("ann1", m=12), 12
     oracle_report(q, N)

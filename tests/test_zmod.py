@@ -9,11 +9,13 @@ import pytest
 
 import necsurf
 from necsurf.zmod import (
+    FACTORIZE_BOUND,
     MaclachlanQuad,
     biggest_coprime_divisor,
     crt_solve,
     divisors,
     euler_phi,
+    factorize,
     harvey_check,
     lift_unit,
     maclachlan,
@@ -38,6 +40,62 @@ def brute_crt(a, m, b, n):
     hits = [x for x in range(lcm) if x % m == a % m and x % n == b % n]
     assert len(hits) <= 1
     return hits[0] if hits else None
+
+
+def test_factorize_matches_a_sieve_up_to_a_million():
+    """Every n <= 10^6 against a smallest-prime-factor sieve, past the cache:
+    the trial division by the primes below 1000 alone answers here."""
+    limit = 10**6
+    spf = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if spf[p] == p:
+            for k in range(p * p, limit + 1, p):
+                if spf[k] == k:
+                    spf[k] = p
+
+    def by_sieve(n):
+        out = []
+        while n > 1:
+            p, e = spf[n], 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+        return tuple(out)
+
+    uncached = factorize.__wrapped__
+    assert [n for n in range(1, limit + 1) if uncached(n) != by_sieve(n)] == []
+
+
+def test_factorize_products_of_known_large_primes():
+    """Products of known primes above 1000, which reach Pollard's rho and
+    Miller-Rabin, and strong pseudoprimes that fool the first bases."""
+    m31, m61 = 2**31 - 1, 2**61 - 1  # Mersenne primes
+    cases = {
+        10**18 + 3: ((10**18 + 3, 1),),
+        m61: ((m61, 1),),
+        (10**9 + 7) * (10**9 + 9): ((10**9 + 7, 1), (10**9 + 9, 1)),
+        2 * (10**18 + 3): ((2, 1), (10**18 + 3, 1)),
+        m31**2: ((m31, 2),),
+        1009**3 * 997: ((997, 1), (1009, 3)),
+        997 * 1009 * m61: ((997, 1), (1009, 1), (m61, 1)),
+        1013 * 999999999989 * (10**9 + 7): ((1013, 1), (10**9 + 7, 1), (999999999989, 1)),
+        # a strong pseudoprime to the bases 2..23 and one to 2..37 (the first
+        # twelve primes), each with its prime factors
+        3825123056546413051: ((149491, 1), (747451, 1), (34233211, 1)),
+        318665857834031151167461: ((399165290221, 1), (798330580441, 1)),
+    }
+    for n, want in cases.items():
+        assert factorize(n) == want, n
+        assert math.prod(p**e for p, e in want) == n
+    assert factorize(FACTORIZE_BOUND - 1)[0] == (2, 2)
+    assert math.prod(p**e for p, e in factorize(FACTORIZE_BOUND - 1)) == FACTORIZE_BOUND - 1
+
+
+@pytest.mark.parametrize("n", [0, -7, FACTORIZE_BOUND, 10**30])
+def test_factorize_rejects_n_outside_its_bound(n):
+    with pytest.raises(ValueError, match="factorize expects"):
+        factorize(n)
 
 
 def test_euler_phi_values():
