@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import select
 import sys
+from collections import Counter
 from functools import cache
+from itertools import repeat
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 
 from . import extremal, oracle
 from .classify import ClassificationResult, actions_for_order, classify
@@ -30,11 +32,20 @@ ROW_HEADERS = [
 ]
 
 
-def _realization_dict(q: QuotientType, N: int, real) -> dict:
+def _names(q: QuotientType, names: dict) -> tuple[str, str]:
+    """q's label and rendered signature, rendered once per command into ``names``."""
+    found = names.get(q)
+    if found is None:
+        found = names[q] = q.label(), q.signature().render()
+    return found
+
+
+def _realization_dict(q: QuotientType, N: int, real, names: dict) -> dict:
     s = real.surface
+    label, signature = _names(q, names)
     return {
-        "quotient": q.label(),
-        "signature": q.signature().render(),
+        "quotient": label,
+        "signature": signature,
         "N": N,
         "surface": s.describe(),
         "orientable": s.orientable,
@@ -47,12 +58,50 @@ def _realization_dict(q: QuotientType, N: int, real) -> dict:
     }
 
 
+_CONTAINERS = (dict, list, tuple)
+_raise_not_serializable = JSONEncoder().default
+
+
+@cache
+def _encoder(ind: str):
+    """The C encoder of ``json``, with sorted keys, that writes a container of
+    scalars one item a line at indent ``ind`` (the text between its brackets)."""
+    return c_make_encoder(None, _raise_not_serializable, encode_basestring_ascii, None,
+                          ": ", ",\n" + ind, True, False, True)
+
+
+def _dumps(obj, ind: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for ``obj``
+    at indent ``ind``.  ``indent`` turns off the C encoder of ``json``; here the
+    containers are walked in Python and each container of scalars alone (a
+    row, say), and each scalar, is written by one call to the C encoder."""
+    if not isinstance(obj, _CONTAINERS):
+        return "".join(_encoder(ind)(obj, 0))
+    is_dict = isinstance(obj, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    if not obj:
+        return opening + closing
+    inner = ind + "  "
+    enc = _encoder(inner)
+    if not any(map(isinstance, obj.values() if is_dict else obj, repeat(_CONTAINERS))):
+        body = "".join(enc(obj, 0))[1:-1]
+    elif is_dict:
+        # a key that is not a str is cut from '{key: null}': coerced, or refused, as by json
+        body = (",\n" + inner).join([
+            (encode_basestring_ascii(k) if isinstance(k, str) else "".join(enc({k: None}, 0))[1:-7])
+            + ": " + (_dumps(v, inner) if isinstance(v, _CONTAINERS) else "".join(enc(v, 0)))
+            for k, v in sorted(obj.items())])
+    else:
+        body = (",\n" + inner).join([_dumps(v, inner) for v in obj])
+    return f"{opening}\n{inner}{body}\n{ind}{closing}"
+
+
 def _emit(record: dict, rows: list[dict], fmt: str, footer: str) -> None:
     """Write a command's output: the JSON record, the CSV rows, or the table
     (or ``(no realizations)``) and its footer line.  Rows are written one by
     one, so a reader that closes stdout early is met by the next write."""
     if fmt == "json":
-        print(json.dumps(record, sort_keys=True, indent=2))
+        print(_dumps(record))
     elif fmt == "csv":
         writer = csv.DictWriter(sys.stdout, fieldnames=ROW_HEADERS, extrasaction="ignore",
                                 lineterminator="\n")
@@ -79,14 +128,16 @@ def _record(command: str, parameters: dict, result) -> dict:
 
 
 def _classification_payload(res: ClassificationResult) -> dict:
+    names: dict = {}
+    label, signature = _names(res.quotient, names)
     return {
-        "quotient": res.quotient.label(),
-        "signature": res.quotient.signature().render(),
+        "quotient": label,
+        "signature": signature,
         "N": res.order,
         "exists": res.exists,
         "classes": res.class_count,
         "realizations": [
-            _realization_dict(res.quotient, res.order, r) for r in res.realizations
+            _realization_dict(res.quotient, res.order, r, names) for r in res.realizations
         ],
     }
 
@@ -113,14 +164,17 @@ def cmd_enumerate(args) -> int:
     records = [
         r for r in actions_for_order(args.N) if r.surface.algebraic_genus <= bound
     ]
-    rows = [_realization_dict(r.quotient, r.N, r.realization) for r in records]
+    names: dict = {}
+    rows = [_realization_dict(r.quotient, r.N, r.realization, names) for r in records]
     payload = {"N": args.N, "max_genus": bound, "rows": rows}
     _emit(_record("enumerate", {"N": args.N, "max_genus": bound}, payload), rows, args.format,
           f"-> {len(rows)} row(s), {sum(r['classes'] for r in rows)} class(es)")
     return 0
 
 
-def _answer_payload(ans: extremal.ExtremalAnswer) -> dict:
+def _answer_payload(ans: extremal.ExtremalAnswer | None, names: dict) -> dict | None:
+    if ans is None:
+        return None
     return {
         "defined": True,
         "variant": ans.variant,
@@ -128,7 +182,7 @@ def _answer_payload(ans: extremal.ExtremalAnswer) -> dict:
         "value": ans.value,
         "classes": ans.class_count,
         "realizers": [
-            _realization_dict(r.quotient, r.N, r.realization) for r in ans.realizers
+            _realization_dict(r.quotient, r.N, r.realization, names) for r in ans.realizers
         ],
     }
 
@@ -140,27 +194,24 @@ def cmd_minmax(args) -> int:
     else:
         arg, closed_fn, search_fn = args.p, extremal.max_order_closed, extremal.max_order_search
     mode = args.mode
-    closed = search = None
-    if mode in ("closed", "both"):
-        closed = _answer_payload(closed_fn(arg, args.variant))
-    if mode in ("search", "both"):
-        search = _answer_payload(search_fn(arg, args.variant))
+    closed = closed_fn(arg, args.variant) if mode in ("closed", "both") else None
+    search = search_fn(arg, args.variant) if mode in ("search", "both") else None
+    names: dict = {}  # closed and search mostly share their realizers' quotients
     result = {
         "query": query,
         "variant": args.variant,
         "argument": arg,
-        "closed": closed,
-        "search": search,
+        "closed": _answer_payload(closed, names),
+        "search": _answer_payload(search, names),
     }
     verdict = None
     if mode == "both":
-        same = (
-            closed["value"] == search["value"]
-            and sorted(closed["realizers"], key=str) == sorted(search["realizers"], key=str)
-        )
+        # the realizers as multisets; a row renders its ActionRecord injectively
+        same = (closed.value == search.value
+                and Counter(closed.realizers) == Counter(search.realizers))
         verdict = "match" if same else "MISMATCH"
         result["verdict"] = verdict
-    shown = closed or search
+    shown = result["closed"] or result["search"]
     _emit(_record(query, {"argument": arg, "variant": args.variant, "mode": mode}, result),
           shown["realizers"], args.format,
           f"-> {query}[{args.variant}]({arg}) = {shown['value']}" +

@@ -5,12 +5,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
-from necsurf import extremal, oracle
-from necsurf.cli import main
+from necsurf import cli, extremal, oracle
+from necsurf.classify import actions_for_order
+from necsurf.cli import _dumps, main
+from necsurf.signatures import QuotientType
 from test_oracle import FakePool
 
 
@@ -270,6 +274,112 @@ def test_min_genus_reports_a_mismatch(capsys, monkeypatch):
     assert code == 1 and json.loads(out)["result"]["verdict"] == "MISMATCH"
     code, out, _ = run(capsys, "min-genus", "--N", "12", "--both")
     assert code == 1 and out.splitlines()[-1] == "-> min-genus[p](12) = 6 [MISMATCH]"
+
+
+def test_max_order_reports_a_realizer_only_mismatch(capsys, monkeypatch):
+    """Closed form and search agree on the value but not on the realizers."""
+    search = extremal.max_order_search
+
+    def one_fewer(p, variant):
+        answer = search(p, variant)
+        return answer._replace(realizers=answer.realizers[1:])
+
+    monkeypatch.setattr(extremal, "max_order_search", one_fewer)
+    code, out, _ = run(capsys, "max-order", "--p", "10", "--both", "--format", "json")
+    result = json.loads(out)["result"]
+    assert code == 1 and result["verdict"] == "MISMATCH"
+    assert result["closed"]["value"] == result["search"]["value"] == 22
+    code, out, _ = run(capsys, "max-order", "--p", "10", "--both")
+    assert code == 1 and out.splitlines()[-1] == "-> max-order[N](10) = 22 [MISMATCH]"
+
+
+class Pair(NamedTuple):
+    first: int
+    second: object
+
+
+DUMPS_RECORDS = [
+    {},
+    [],
+    {"command": "enumerate", "result": {"N": 7, "rows": []}, "version": "1"},
+    {"a": {}, "b": [], "c": [{}, [], [[], {}]], "d": {"e": {"f": []}}},
+    {"rows": [{"N": 2, "quotient": "d6", "label": ""}, {"N": 3, "quotient": "mb1(3)"}],
+     "nested": {"deeper": [{"deepest": [1, [2, [3, {"x": None}]]]}]}},
+    {"buckets": [((True, None, 2), 1), ((False, False, 3), 2)], "pair": Pair(1, "two"),
+     "pairs": [Pair(3, [4, (5,)]), Pair(6, {"seven": 7})], "tuple": ()},
+    {"text": ['{"a": [1]}', 'say "hi"', "back\\slash", "new\nline\ttab",
+              "caf\u00e9 \u2603 \U0001d11e"],
+     "{key}": "\"quoted\"", "é": ["ü"]},
+    {"none": None, "flags": [True, False, None], "big": [2**64, 2**64 + 1, -(2**100), 0]},
+    [None, True, 2**65, "s", [], {}],
+    {"keys": {1: "int", 2: ["coerced"]}, "bools": [{True: "yes", False: []}],
+     "none": [{None: [0]}]},
+    "a bare string",
+    2**70,
+    None,
+]
+
+
+@pytest.mark.parametrize("record", DUMPS_RECORDS)
+def test_dumps_equals_json_dumps(record):
+    assert _dumps(record) == json.dumps(record, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("record", [
+    {1, 2}, Fraction(1, 2), {"rows": [{"x": Fraction(1, 3)}]}, {"a": [{1, 2}], "b": []},
+    [Pair(1, {2})], {"deep": {"key": {(1, 2): []}}},
+])
+def test_dumps_refuses_what_json_dumps_refuses(record):
+    with pytest.raises(TypeError):
+        json.dumps(record, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _dumps(record)
+
+
+def test_json_commands_never_reach_the_pure_python_encoder(capsys, monkeypatch):
+    """``json`` falls back to ``_make_iterencode`` wherever it cannot use its C
+    encoder, as it does for any ``indent``."""
+    def pure_python(*args, **kwargs):
+        raise RuntimeError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", pure_python)
+    for argv in (("classify", "ann1", "--N", "12", "--m", "12", "--k", "7", "--orientable"),
+                 ("enumerate", "--N", "720"),
+                 ("min-genus", "--N", "12", "--both"),
+                 ("max-order", "--p", "10", "--both"),
+                 ("verify", "--n-max", "6")):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["command"] == argv[0], argv
+
+
+def test_each_quotient_is_rendered_once_per_command(capsys, monkeypatch):
+    # the sweep is run first, as its d12 and d14 formulas read the signature too
+    records = actions_for_order(720)
+    monkeypatch.setattr(cli, "actions_for_order", lambda N: records)
+    calls = []
+    signature = QuotientType.signature
+
+    def counted(q):
+        calls.append(q)
+        return signature(q)
+
+    monkeypatch.setattr(QuotientType, "signature", counted)
+    code, out, _ = run(capsys, "enumerate", "--N", "720", "--format", "json")
+    rows = json.loads(out)["result"]["rows"]
+    assert code == 0 and len(rows) == len(records) == 603
+    assert len(calls) == len({row["quotient"] for row in rows}) == 131
+
+    # closed form and search render their shared realizers' quotients once between them
+    closed, search = extremal.min_genus_closed(12, "p"), extremal.min_genus_search(12, "p")
+    monkeypatch.setattr(extremal, "min_genus_closed", lambda N, variant: closed)
+    monkeypatch.setattr(extremal, "min_genus_search", lambda N, variant: search)
+    calls.clear()
+    code, out, _ = run(capsys, "min-genus", "--N", "12", "--both", "--format", "json")
+    result = json.loads(out)["result"]
+    assert code == 0 and result["verdict"] == "match"
+    assert len(result["closed"]["realizers"]) == len(result["search"]["realizers"]) == 3
+    assert sorted(calls) == sorted({r.quotient for r in closed.realizers + search.realizers})
+    assert len(calls) == 3
 
 
 def test_verify_rejects_bounds_before_any_work(capsys, monkeypatch):
