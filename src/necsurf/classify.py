@@ -18,8 +18,8 @@ is the family's forced order, if it has one.  The formula gets p, and
 builds each surface with ``SurfaceTopology.of_genus``.  For one point
 the gate is ``results_for(q, N)``, which asks ``point_genus``; the
 catalog sweep ``actions_for_order`` takes the p that ``Family.points``
-yields with each point, which asked the same rule.  Both reach the
-formula through ``_realizations``, the one lookup of ``_FORMULAS``.
+yields with each point, which asked the same rule.  Both call the
+formula of ``_FORMULAS`` with that p.
 ``classify`` checks its input: N >= 2, defaulting to the forced order;
 k (>= 1) and the orientability flag exactly where the family's
 ``classify_args`` name them, so an argument a family does not take
@@ -29,6 +29,9 @@ the CLI forwards its input to it, and ``classify_ann1`` is a named
 forwarder kept for the benchmark tracer.  ``actions_for_order`` and
 ``genera_for_order`` walk the catalog points of ``Family.points``, which
 solves those at one genus p from the Hurwitz-Riemann equation.
+``bucket_counts`` counts classes by (orientable, reversing, boundary
+count) for both sides of the oracle's check: ``classification_buckets``
+and the oracle's ``OrbitReport.buckets``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .signatures import (
     FAMILIES, QuotientType, SurfaceTopology, check_arguments, kernel_algebraic_genus,
 )
 from .zmod import (
-    _Checked, biggest_coprime_divisor, divisors, euler_phi, factorize, harvey_check, maclachlan, psi
+    _Checked, biggest_coprime_divisor, divisors, euler_phi, harvey_check, maclachlan, psi
 )
 
 
@@ -213,10 +216,6 @@ def _d21(q: QuotientType, N: int, p: int) -> list[Realization]:
     return reals
 
 
-def _is_two_power_above_two(b: int) -> bool:
-    return b > 2 and factorize(b) == ((2, b.bit_length() - 1),)
-
-
 def _pair_count(A: int, N: int, paired: bool, multiplier: int) -> int:
     """Classes of the maps with two orientation-preserving cone generators (d21, ann1 splits).
 
@@ -240,7 +239,7 @@ def _half_count(B: int, C: int, multiplier: int) -> int:
     because phi(B) is even exactly when B > 2.
     """
     base = euler_phi(B) * psi(C)
-    if _is_two_power_above_two(B):
+    if B > 2 and not B & (B - 1):  # a 2-power above 2
         assert base % 2 == 0
         return base // 2 + (1 if multiplier % 4 == 2 else 0)
     return _ceil_half(base)
@@ -330,8 +329,7 @@ def _corner_pair(q: QuotientType, N: int, p: int) -> list[Realization]:
 # --- dispatch and sweeps ---------------------------------------------------
 
 #: kind -> formula(q, N, p), each keeping the contract of the module docstring
-#: behind the ``Family.point_genus`` gate, reached through ``_realizations``
-#: with the genus p.
+#: behind the ``Family.point_genus`` gate, called with the genus p.
 _FORMULAS = {
     "d6": _corner_only,
     "ann2": _corner_only,
@@ -403,15 +401,6 @@ def parameter_space(kind: str, N: int) -> list[QuotientType]:
     return [QuotientType(kind, m, n) for m, n in FAMILIES[kind].cone_orders(N)]
 
 
-def _realizations(q: QuotientType, N: int, p: int) -> list[Realization]:
-    """The one formula call: every realization of q at order N, on surfaces of genus p.
-
-    p must be the ``Family.point_genus`` of the point; the callers are the
-    two gates that computed it, ``results_for`` and ``actions_for_order``.
-    """
-    return _FORMULAS[q.kind](q, N, p)
-
-
 def results_for(q: QuotientType, N: int) -> list[Realization]:
     """Every realization of quotient q at order N (all k, all flags).
 
@@ -426,7 +415,7 @@ def results_for(q: QuotientType, N: int) -> list[Realization]:
     test, and it hands the p found there to the formula.
     """
     p = FAMILIES[q.kind].point_genus(q.m, q.n, N)
-    return [] if p is None else _realizations(q, N, p)
+    return [] if p is None else _FORMULAS[q.kind](q, N, p)
 
 
 def genera_for_order(N: int) -> list[int]:
@@ -454,20 +443,29 @@ def actions_for_order(N: int, genus: int | None = None) -> list[ActionRecord]:
         raise ValueError("the acting group must have order >= 2")
     out = []
     for kind, fam in FAMILIES.items():
+        formula = _FORMULAS[kind]
         for m, n, p in fam.points(N, genus):
             q = QuotientType(kind, m, n)
-            out += [ActionRecord(q, N, real) for real in _realizations(q, N, p)]
+            out += [ActionRecord(q, N, real) for real in formula(q, N, p)]
     return out
 
 
-def classification_buckets(q: QuotientType, N: int) -> dict[tuple, int]:
+def bucket_counts(entries) -> dict[tuple, int]:
     """Class counts keyed by (orientable?, generator reverses?, boundary count).
 
-    This is the granularity at which the brute-force enumeration verifies
-    the closed forms: equivalence preserves all three invariants.
+    ``entries`` are (surface, reversing, count) triples.  This is the
+    granularity at which the brute-force enumeration verifies the closed
+    forms: equivalence preserves all three invariants.  Both sides of that
+    comparison count through here: ``classification_buckets`` and the
+    oracle's ``OrbitReport.buckets``.
     """
     buckets: dict[tuple, int] = {}
-    for real in results_for(q, N):
-        key = (real.surface.orientable, real.reversing, real.surface.boundary_count)
-        buckets[key] = buckets.get(key, 0) + real.count
+    for surface, reversing, count in entries:
+        key = (surface.orientable, reversing, surface.boundary_count)
+        buckets[key] = buckets.get(key, 0) + count
     return buckets
+
+
+def classification_buckets(q: QuotientType, N: int) -> dict[tuple, int]:
+    """The ``bucket_counts`` of the realizations of ``results_for(q, N)``."""
+    return bucket_counts((r.surface, r.reversing, r.count) for r in results_for(q, N))

@@ -6,6 +6,9 @@ surface), ``p+``/``p-`` (orientable/non-orientable), and ``p++``/``p+-``
 Dually five maximum-order variants ``N``, ``N+``, ``N-``, ``N++``, ``N+-``
 at a fixed algebraic genus p.  Orientation-reversing variants are undefined
 for odd orders: an orientation-reversing homeomorphism has even order.
+What each variant asks of a realizer is one entry of ``_DEMANDS``, keyed
+by its ``p`` name: the variant lists, the realizer filter, the odd-order
+rule and the ``N`` -> ``p`` mapping of ``_check`` all read it.
 
 The closed forms give the extremal value directly; realizers are always
 enumerated from the quotient catalog through the classification formulas,
@@ -27,8 +30,16 @@ from typing import NamedTuple
 from .classify import ActionRecord, actions_for_order, genera_for_order
 from .zmod import is_prime, smallest_prime_factor
 
-MIN_GENUS_VARIANTS = ("p", "p+", "p-", "p++", "p+-")
-MAX_ORDER_VARIANTS = ("N", "N+", "N-", "N++", "N+-")
+#: flavour -> the (orientable, reversing) a realizer must have; None asks nothing.
+_DEMANDS = {
+    "p": (None, None),
+    "p+": (True, None),
+    "p-": (False, None),
+    "p++": (True, False),
+    "p+-": (True, True),
+}
+MIN_GENUS_VARIANTS = tuple(_DEMANDS)
+MAX_ORDER_VARIANTS = tuple("N" + flavour[1:] for flavour in _DEMANDS)
 
 
 class ExtremalAnswer(NamedTuple):
@@ -45,41 +56,27 @@ class ExtremalAnswer(NamedTuple):
         return sum(r.realization.count for r in self.realizers)
 
 
-def _matches(record: ActionRecord, flavour: str) -> bool:
-    surf, rev = record.surface, record.realization.reversing
-    if flavour == "p":
-        return True
-    if flavour == "p-":
-        return not surf.orientable
-    if flavour == "p+":
-        return surf.orientable
-    if flavour == "p++":
-        return surf.orientable and rev is False
-    if flavour == "p+-":
-        return surf.orientable and rev is True
-    raise ValueError(f"unknown variant {flavour!r}")
+def _check(query: str, variant: str, argument: int) -> str:
+    """The flavour of a variant (``N+-`` -> ``p+-``), whose demands its realizers meet.
 
-
-def _check(query: str, variant: str, argument: int) -> None:
-    """Reject a variant the query does not have, and an order N or genus p below 2."""
+    Rejects a variant the query does not have, and an order N or genus p below 2.
+    """
     allowed = MIN_GENUS_VARIANTS if query == "min-genus" else MAX_ORDER_VARIANTS
     if variant not in allowed:
         raise ValueError(f"{query} variant must be one of {allowed}, got {variant!r}")
     if argument < 2:
         what = "order" if query == "min-genus" else "algebraic genus"
         raise ValueError(f"{what} must be >= 2")
-
-
-def _reject_odd_reversing(variant: str, N: int) -> None:
-    if variant.endswith("+-") and N % 2 != 0:
-        raise ValueError(
-            f"variant {variant} is undefined for odd order {N}: "
-            "orientation-reversing homeomorphisms have even order"
-        )
+    return "p" + variant[1:]
 
 
 def _realizers_at(N: int, flavour: str, p: int) -> tuple[ActionRecord, ...]:
-    return tuple(r for r in actions_for_order(N, genus=p) if _matches(r, flavour))
+    orientable, reversing = _DEMANDS[flavour]
+    return tuple(
+        r for r in actions_for_order(N, genus=p)
+        if orientable in (None, r.surface.orientable)
+        and reversing in (None, r.realization.reversing)
+    )
 
 
 # --- closed forms -----------------------------------------------------------
@@ -117,10 +114,14 @@ def _min_genus_value(N: int, variant: str) -> int:
 
 def min_genus_closed(N: int, variant: str) -> ExtremalAnswer:
     """Least algebraic genus of a bordered surface with an order-N action."""
-    _check("min-genus", variant, N)
-    _reject_odd_reversing(variant, N)
+    flavour = _check("min-genus", variant, N)
+    if _DEMANDS[flavour][1] and N % 2 != 0:
+        raise ValueError(
+            f"variant {variant} is undefined for odd order {N}: "
+            "orientation-reversing homeomorphisms have even order"
+        )
     value = _min_genus_value(N, variant)
-    realizers = _realizers_at(N, variant, value)
+    realizers = _realizers_at(N, flavour, value)
     assert realizers, f"closed-form minimum {value} for {variant}({N}) has no realizer"
     assert N > value - 1, "minimum outside the large-action range"
     return ExtremalAnswer("min-genus", variant, N, value, realizers)
@@ -128,9 +129,9 @@ def min_genus_closed(N: int, variant: str) -> ExtremalAnswer:
 
 def min_genus_search(N: int, variant: str) -> ExtremalAnswer:
     """Exhaustive minimum over the quotient catalog (empty when unattained)."""
-    _check("min-genus", variant, N)
+    flavour = _check("min-genus", variant, N)
     for value in genera_for_order(N):
-        realizers = _realizers_at(N, variant, value)
+        realizers = _realizers_at(N, flavour, value)
         if realizers:
             assert N > value - 1, "catalog sweep only covers N > p - 1"
             return ExtremalAnswer("min-genus", variant, N, value, realizers)
@@ -152,22 +153,17 @@ def _max_order_value(p: int, variant: str) -> int:
 
 def max_order_closed(p: int, variant: str) -> ExtremalAnswer:
     """Largest cyclic order acting on a bordered surface of algebraic genus p."""
-    _check("max-order", variant, p)
+    flavour = _check("max-order", variant, p)
     value = _max_order_value(p, variant)
-    realizers = _realizers_at(value, _min_variant_for(variant), p)
+    realizers = _realizers_at(value, flavour, p)
     assert realizers, f"closed-form maximum {value} for {variant}({p}) has no realizer"
     assert value > p - 1, "maximum outside the large-action range"
     return ExtremalAnswer("max-order", variant, p, value, realizers)
 
 
-def _min_variant_for(max_variant: str) -> str:
-    return "p" + max_variant[1:]
-
-
 def max_order_search(p: int, variant: str) -> ExtremalAnswer:
     """Scan orders downward from the proven ceiling 2(p+1)."""
-    _check("max-order", variant, p)
-    flavour = _min_variant_for(variant)
+    flavour = _check("max-order", variant, p)
     for N in range(2 * (p + 1), max(p, 2) - 1, -1):
         # stays within N > p - 1, where the catalog is exhaustive
         realizers = _realizers_at(N, flavour, p)

@@ -35,16 +35,16 @@ signature's point, and its leaves, the unit-generator checks and
 first canonical form in enumeration order; a ``BskMap`` is built only
 for that representative, whose surface ``surface_of`` must match its
 orbit's, or inside a failing assertion's message.  Each move keeps only
-the rows it changes, and its ``apply`` recomputes only those.  Per-N
-tables, built on first use and kept, since N is at most
-``ORACLE_MAX_N``: the element orders (``zmod.order_table``); the
-residues of each order (``_residues_by_order``), which give the elliptic
-generators' domains; per residue, the bitmasks of the primes of N it is
-a unit at and of those whose prime power it is 1 modulo
-(``_prime_bits``), which ``canonical_vectors`` reads; and per p^a || N,
-the scale of each residue (``_unit_scales``) that ``_unit_normaliser``
-sums into the normalising unit.  Per-point state lives in the call or on
-the compiled points in the small LRUs of ``bsk``.
+the rows it changes, and its ``apply`` recomputes only those.  Two
+per-N records are built on first use and kept, since N is at most
+``ORACLE_MAX_N``: the element orders (``zmod.order_table``), and the
+residue tables of ``_residues``.  Those hold the residues of each order,
+which give the elliptic generators' domains; per residue, the bitmasks
+of the primes of N it is a unit at and of those whose prime power it is
+1 modulo, which ``canonical_vectors`` reads; and per p^a || N, the scale
+of each residue that ``_unit_normaliser`` sums into the normalising
+unit.  Per-point state lives in the call or on the compiled points in
+the small LRUs of ``bsk``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .bsk import BskMap, PointRules, point_rules, presentation_of, surface_of
-from .classify import classification_buckets, parameter_space
+from .classify import bucket_counts, classification_buckets, parameter_space
 from .signatures import FAMILIES, PresentationSpec, QuotientType, SurfaceTopology
 from .zmod import crt_solve, euler_phi, factorize, order_table, unit_generators
 
@@ -116,18 +116,43 @@ def moves_for(q: QuotientType) -> tuple[AutMove, ...]:
     return tuple(moves)
 
 
+class _Residues(NamedTuple):
+    """The per-N residue tables of the oracle; ``_residues(N)`` builds them once per N.
+
+    ``by_order[d]`` holds the residues of order d | N, ascending.  Prime i is
+    the i-th p of ``factorize(N)``, with p^a || N.  ``scales[i][v]`` is
+    e * v^-1 mod N, with e the CRT idempotent that is 1 mod p^a and 0 mod
+    N/p^a and v^-1 the inverse of v mod p^a, or None when p | v.  Bit i of
+    ``unit[v]`` is set when v is a unit at p, which is where ``scales[i][v]``
+    is not None, and bit i of ``one[v]`` when v = 1 mod p^a.
+    """
+
+    by_order: dict[int, tuple[int, ...]]
+    scales: tuple[tuple[int | None, ...], ...]
+    unit: tuple[int, ...]
+    one: tuple[int, ...]
+
+
 @lru_cache(maxsize=None)
-def _residues_by_order(N: int) -> dict[int, tuple[int, ...]]:
-    """The residues mod N of each order d | N, ascending, keyed by d; built once per N."""
+def _residues(N: int) -> _Residues:
+    """Kept for every N; the oracle's N is at most ``ORACLE_MAX_N``."""
     by_order: dict[int, list[int]] = {}
     for v, d in enumerate(order_table(N)):
         by_order.setdefault(d, []).append(v)
-    return {d: tuple(vs) for d, vs in by_order.items()}
+    scales, powers = [], []
+    for p, a in factorize(N):
+        q = p**a
+        idempotent = crt_solve(1, q, 0, N // q)
+        scales.append(tuple(idempotent * pow(v, -1, q) % N if v % p else None for v in range(N)))
+        powers.append(q)
+    unit = tuple(sum([1 << i for i, s in enumerate(scales) if s[v] is not None]) for v in range(N))
+    one = tuple(sum([1 << i for i, q in enumerate(powers) if v % q == 1]) for v in range(N))
+    return _Residues({d: tuple(vs) for d, vs in by_order.items()}, tuple(scales), unit, one)
 
 
 def _free_domains(pres: PresentationSpec, N: int) -> list[tuple[int, ...]]:
     reflections = set(pres.reflection_names)
-    by_order = _residues_by_order(N)
+    by_order = _residues(N).by_order
     domains = []
     for g in pres.free:
         if g in pres.elliptic_orders:
@@ -137,20 +162,6 @@ def _free_domains(pres: PresentationSpec, N: int) -> list[tuple[int, ...]]:
         else:
             domains.append(tuple(range(N)))
     return domains
-
-
-@lru_cache(maxsize=None)
-def _prime_bits(N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per residue v, two bitmasks over the primes of N, bit i for the i-th of ``factorize(N)``.
-
-    ``unit[v]`` has the primes p | N with p not dividing v, and ``one[v]``
-    those p^a || N with v = 1 mod p^a.  Built once per N and kept; the
-    oracle's N is at most ``ORACLE_MAX_N``.
-    """
-    powers = [(p, p**a) for p, a in factorize(N)]
-    unit = tuple(sum([1 << i for i, (p, _) in enumerate(powers) if v % p]) for v in range(N))
-    one = tuple(sum([1 << i for i, (_, q) in enumerate(powers) if v % q == 1]) for v in range(N))
-    return unit, one
 
 
 def canonical_vectors(rules: PointRules) -> list[tuple[int, ...]]:
@@ -163,7 +174,7 @@ def canonical_vectors(rules: PointRules) -> list[tuple[int, ...]]:
     vectors come in ascending order of their free images; images
     determined by relations are filled in.  The primes with no unit image
     yet are a bitmask over ``factorize(N)``, read against the masks of
-    ``_prime_bits``: a value v is allowed when each pending prime it is a
+    ``_residues``: a value v is allowed when each pending prime it is a
     unit at has v = 1 mod p^a, and leaves pending the primes dividing it.
     ``reach[pos]`` holds the primes some value of a free domain from
     ``pos`` on is a unit at; a choice that leaves pending a prime no later
@@ -173,7 +184,8 @@ def canonical_vectors(rules: PointRules) -> list[tuple[int, ...]]:
     """
     pres, N = rules.pres, rules.N
     domains = _free_domains(pres, N)
-    unit, one = _prime_bits(N)
+    residues = _residues(N)
+    unit, one = residues.unit, residues.one
     reach = [0] * (len(domains) + 1)
     for pos in reversed(range(len(domains))):
         reach[pos] = reach[pos + 1]
@@ -203,7 +215,7 @@ def canonical_vectors(rules: PointRules) -> list[tuple[int, ...]]:
         for v, rest in allowed(pos, pending):
             search(pos + 1, rest, images + (v,))
 
-    search(0, (1 << len(factorize(N))) - 1, ())
+    search(0, (1 << len(residues.scales)) - 1, ())
     return out
 
 
@@ -230,11 +242,8 @@ class OrbitReport(NamedTuple):
     orbits: tuple[OrbitInfo, ...]
 
     def buckets(self) -> dict[tuple, int]:
-        out: dict[tuple, int] = {}
-        for orbit in self.orbits:
-            key = (orbit.surface.orientable, orbit.reversing, orbit.surface.boundary_count)
-            out[key] = out.get(key, 0) + 1
-        return out
+        """The ``bucket_counts`` of the orbits, one class each."""
+        return bucket_counts((orbit.surface, orbit.reversing, 1) for orbit in self.orbits)
 
 
 def _invariants(rules: PointRules, vec: tuple) -> tuple[SurfaceTopology, bool | None, tuple]:
@@ -244,22 +253,6 @@ def _invariants(rules: PointRules, vec: tuple) -> tuple[SurfaceTopology, bool | 
     return surface, reversing, rules.connector_orders(vec)
 
 
-@lru_cache(maxsize=None)
-def _unit_scales(N: int) -> tuple[tuple[int | None, ...], ...]:
-    """Per p^a || N, ascending: ``scale[v]`` = e * v^-1 mod N for each residue v, None when p | v.
-
-    e is the CRT idempotent that is 1 mod p^a and 0 mod N/p^a, and v^-1
-    the inverse of v mod p^a.  Built once per N and kept; the oracle's N
-    is at most ``ORACLE_MAX_N``.
-    """
-    tables = []
-    for p, a in factorize(N):
-        q = p**a
-        idempotent = crt_solve(1, q, 0, N // q)
-        tables.append(tuple(idempotent * pow(v, -1, q) % N if v % p else None for v in range(N)))
-    return tuple(tables)
-
-
 def _unit_normaliser(pres: PresentationSpec, N: int):
     """The unit-canonical form of an image vector, or None if it does not generate Z_N.
 
@@ -267,7 +260,7 @@ def _unit_normaliser(pres: PresentationSpec, N: int):
     the first free image (in ``free`` order) that is a unit mod p is
     scaled to 1; the unit doing that is the CRT sum of the per-component
     inverses, each times the idempotent that is 1 mod p^a and 0 mod
-    N/p^a, read from the tables of ``_unit_scales``.  Two vectors get the
+    N/p^a, read from the scales of ``_residues``.  Two vectors get the
     same form exactly when one is a unit multiple of the other.  The free
     images generate Z_N whenever all the images do, and free order, unlike
     ``gens`` order, puts no derived image (the last connector) before the
@@ -275,7 +268,7 @@ def _unit_normaliser(pres: PresentationSpec, N: int):
     prime's unit as it goes.  Images are residues in 0..N-1.
     """
     free = pres.free_positions
-    scales = _unit_scales(N)
+    scales = _residues(N).scales
 
     def normalise(vec: tuple[int, ...]) -> tuple[int, ...] | None:
         u = 0

@@ -4,6 +4,7 @@ import importlib
 
 import pytest
 
+from necsurf import extremal
 from necsurf.extremal import (
     MAX_ORDER_VARIANTS,
     MIN_GENUS_VARIANTS,
@@ -198,3 +199,46 @@ def test_genus_queries_never_build_the_parameter_space(monkeypatch):
             records = classify_module.actions_for_order(N, genus=p)
             assert all(FAMILIES[q.kind].point_genus(q.m, q.n, N) == p for q in built), (N, p)
             assert {r.quotient for r in records} <= set(built), (N, p)
+
+
+def matches_reference(record, flavour):
+    """``extremal._matches`` as it stood before the demand table replaced it, verbatim."""
+    surf, rev = record.surface, record.realization.reversing
+    if flavour == "p":
+        return True
+    if flavour == "p-":
+        return not surf.orientable
+    if flavour == "p+":
+        return surf.orientable
+    if flavour == "p++":
+        return surf.orientable and rev is False
+    if flavour == "p+-":
+        return surf.orientable and rev is True
+    raise ValueError(f"unknown variant {flavour!r}")
+
+
+def test_realizers_at_match_the_reference_chain():
+    """For every flavour, at every genus of ``genera_for_order(N)`` for N = 2..200,
+    ``_realizers_at`` keeps the records the old if-chain kept, in sweep order.  The
+    variants keep their order, each N variant asks what its p variant asks, and
+    only ``p+-`` is refused at an odd order."""
+    assert MIN_GENUS_VARIANTS == ("p", "p+", "p-", "p++", "p+-")
+    assert MAX_ORDER_VARIANTS == ("N", "N+", "N-", "N++", "N+-")
+    for p_variant, n_variant in zip(MIN_GENUS_VARIANTS, MAX_ORDER_VARIANTS):
+        assert extremal._check("min-genus", p_variant, 2) == p_variant
+        assert extremal._check("max-order", n_variant, 2) == p_variant
+    for variant in MIN_GENUS_VARIANTS:
+        if variant == "p+-":
+            with pytest.raises(ValueError, match="undefined for odd order 9"):
+                min_genus_closed(9, variant)
+        else:
+            assert min_genus_closed(9, variant).value is not None
+    kept = 0
+    for N in range(2, 201):
+        for p in classify_module.genera_for_order(N):
+            records = classify_module.actions_for_order(N, genus=p)
+            for flavour in MIN_GENUS_VARIANTS:
+                want = tuple(r for r in records if matches_reference(r, flavour))
+                assert extremal._realizers_at(N, flavour, p) == want, (N, flavour, p)
+                kept += len(want)
+    assert kept > 10_000

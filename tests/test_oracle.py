@@ -1,6 +1,7 @@
 """Enumeration, orbit counting, and the oracle-vs-formula cross-check."""
 
 import concurrent.futures
+import importlib
 import itertools
 import math
 import os
@@ -29,6 +30,8 @@ from necsurf.oracle import (
 )
 from necsurf.signatures import NecSignature, QuotientType, presentation
 from necsurf.zmod import crt_solve, divisors, euler_phi, factorize, order_mod, order_table, units
+
+classify = importlib.import_module("necsurf.classify")
 
 
 def full_smooth(q, N):
@@ -136,7 +139,7 @@ def unit_normaliser_reference(pres, N):
     """The unit-canonical form, with per-prime inverse dicts and a first-unit search.
 
     The body ``oracle._unit_normaliser`` had before it read the per-N
-    scale tables of ``oracle._unit_scales``, kept as their reference.
+    scale tables of ``oracle._residues``, kept as their reference.
     """
     free = pres.free_positions
     parts = []
@@ -567,6 +570,31 @@ def test_orientability_matches_case_rule_on_sweep(smooth_maps_48):
     assert checked == 120887
 
 
+def test_both_sides_of_the_check_count_buckets_through_one_function(monkeypatch):
+    """``check_point`` compares ``classification_buckets`` with ``OrbitReport.buckets``;
+    both count through the one ``classify.bucket_counts``, so the key they compare
+    is written once.  A recorder in its place sees one call from each side."""
+    assert oracle.bucket_counts is classify.bucket_counts
+    counter, calls = classify.bucket_counts, []
+
+    def recorder(entries):
+        entries = list(entries)
+        calls.append(entries)
+        return counter(entries)
+
+    monkeypatch.setattr(classify, "bucket_counts", recorder)
+    monkeypatch.setattr(oracle, "bucket_counts", recorder)
+    q, N = QuotientType("ann1", m=3), 6
+    expected = oracle.classification_buckets(q, N)
+    report = oracle_report(q, N)
+    assert report.buckets() == expected == {
+        (False, None, 1): 2, (False, None, 3): 1, (True, False, 2): 1, (True, False, 4): 1,
+        (True, True, 2): 2, (True, True, 6): 1,
+    }
+    assert len(calls) == 2
+    assert calls[1] == [(o.surface, o.reversing, 1) for o in report.orbits]
+
+
 def test_check_point_beyond_default_sweep():
     """Self-pairing corrections hold out to the enumeration ceiling."""
     for q, N in (
@@ -627,8 +655,11 @@ def test_canonical_vectors_match_frozenset_reference():
 
 
 def test_prime_bits_match_their_definition():
+    """The ``unit`` and ``one`` bits of ``oracle._residues(N)`` for N <= ``ORACLE_MAX_N``:
+    bit i is set when v is a unit at the i-th prime p, and when v = 1 mod p^a."""
     for N in range(2, ORACLE_MAX_N + 1):
-        unit, one = oracle._prime_bits(N)
+        residues = oracle._residues(N)
+        unit, one = residues.unit, residues.one
         assert len(unit) == len(one) == N
         for v in range(N):
             for i, (p, a) in enumerate(factorize(N)):
@@ -639,10 +670,27 @@ def test_prime_bits_match_their_definition():
 
 def test_residues_by_order_matches_order_scan():
     for N in range(2, ORACLE_MAX_N + 1):
-        table = oracle._residues_by_order(N)
+        table = oracle._residues(N).by_order
         assert sorted(table) == list(divisors(N)), N
         for d, residues in table.items():
             assert residues == tuple(v for v in range(N) if order_mod(v, N) == d), (N, d)
+
+
+def test_residue_scales_match_their_definition():
+    """Per p^a || N, the scale of ``oracle._residues(N)`` is e * v^-1, which is v^-1 mod
+    p^a and 0 mod N/p^a, where p does not divide v, and None where it does."""
+    for N in range(2, ORACLE_MAX_N + 1):
+        scales = oracle._residues(N).scales
+        primes = factorize(N)
+        assert len(scales) == len(primes), N
+        for i, (p, a) in enumerate(primes):
+            q = p**a
+            assert len(scales[i]) == N, (N, p)
+            for v, scale in enumerate(scales[i]):
+                if v % p:
+                    assert scale * v % q == 1 and scale % (N // q) == 0, (N, v, p)
+                else:
+                    assert scale is None, (N, v, p)
 
 
 def test_compiled_moves_match_row_sums():
@@ -750,14 +798,13 @@ def test_caches_are_bounded_per_point_and_empty_at_import():
     probe = (
         "import necsurf.cli, necsurf.oracle as o, necsurf.bsk as b, necsurf.zmod as z; "
         "print(*(f.cache_info().currsize for f in "
-        "(z.order_table, o._unit_scales, o._residues_by_order, o._prime_bits, "
-        "b.presentation_of, b.point_rules)))"
+        "(z.order_table, o._residues, b.presentation_of, b.point_rules)))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.split() == ["0"] * 6
+    assert out.stdout.split() == ["0"] * 4
     # the per-point memo of surfaces lives on the compiled point, in its LRU
     q, N = QuotientType("ann1", m=12), 12
     oracle_report(q, N)
