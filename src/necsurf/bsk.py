@@ -23,11 +23,11 @@ yields the failure messages lazily.
 the oracle's enumeration and orbit checks take only the first, so a smooth
 vector builds no message.  The invariants exist once too, as the
 ``PointRules`` methods ``orientable``, ``boundary_count``, ``reversing``,
-``connector_orders`` and ``surface``; ``point_rules(q, N)`` hands the
-compiled point its genus, so the genus is worked out once per point, and
-``surface`` keeps the ``SurfaceTopology`` of each (orientable, boundary
-count) it meets.  The public ``orientability``, ``boundary_count``,
-``has_reversing_image`` and ``surface_of`` read the compiled point.
+``connector_orders`` and ``surface``; ``surface`` works out the point's
+genus once, at its first smooth vector, and keeps the ``SurfaceTopology``
+of each (orientable, boundary count) it meets.  The public
+``orientability``, ``boundary_count``, ``has_reversing_image`` and
+``surface_of`` read the compiled point.
 Caches: ``presentation_of`` keeps the last 64 quotients and
 ``point_rules`` the last 16 points, both LRU, and the surface memo lives
 on the compiled point; only the per-N order tables are kept without
@@ -42,7 +42,9 @@ from collections.abc import Iterator
 from functools import lru_cache
 from typing import NamedTuple
 
-from .signatures import FAMILIES, PresentationSpec, QuotientType, SurfaceTopology, presentation
+from .signatures import (
+    PresentationSpec, QuotientType, SurfaceTopology, kernel_algebraic_genus, presentation,
+)
 from .zmod import _Checked, order_table
 
 
@@ -119,19 +121,19 @@ class PointRules:
     orientation-preserving positions (``_preserving``) and the glides
     (``_glides``), each empty cycle's reflection and connector, and the
     boundary the non-empty cycles contribute, which depends on N alone.
-    ``genus`` is the point's algebraic genus, or None where it has none;
-    ``surface`` keeps the ``SurfaceTopology`` of each (orientable, boundary
-    count) it has met.
+    ``surface`` works out the genus from the spec's ``signature`` at its
+    first smooth vector (``_genus``), and keeps the ``SurfaceTopology`` of
+    each (orientable, boundary count) it has met.
     """
 
     __slots__ = (
-        "N", "pres", "genus", "_orders", "_elliptic", "_reflections", "_tails", "_corners",
+        "N", "pres", "_genus", "_orders", "_elliptic", "_reflections", "_tails", "_corners",
         "_long_relation", "_glides", "_preserving", "_empty_cycles", "_cycle_boundary",
         "_cycle_error", "_surfaces",
     )
 
-    def __init__(self, pres: PresentationSpec, N: int, genus: int | None = None):
-        self.N, self.pres, self.genus = N, pres, genus
+    def __init__(self, pres: PresentationSpec, N: int):
+        self.N, self.pres, self._genus = N, pres, None
         self._orders = order_table(N)
         self._elliptic = tuple((i, pres.elliptic_orders[pres.gens[i]]) for i in pres.elliptic)
         self._reflections, self._corners = pres.reflections, pres.corners
@@ -233,18 +235,18 @@ class PointRules:
         failure = self.first_failure(vec)
         if failure is not None:
             raise ValueError(f"map is not smooth: {failure}")
-        assert self.genus is not None, f"a smooth map at order {self.N}, a point without a genus"
         key = (self.orientable(vec), self.boundary_count(vec))
         surface = self._surfaces.get(key)
         if surface is None:
-            surface = self._surfaces[key] = SurfaceTopology.of_genus(key[0], self.genus, key[1])
+            self._genus = self._genus or kernel_algebraic_genus(self.pres.signature, self.N)
+            surface = self._surfaces[key] = SurfaceTopology.of_genus(key[0], self._genus, key[1])
         return surface
 
 
 @lru_cache(maxsize=16)
 def point_rules(q: QuotientType, N: int) -> PointRules:
     """The compiled rules and invariants at (q, N), memoised for the last 16 points."""
-    return PointRules(presentation_of(q), N, FAMILIES[q.kind].point_genus(q.m, q.n, N))
+    return PointRules(presentation_of(q), N)
 
 
 def smoothness_failures(bmap: BskMap) -> list[str]:

@@ -102,10 +102,10 @@ def kernel_algebraic_genus(sig: NecSignature, N: int) -> int:
     mu = area(sig)
     if mu <= 0:
         raise ValueError(f"{sig} is not an NEC signature (area {mu})")
-    p = N * mu + 1
-    if p.denominator != 1:
-        raise ValueError(f"order {N} is incompatible with {sig}: genus {p}")
-    return int(p)
+    p1, rem = divmod(N * mu.numerator, mu.denominator)
+    if rem:
+        raise ValueError(f"order {N} is incompatible with {sig}: genus {N * mu + 1}")
+    return p1 + 1
 
 
 def check_arguments(kind: str, takes: tuple[str, ...], **given) -> None:
@@ -121,6 +121,7 @@ PosTerms = tuple[tuple[int, int], ...]  # (coefficient, generator position) term
 
 
 class _PresentationFields(NamedTuple):
+    signature: NecSignature
     gens: tuple[str, ...]
     elliptic: tuple[int, ...]
     elliptic_orders: Mapping[str, int]
@@ -138,7 +139,7 @@ class _PresentationFields(NamedTuple):
 class PresentationSpec(_PresentationFields):
     """The canonical presentation of an NEC group, abelianised for Z_N.
 
-    ``presentation`` builds it from a signature alone.  Its relation
+    ``presentation`` builds it from ``signature`` alone.  Its relation
     fields hold positions in ``gens``, the order of a map's residue vector.
     ``elliptic`` lists the elliptic generators in the order of the proper
     periods; their relations x^m are ``elliptic_orders``, a read-only
@@ -228,6 +229,7 @@ def presentation(sig: NecSignature) -> PresentationSpec:
     derived = ((last, tuple((-c, i) for c, i in long_relation if i != last)),)
     derived += tuple((ring[-1], ((1, ring[0]),)) for ring in rings if len(ring) > 1)
     return PresentationSpec(
+        signature=sig,
         gens=tuple(gens),
         elliptic=tuple(range(r)),
         elliptic_orders=MappingProxyType(dict(zip(gens, sig.proper_periods))),

@@ -108,6 +108,20 @@ MUTANTS = (
         ("tests/test_cli.py::test_output_does_not_rest_on_assertions",),
         "python -O strips asserts, so no result may be computed in one",
     ),
+    Mutant(
+        "genus-at-wrong-order", "src/necsurf/bsk.py",
+        "kernel_algebraic_genus(self.pres.signature, self.N)",
+        "kernel_algebraic_genus(self.pres.signature, self.N + 1)",
+        ("tests/test_bsk.py::test_compiled_invariants_match_map_based_reference",),
+        "a compiled point's surfaces have the genus of its own order",
+    ),
+    Mutant(
+        "copy-without-checked-make", "src/necsurf/zmod.py",
+        "    @classmethod\n    def _make(cls, fields):\n        return cls(*fields)\n",
+        "",
+        ("tests/test_value_types.py::test_checks_hold_through_the_constructor_replace_and_make",),
+        "a copy made by _make or _replace goes through the checks of __new__",
+    ),
 )
 
 

@@ -1,12 +1,15 @@
 """Presentations, smoothness, orientability, boundary transfer, surfaces."""
 
+import ast
 import itertools
 import json
 import math
+from pathlib import Path
 
 import pytest
 from catalog_points import instances
 
+import necsurf.bsk
 from necsurf.bsk import (
     BskMap,
     PointRules,
@@ -21,7 +24,9 @@ from necsurf.bsk import (
     surface_of,
 )
 from necsurf.oracle import _free_domains, canonical_vectors, oracle_report
-from necsurf.signatures import FAMILIES, NecSignature, QuotientType, SurfaceTopology, presentation
+from necsurf.signatures import (
+    FAMILIES, NecSignature, QuotientType, SurfaceTopology, area, presentation,
+)
 from necsurf.zmod import euler_phi
 
 
@@ -174,6 +179,42 @@ def test_rules_compiled_from_signatures_outside_the_catalog():
         presentation(NecSignature(1, False))
 
 
+def test_compiled_surfaces_outside_the_catalog_take_their_genus_from_the_signature():
+    """The compiled point of a signature outside the catalog gives each smooth vector
+    its surface: algebraic genus N*area + 1, with the point's own orientability and
+    boundary count.  The signatures are the three of area exactly 1 with smooth maps
+    at every N, and (0;+;[2,2];{(),()}), at every N <= 24."""
+    area_1 = (NecSignature(0, True, (), ((), (), ())), NecSignature(1, False, (), ((), ())),
+              NecSignature(2, False, (), ((),)), NecSignature(0, True, (2, 2), ((), ())))
+    checked = 0
+    for sig in area_1:
+        assert area(sig) == 1, sig
+        for N in range(2, 25):
+            rules = PointRules(presentation(sig), N)
+            for vec in canonical_vectors(rules):
+                surface = rules.surface(vec)
+                assert surface.algebraic_genus == N * area(sig) + 1, (sig, N, vec)
+                want = (rules.orientable(vec), rules.boundary_count(vec))
+                assert (surface.orientable, surface.boundary_count) == want, (sig, N, vec)
+                checked += 1
+    assert checked == 3989
+
+
+def test_bsk_reads_no_catalog_row():
+    """``necsurf/bsk.py`` names neither ``FAMILIES`` nor ``Family``: a compiled point
+    takes everything, its genus included, from its presentation's signature."""
+    path = Path(necsurf.bsk.__file__)
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname})
+    assert names & {"FAMILIES", "Family"} == set()
+
+
 def orientability_reference(bmap):
     """The non-orientable-word test on a ``BskMap``, reading its quotient's spec.
 
@@ -216,7 +257,6 @@ def test_compiled_invariants_match_map_based_reference(smooth_maps_48):
     for (q, N), maps in smooth_maps_48.items():
         rules, p = point_rules(q, N), FAMILIES[q.kind].point_genus(q.m, q.n, N)
         pres = presentation_of(q)
-        assert rules.genus == p
         for seen, bmap in enumerate(maps):
             vec = bmap.images
             orientable, k = orientability_reference(bmap), boundary_count_reference(bmap)

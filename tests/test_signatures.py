@@ -365,7 +365,8 @@ def test_disc_quotients_force_the_order():
 def test_family_kernel_genus_is_the_exact_area_genus():
     """The registry's integer genus (``Family.point_genus``) equals
     kernel_algebraic_genus, and is None where that raises and off a
-    forced order."""
+    forced order; so does the p of every ``Family.points(N)`` point at the
+    catalog-orders tail orders 720, 2520 and 5040."""
     checked = 0
     for fam in FAMILIES.values():
         for q in instances(fam, range(2, 49)):
@@ -383,6 +384,11 @@ def test_family_kernel_genus_is_the_exact_area_genus():
                 assert got == want, (q, N)
                 checked += 1
     assert checked > 1000
+    tail = [(fam, N, point) for N in (720, 2520, 5040) for fam in FAMILIES.values()
+            for point in fam.points(N)]
+    for fam, N, (m, n, p) in tail:
+        assert p == kernel_algebraic_genus(QuotientType(fam.kind, m, n).signature(), N), (m, n, N)
+    assert len(tail) == 714
 
 
 def test_quotient_type_validation():

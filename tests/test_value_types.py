@@ -86,7 +86,8 @@ REPRS = [
     (SIGNATURE, "NecSignature(genus=0, orientable=True, proper_periods=(2, 3), period_cycles=((),))"),
     (
         PRES,
-        "PresentationSpec(gens=('x1', 'x2', 'e', 'c'), elliptic=(0, 1), "
+        "PresentationSpec(signature=NecSignature(genus=0, orientable=True, proper_periods=(2, 3), "
+        "period_cycles=((),)), gens=('x1', 'x2', 'e', 'c'), elliptic=(0, 1), "
         "elliptic_orders=mappingproxy({'x1': 2, 'x2': 3}), connectors=(2,), rings=((3,),), "
         "corners=(), glides=(), long_relation=((1, 0), (1, 1), (1, 2)), "
         "derived=((2, ((-1, 0), (-1, 1))),))",
