@@ -27,8 +27,10 @@ raises ``ValueError`` like a missing one.  It then keeps the realizations
 of ``results_for`` at that k and orientability.  It is the one way in:
 the CLI forwards its input to it, and ``classify_ann1`` is a named
 forwarder kept for the benchmark tracer.  ``actions_for_order`` and
-``genera_for_order`` walk the catalog points of ``Family.points``, which
-solves those at one genus p from the Hurwitz-Riemann equation.
+``points_by_genus`` walk the catalog points of ``Family.points``, which
+solves those at one genus p from the Hurwitz-Riemann equation;
+``records_at`` classifies a list of points of one genus, as the extremal
+solvers name or group them.
 ``bucket_counts`` counts classes by (orientable, reversing, boundary
 count) for both sides of the oracle's check: ``classification_buckets``
 and the oracle's ``OrbitReport.buckets``.
@@ -414,12 +416,42 @@ def results_for(q: QuotientType, N: int) -> list[Realization]:
     return [] if p is None else _FORMULAS[q.kind](q, N, p)
 
 
-def genera_for_order(N: int) -> list[int]:
-    """The distinct genera of the catalog points (``Family.points``) at order N, ascending.
+#: a catalog point: its kind and cone orders (None where the family has none)
+Point = tuple[str, int | None, int | None]
 
-    It works on the integer cone orders alone and builds no ``QuotientType``.
+
+def points_by_genus(N: int) -> dict[int, list[Point]]:
+    """The catalog points at order N (``Family.points``), grouped by their genus p.
+
+    One pass over the families; each group keeps sweep order (family order,
+    then ``cone_orders`` order), so ``records_at(N, p, groups[p])`` lists the
+    records of ``actions_for_order(N, genus=p)`` in their order.  It works
+    on the integer cone orders alone and builds no ``QuotientType``.
     """
-    return sorted({p for fam in FAMILIES.values() for _, _, p in fam.points(N)})
+    groups: dict[int, list[Point]] = {}
+    for kind, fam in FAMILIES.items():
+        for m, n, p in fam.points(N):
+            groups.setdefault(p, []).append((kind, m, n))
+    return groups
+
+
+def genera_for_order(N: int) -> list[int]:
+    """The distinct genera of the catalog points at order N, ascending."""
+    return sorted(points_by_genus(N))
+
+
+def records_at(N: int, p: int, points) -> list[ActionRecord]:
+    """The records of the catalog points (kind, m, n) at order N, in the points' order.
+
+    Every point must have genus p (``Family.point_genus``): p is handed to
+    each formula unchecked, as ``actions_for_order`` hands it the genus
+    that ``Family.points`` found.
+    """
+    out = []
+    for kind, m, n in points:
+        q = QuotientType(kind, m, n)
+        out += [ActionRecord(q, N, real) for real in _FORMULAS[kind](q, N, p)]
+    return out
 
 
 def actions_for_order(N: int, genus: int | None = None) -> list[ActionRecord]:

@@ -10,25 +10,33 @@ What each variant asks of a realizer is one entry of ``_DEMANDS``, keyed
 by its ``p`` name: the variant lists, the realizer filter, the odd-order
 rule and the ``N`` -> ``p`` mapping of ``_check`` all read it.
 
-The closed forms give the extremal value directly; realizers are always
-enumerated from the quotient catalog through the classification formulas,
-so closed form and exhaustive search can be compared realizer by realizer.
-The realizers of genus p at order N come from the catalog points at that
-genus alone (``actions_for_order(N, genus=p)``): by Hurwitz-Riemann every
-action with quotient q has genus 1 + N*area(q), so ``Family.points(N, p)``
-solves that equation for the cone orders and no other point is built or
-classified.  ``min_genus_search`` walks the genera at N upward
-(``genera_for_order``, the genera of ``Family.points(N)``) and stops at
-the first with a matching record.  Every answer satisfies N > p - 1,
-which is what makes the ten-family catalog exhaustive for these problems.
+Two routes answer each query, and the CLI verdict and acceptance
+criterion 5 compare them realizer by realizer.
+- The closed solvers (``min_genus_closed``, ``max_order_closed``) take
+  the extremal value and the catalog points that realise it from one
+  table, ``_min_genus`` or ``_max_order``, after Bujalance, Etayo, Gamboa
+  and Gromadzki (LNM 1439).  Each row names its points, and its value
+  follows from them by Hurwitz-Riemann: an order-N action with quotient q
+  lives on genus p = 1 + N*area(q).  The solvers classify those points
+  alone (``records_at``); they never walk the catalog.
+- The searches walk the twelve catalog families.  ``min_genus_search``
+  reads the points of order N once, grouped by genus
+  (``points_by_genus``), and classifies the genera upward until one has a
+  matching record.  ``max_order_search`` walks the orders down from the
+  ceiling 2(p+1) and classifies the points of genus p at each
+  (``actions_for_order(N, genus=p)``).
+Every answer satisfies N > p - 1, which is what makes the catalog
+exhaustive for these problems.  Realizers are listed in sweep order:
+family order, then ascending cone orders, then each formula's own order.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .classify import ActionRecord, actions_for_order, genera_for_order
-from .zmod import is_prime, smallest_prime_factor
+from .classify import ActionRecord, Point, actions_for_order, points_by_genus, records_at
+from .signatures import FAMILIES
+from .zmod import smallest_prime_factor
 
 #: flavour -> the (orientable, reversing) a realizer must have; None asks nothing.
 _DEMANDS = {
@@ -40,6 +48,15 @@ _DEMANDS = {
 }
 MIN_GENUS_VARIANTS = tuple(_DEMANDS)
 MAX_ORDER_VARIANTS = tuple("N" + flavour[1:] for flavour in _DEMANDS)
+
+#: kind -> its place in the catalog, the first key of sweep order
+_RANK = {kind: i for i, kind in enumerate(FAMILIES)}
+
+#: the catalog points of genus 2 at N = 2, where every variant has its minimum
+_ORDER_2_POINTS: tuple[Point, ...] = (
+    ("d6", None, None), ("ann2", None, None), ("mb2", None, None), ("d14", 2, None),
+    ("mb1", 2, None), ("ann1", 2, None), ("d3-22m", 2, None), ("d2c-2m", 2, None),
+)
 
 
 class ExtremalAnswer(NamedTuple):
@@ -70,46 +87,89 @@ def _check(query: str, variant: str, argument: int) -> str:
     return "p" + variant[1:]
 
 
-def _realizers_at(N: int, flavour: str, p: int) -> tuple[ActionRecord, ...]:
+def _keep(records, flavour: str) -> tuple[ActionRecord, ...]:
+    """The records that meet the flavour's demands, in their order."""
     orientable, reversing = _DEMANDS[flavour]
     return tuple(
-        r for r in actions_for_order(N, genus=p)
+        r for r in records
         if orientable in (None, r.surface.orientable)
         and reversing in (None, r.realization.reversing)
     )
 
 
+def _realizers_at(N: int, flavour: str, p: int) -> tuple[ActionRecord, ...]:
+    return _keep(actions_for_order(N, genus=p), flavour)
+
+
 # --- closed forms -----------------------------------------------------------
 
 
-def _min_genus_value(N: int, variant: str) -> int:
-    """The closed-form minimum, split by the parity/primality of N."""
+def _extreme(pick, cases) -> tuple[int, tuple[Point, ...]]:
+    """The value ``pick`` (min or max) chooses among (value, points) cases, and
+    the points of every case that attains it, once each, in sweep order."""
+    value = pick(v for v, _ in cases)
+    points = {pt for v, pts in cases if v == value for pt in pts}
+    return value, tuple(sorted(points, key=lambda pt: (_RANK[pt[0]], pt[1] or 0, pt[2] or 0)))
+
+
+def _min_genus(N: int, variant: str) -> tuple[int, tuple[Point, ...]]:
+    """The closed-form minimum genus at order N and the catalog points that realise it.
+
+    Each value is p = 1 + N*area at its points, with the areas
+    d21(m,n) 1 - 1/m - 1/n, mb1(m) 1 - 1/m and d12(m) 1/2 - 1/m; q is the
+    least prime of N.
+    - N = 2: every variant has genus 2, at the eight points of area 1/2.
+    - ``p++``: d21(2,N), genus N/2, if 4 | N; at N = 12 also d21(3,4),
+      since 1/3 + 1/4 = 1/2 + 1/12.  d21(2,N/2), genus N/2 - 1, if
+      N = 2 mod 4.  d21(N,N), genus N - 1, if N is an odd prime.
+      d21(q,N), genus (q - 1)N/q, if q^2 | N, else d21(q,N/q), genus
+      (q - 1)(N - q)/q.
+    - ``p+-``: mb1(2), genus N/2 + 1, if 4 | N; d12(N/2), genus N/2 - 1, if
+      N = 2 mod 4.
+    - ``p-``: d12(N), genus N/2, for even N; mb1(N), genus N, if N is
+      prime; mb1(q), genus (q - 1)N/q + 1, otherwise.
+    - ``p+`` and ``p``: the least of their parts (``p++`` and ``p+-``;
+      ``p+`` and ``p-``), at the points of every part that attains it.
+    """
     if N == 2:
-        return 2  # every variant attains the smallest hyperbolic genus
+        return 2, _ORDER_2_POINTS
     if variant == "p":
-        return min(_min_genus_value(N, "p+"), _min_genus_value(N, "p-"))
+        return _extreme(min, [_min_genus(N, "p+"), _min_genus(N, "p-")])
     if variant == "p+":
         if N % 2 != 0:
-            return _min_genus_value(N, "p++")
-        return min(_min_genus_value(N, "p++"), _min_genus_value(N, "p+-"))
+            return _min_genus(N, "p++")
+        return _extreme(min, [_min_genus(N, "p++"), _min_genus(N, "p+-")])
     if variant == "p++":
         if N % 4 == 0:
-            return N // 2
+            return N // 2, (("d21", 2, N), ("d21", 3, 4)) if N == 12 else (("d21", 2, N),)
         if N % 2 == 0:
-            return N // 2 - 1
-        if is_prime(N):
-            return N - 1
+            return N // 2 - 1, (("d21", 2, N // 2),)
         q = smallest_prime_factor(N)
-        return (q - 1) * N // q if N % (q * q) == 0 else (q - 1) * (N - q) // q
+        if q == N:
+            return N - 1, (("d21", N, N),)
+        if N % (q * q) == 0:
+            return (q - 1) * N // q, (("d21", q, N),)
+        return (q - 1) * (N - q) // q, (("d21", q, N // q),)
     if variant == "p+-":
-        return N // 2 + 1 if N % 4 == 0 else N // 2 - 1
+        if N % 4 == 0:
+            return N // 2 + 1, (("mb1", 2, None),)
+        return N // 2 - 1, (("d12", N // 2, None),)
     # p-
     if N % 2 == 0:
-        return N // 2
-    if is_prime(N):
-        return N
+        return N // 2, (("d12", N, None),)
     q = smallest_prime_factor(N)
-    return (q - 1) * N // q + 1
+    if q == N:
+        return N, (("mb1", N, None),)
+    return (q - 1) * N // q + 1, (("mb1", q, None),)
+
+
+def _closed_realizers(N: int, flavour: str, p: int, points) -> tuple[ActionRecord, ...]:
+    """The records of a closed form's points that meet the flavour's demands."""
+    assert all(FAMILIES[kind].point_genus(m, n, N) == p for kind, m, n in points), (
+        f"a closed-form point at N={N} is not of genus {p}: {points}")
+    realizers = _keep(records_at(N, p, points), flavour)
+    assert realizers, f"closed form {p} at N={N} has no {flavour} realizer at {points}"
+    return realizers
 
 
 def min_genus_closed(N: int, variant: str) -> ExtremalAnswer:
@@ -120,9 +180,8 @@ def min_genus_closed(N: int, variant: str) -> ExtremalAnswer:
             f"variant {variant} is undefined for odd order {N}: "
             "orientation-reversing homeomorphisms have even order"
         )
-    value = _min_genus_value(N, variant)
-    realizers = _realizers_at(N, flavour, value)
-    assert realizers, f"closed-form minimum {value} for {variant}({N}) has no realizer"
+    value, points = _min_genus(N, variant)
+    realizers = _closed_realizers(N, flavour, value, points)
     assert N > value - 1, "minimum outside the large-action range"
     return ExtremalAnswer("min-genus", variant, N, value, realizers)
 
@@ -130,33 +189,49 @@ def min_genus_closed(N: int, variant: str) -> ExtremalAnswer:
 def min_genus_search(N: int, variant: str) -> ExtremalAnswer:
     """Exhaustive minimum over the quotient catalog (empty when unattained)."""
     flavour = _check("min-genus", variant, N)
-    for value in genera_for_order(N):
-        realizers = _realizers_at(N, flavour, value)
+    groups = points_by_genus(N)
+    for value in sorted(groups):
+        realizers = _keep(records_at(N, value, groups[value]), flavour)
         if realizers:
             assert N > value - 1, "catalog sweep only covers N > p - 1"
             return ExtremalAnswer("min-genus", variant, N, value, realizers)
     return ExtremalAnswer("min-genus", variant, N, None, ())
 
 
-def _max_order_value(p: int, variant: str) -> int:
+def _max_order(p: int, variant: str) -> tuple[int, tuple[Point, ...]]:
+    """The closed-form maximum order at genus p and the catalog points that realise it.
+
+    Each order N solves p = 1 + N*area at its points, with the areas of
+    ``_min_genus``.
+    - ``N-``: d12(N) at N = 2p, genus N/2.
+    - ``N++``: d21(2,N/2) at N = 2(p + 1), genus N/2 - 1, for even p;
+      d21(2,N) at N = 2p, genus N/2, for odd p.
+    - ``N+-``: d12(N/2) at N = 2(p + 1), genus N/2 - 1, for even p;
+      mb1(2) at N = 2(p - 1), genus N/2 + 1, for odd p.
+    - ``N+`` and ``N``: the greatest of their parts (``N++`` and ``N+-``;
+      ``N+`` and ``N-``), at the points of every part that attains it.
+    """
     if variant == "N":
-        return max(_max_order_value(p, "N+"), _max_order_value(p, "N-"))
+        return _extreme(max, [_max_order(p, "N+"), _max_order(p, "N-")])
     if variant == "N+":
-        return max(_max_order_value(p, "N++"), _max_order_value(p, "N+-"))
+        return _extreme(max, [_max_order(p, "N++"), _max_order(p, "N+-")])
     if variant == "N-":
-        return 2 * p
+        return 2 * p, (("d12", 2 * p, None),)
     if variant == "N++":
-        return 2 * (p + 1) if p % 2 == 0 else 2 * p
+        if p % 2 == 0:
+            return 2 * (p + 1), (("d21", 2, p + 1),)
+        return 2 * p, (("d21", 2, 2 * p),)
     # N+-
-    return 2 * (p + 1) if p % 2 == 0 else 2 * (p - 1)
+    if p % 2 == 0:
+        return 2 * (p + 1), (("d12", p + 1, None),)
+    return 2 * (p - 1), (("mb1", 2, None),)
 
 
 def max_order_closed(p: int, variant: str) -> ExtremalAnswer:
     """Largest cyclic order acting on a bordered surface of algebraic genus p."""
     flavour = _check("max-order", variant, p)
-    value = _max_order_value(p, variant)
-    realizers = _realizers_at(value, flavour, p)
-    assert realizers, f"closed-form maximum {value} for {variant}({p}) has no realizer"
+    value, points = _max_order(p, variant)
+    realizers = _closed_realizers(value, flavour, p, points)
     assert value > p - 1, "maximum outside the large-action range"
     return ExtremalAnswer("max-order", variant, p, value, realizers)
 

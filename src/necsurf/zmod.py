@@ -152,10 +152,6 @@ def smallest_prime_factor(n: int) -> int:
     return factorize(n)[0][0]
 
 
-def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == ((n, 1),)
-
-
 def euler_phi(n: int) -> int:
     """Number of units of Z_n; euler_phi(1) = 1."""
     if n < 1:

@@ -122,6 +122,29 @@ MUTANTS = (
         ("tests/test_value_types.py::test_checks_hold_through_the_constructor_replace_and_make",),
         "a copy made by _make or _replace goes through the checks of __new__",
     ),
+    Mutant(
+        "drop-n12-d21-3-4", "src/necsurf/extremal.py",
+        '(("d21", 2, N), ("d21", 3, 4)) if N == 12 else ',
+        "",
+        ("tests/test_extremal.py::test_min_genus_search_matches_closed",
+         "tests/test_acceptance.py::test_criterion_5_extremal_closed_vs_search"),
+        "at N = 12 two points attain the preserving minimum, and the search finds both",
+    ),
+    Mutant(
+        "verdict-on-value-alone", "src/necsurf/cli.py",
+        "same = (closed.value == search.value\n"
+        "                and Counter(closed.realizers) == Counter(search.realizers))",
+        "same = closed.value == search.value",
+        ("tests/test_cli.py::test_min_genus_verdict_sees_a_closed_point_dropped",),
+        "the verdict compares the closed points' realizers with the search's",
+    ),
+    Mutant(
+        "max-order-walk-past-p", "src/necsurf/extremal.py",
+        "max(p, 2) - 1, -1)",
+        "max(p, 2) - 2, -1)",
+        ("tests/test_extremal.py::test_max_order_search_walks_from_the_ceiling_down_to_p",),
+        "the downward walk stops at the least order with N > p - 1",
+    ),
 )
 
 

@@ -293,6 +293,32 @@ def test_max_order_reports_a_realizer_only_mismatch(capsys, monkeypatch):
     assert code == 1 and out.splitlines()[-1] == "-> max-order[N](10) = 22 [MISMATCH]"
 
 
+def test_min_genus_verdict_sees_a_closed_point_dropped(capsys, monkeypatch):
+    """The closed form names its realizing points and the search finds its own, so a
+    point missing from the closed table is a mismatch of the realizers alone: at
+    N = 12 the preserving minimum 6 has two points, d21(2,12) and d21(3,4)."""
+    code, out, _ = run(capsys, "min-genus", "--N", "12", "--variant", "p++", "--both",
+                       "--format", "json")
+    result = json.loads(out)["result"]
+    assert code == 0 and result["verdict"] == "match"
+    assert [r["quotient"] for r in result["closed"]["realizers"]] == ["d21(2,12)", "d21(3,4)"]
+    table = extremal._min_genus
+
+    def first_point_only(N, variant):
+        value, points = table(N, variant)
+        return value, points[:1]
+
+    monkeypatch.setattr(extremal, "_min_genus", first_point_only)
+    code, out, _ = run(capsys, "min-genus", "--N", "12", "--variant", "p++", "--both",
+                       "--format", "json")
+    result = json.loads(out)["result"]
+    assert code == 1 and result["verdict"] == "MISMATCH"
+    assert result["closed"]["value"] == result["search"]["value"] == 6
+    assert [r["quotient"] for r in result["closed"]["realizers"]] == ["d21(2,12)"]
+    code, out, _ = run(capsys, "min-genus", "--N", "12", "--variant", "p++", "--both")
+    assert code == 1 and out.splitlines()[-1] == "-> min-genus[p++](12) = 6 [MISMATCH]"
+
+
 class Pair(NamedTuple):
     first: int
     second: object

@@ -13,7 +13,7 @@ from necsurf.extremal import (
     min_genus_closed,
     min_genus_search,
 )
-from necsurf.signatures import FAMILIES, QuotientType, kernel_algebraic_genus
+from necsurf.signatures import FAMILIES, Family, QuotientType, kernel_algebraic_genus
 
 classify_module = importlib.import_module("necsurf.classify")
 
@@ -219,9 +219,10 @@ def matches_reference(record, flavour):
 
 def test_realizers_at_match_the_reference_chain():
     """For every flavour, at every genus of ``genera_for_order(N)`` for N = 2..200,
-    ``_realizers_at`` keeps the records the old if-chain kept, in sweep order.  The
-    variants keep their order, each N variant asks what its p variant asks, and
-    only ``p+-`` is refused at an odd order."""
+    ``_realizers_at`` keeps the records the old if-chain kept, in sweep order, and
+    the one-pass grouping ``points_by_genus`` gives the same records at each genus
+    through ``records_at``.  The variants keep their order, each N variant asks
+    what its p variant asks, and only ``p+-`` is refused at an odd order."""
     assert MIN_GENUS_VARIANTS == ("p", "p+", "p-", "p++", "p+-")
     assert MAX_ORDER_VARIANTS == ("N", "N+", "N-", "N++", "N+-")
     for p_variant, n_variant in zip(MIN_GENUS_VARIANTS, MAX_ORDER_VARIANTS):
@@ -235,10 +236,100 @@ def test_realizers_at_match_the_reference_chain():
             assert min_genus_closed(9, variant).value is not None
     kept = 0
     for N in range(2, 201):
-        for p in classify_module.genera_for_order(N):
+        groups = classify_module.points_by_genus(N)
+        assert classify_module.genera_for_order(N) == sorted(groups)
+        for p in sorted(groups):
             records = classify_module.actions_for_order(N, genus=p)
+            assert classify_module.records_at(N, p, groups[p]) == records, (N, p)
             for flavour in MIN_GENUS_VARIANTS:
                 want = tuple(r for r in records if matches_reference(r, flavour))
                 assert extremal._realizers_at(N, flavour, p) == want, (N, flavour, p)
                 kept += len(want)
     assert kept > 10_000
+
+
+def test_closed_solvers_never_sweep(monkeypatch):
+    """The closed solvers classify the points their tables name and nothing else.
+    With every catalog walk patched to raise, each variant still answers at
+    N = 2..200 and p = 2..100, and the formulas run at exactly the named points,
+    once each, in sweep order; every realizer comes from one of them."""
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a closed solver walked the catalog")
+
+    for module in (classify_module, extremal):
+        for name in ("actions_for_order", "points_by_genus"):
+            monkeypatch.setattr(module, name, no_sweep)
+    monkeypatch.setattr(classify_module, "genera_for_order", no_sweep)
+    monkeypatch.setattr(Family, "points", no_sweep)
+    ran = []
+
+    def recording(formula):
+        def recorder(q, N, p):
+            ran.append((q.kind, q.m, q.n))
+            return formula(q, N, p)
+        return recorder
+
+    for kind, formula in classify_module._FORMULAS.items():
+        monkeypatch.setitem(classify_module._FORMULAS, kind, recording(formula))
+
+    def check(ans, named):
+        assert ran == list(named), (ans.query, ans.argument, ans.variant)
+        assert {(r.quotient.kind, r.quotient.m, r.quotient.n) for r in ans.realizers} <= set(ran)
+        ran.clear()
+
+    for N in range(2, 201):
+        for variant in MIN_GENUS_VARIANTS:
+            if variant == "p+-" and N % 2:
+                continue
+            check(min_genus_closed(N, variant), extremal._min_genus(N, variant)[1])
+    for p in range(2, 101):
+        for variant in MAX_ORDER_VARIANTS:
+            check(max_order_closed(p, variant), extremal._max_order(p, variant)[1])
+
+
+def test_closed_points_per_case():
+    """The table's rows, at one order or genus each (q the least prime of N)."""
+
+    def labels(answer):  # each point once, in realizer order
+        return list(dict.fromkeys(r.quotient.label() for r in answer.realizers))
+
+    cases = {
+        (8, "p++"): ["d21(2,8)"], (12, "p++"): ["d21(2,12)", "d21(3,4)"],
+        (10, "p++"): ["d21(2,5)"], (7, "p++"): ["d21(7,7)"], (9, "p++"): ["d21(3,9)"],
+        (15, "p++"): ["d21(3,5)"], (8, "p+-"): ["mb1(2)"], (10, "p+-"): ["d12(5)"],
+        (10, "p-"): ["d12(10)"], (7, "p-"): ["mb1(7)"], (15, "p-"): ["mb1(3)"],
+        (8, "p+"): ["d21(2,8)"], (10, "p+"): ["d12(5)", "d21(2,5)"],
+        (10, "p"): ["d12(5)", "d21(2,5)"], (9, "p"): ["d21(3,9)"],
+    }
+    for (N, variant), want in cases.items():
+        assert labels(min_genus_closed(N, variant)) == want, (N, variant)
+    assert set(labels(min_genus_closed(2, "p"))) == {
+        "d6", "ann2", "mb2", "d14(2)", "mb1(2)", "ann1(2)", "d3-22m(2)", "d2c-2m(2)"}
+    cases = {
+        (4, "N-"): (8, ["d12(8)"]), (4, "N++"): (10, ["d21(2,5)"]),
+        (5, "N++"): (10, ["d21(2,10)"]), (4, "N+-"): (10, ["d12(5)"]),
+        (5, "N+-"): (8, ["mb1(2)"]), (4, "N"): (10, ["d12(5)", "d21(2,5)"]),
+        (5, "N+"): (10, ["d21(2,10)"]), (5, "N"): (10, ["d12(10)", "d21(2,10)"]),
+    }
+    for (p, variant), (N, want) in cases.items():
+        ans = max_order_closed(p, variant)
+        assert (ans.value, labels(ans)) == (N, want), (p, variant)
+
+
+def test_max_order_search_walks_from_the_ceiling_down_to_p(monkeypatch):
+    """With no realizer at any order, the search asks every N from 2(p+1) down to
+    max(p, 2), the least order with N > p - 1, and answers None."""
+    asked = []
+
+    def none_at(N, flavour, p):
+        asked.append(N)
+        return ()
+
+    monkeypatch.setattr(extremal, "_realizers_at", none_at)
+    for p in (2, 3, 4, 7, 10):
+        for variant in MAX_ORDER_VARIANTS:
+            asked.clear()
+            assert max_order_search(p, variant) == ("max-order", variant, p, None, ())
+            assert asked == [2 * p + 2 - i for i in range(p + 3)], (p, variant)
+            assert asked[-1] == p
