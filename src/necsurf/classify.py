@@ -15,22 +15,24 @@ of algebraic genus p = 1 + N*area(q), whatever k and the orientability.
 ``Family.point_genus`` computes that p once per point, or None, and is
 the one existence gate: a formula runs only where p is an integer and N
 is the family's forced order, if it has one.  The formula gets p, and
-builds each surface with ``SurfaceTopology.of_genus``.  For one point
-the gate is ``results_for(q, N)``, which asks ``point_genus``; the
-catalog sweep ``actions_for_order`` takes the p that ``Family.points``
-yields with each point, which asked the same rule.  Both call the
-formula of ``_FORMULAS`` with that p.
+builds each surface with ``SurfaceTopology.of_genus``.  For one quotient
+the gate is ``results_for(q, N)``, which asks ``point_genus``.  A
+catalog point is (kind, m, n, p) and carries its p: ``points_at(N,
+genus)`` is the one walk over ``FAMILIES`` and their ``Family.points``,
+which asked the same rule, and ``records_at(N, points)`` is the one loop
+that classifies a list of points, each at its own p.  It and
+``results_for`` are the only code that calls a formula of ``_FORMULAS``.
 ``classify`` checks its input: N >= 2, defaulting to the forced order;
 k (>= 1) and the orientability flag exactly where the family's
 ``classify_args`` name them, so an argument a family does not take
 raises ``ValueError`` like a missing one.  It then keeps the realizations
 of ``results_for`` at that k and orientability.  It is the one way in:
 the CLI forwards its input to it, and ``classify_ann1`` is a named
-forwarder kept for the benchmark tracer.  ``actions_for_order`` and
-``points_by_genus`` walk the catalog points of ``Family.points``, which
-solves those at one genus p from the Hurwitz-Riemann equation;
-``records_at`` classifies a list of points of one genus, as the extremal
-solvers name or group them.
+forwarder kept for the benchmark tracer.  ``actions_for_order(N, genus)``
+is the ``records_at`` of ``points_at(N, genus)``; ``Family.points`` solves
+the points at one genus p from the Hurwitz-Riemann equation.  The
+extremal solvers classify the points they name or group through
+``records_at``.
 ``bucket_counts`` counts classes by (orientable, reversing, boundary
 count) for both sides of the oracle's check: ``classification_buckets``
 and the oracle's ``OrbitReport.buckets``.
@@ -410,45 +412,33 @@ def results_for(q: QuotientType, N: int) -> list[Realization]:
     formula's order: k ascending, then the orientable realizations, then
     the non-orientable one.  The catalog sweep ``actions_for_order`` does
     not come through here: ``Family.points`` has already made the same
-    test, and it hands the p found there to the formula.
+    test, and each point of ``points_at`` carries the p found there.
     """
     p = FAMILIES[q.kind].point_genus(q.m, q.n, N)
     return [] if p is None else _FORMULAS[q.kind](q, N, p)
 
 
-#: a catalog point: its kind and cone orders (None where the family has none)
-Point = tuple[str, int | None, int | None]
+def points_at(N: int, genus: int | None = None) -> list[tuple[str, int | None, int | None, int]]:
+    """The catalog points at order N as (kind, m, n, p), in sweep order.
 
-
-def points_by_genus(N: int) -> dict[int, list[Point]]:
-    """The catalog points at order N (``Family.points``), grouped by their genus p.
-
-    One pass over the families; each group keeps sweep order (family order,
-    then ``cone_orders`` order), so ``records_at(N, p, groups[p])`` lists the
-    records of ``actions_for_order(N, genus=p)`` in their order.  It works
-    on the integer cone orders alone and builds no ``QuotientType``.
+    Each family's ``Family.points(N, genus)``, in catalog order: the points
+    that carry order-N actions, each with its genus p; with ``genus`` only
+    those at that p, solved from it rather than searched.  This is the one
+    walk over the catalog.  It works on the integer cone orders alone and
+    builds no ``QuotientType``.
     """
-    groups: dict[int, list[Point]] = {}
-    for kind, fam in FAMILIES.items():
-        for m, n, p in fam.points(N):
-            groups.setdefault(p, []).append((kind, m, n))
-    return groups
+    return [(kind, m, n, p) for kind, fam in FAMILIES.items() for m, n, p in fam.points(N, genus)]
 
 
-def genera_for_order(N: int) -> list[int]:
-    """The distinct genera of the catalog points at order N, ascending."""
-    return sorted(points_by_genus(N))
+def records_at(N: int, points) -> list[ActionRecord]:
+    """The records of the catalog points (kind, m, n, p) at order N, in the points' order.
 
-
-def records_at(N: int, p: int, points) -> list[ActionRecord]:
-    """The records of the catalog points (kind, m, n) at order N, in the points' order.
-
-    Every point must have genus p (``Family.point_genus``): p is handed to
-    each formula unchecked, as ``actions_for_order`` hands it the genus
-    that ``Family.points`` found.
+    Each point's p goes to its formula unchecked, so it must be the point's
+    ``Family.point_genus``: ``points_at`` yields it so, and the extremal
+    closed solvers work it out for the points their tables name.
     """
     out = []
-    for kind, m, n in points:
+    for kind, m, n, p in points:
         q = QuotientType(kind, m, n)
         out += [ActionRecord(q, N, real) for real in _FORMULAS[kind](q, N, p)]
     return out
@@ -458,24 +448,15 @@ def actions_for_order(N: int, genus: int | None = None) -> list[ActionRecord]:
     """All conjugacy-class families of order-N actions across the catalog.
 
     With ``genus`` p, only those on surfaces of algebraic genus p, in the
-    same order.  It walks ``Family.points``, as ``genera_for_order`` does,
-    which solves the points at genus p from p rather than picking them
-    out of the whole ``Family.cone_orders``, and builds a ``QuotientType``
-    only at a point with a genus: the points off a forced order cost no
-    validation.  ``Family.points`` is the existence gate here: each point
-    it yields has its genus p, which goes straight to the formula, so no
-    point's genus is worked out twice.  Every surface a formula builds has
-    that genus, so nothing needs filtering afterwards.
+    same order: the ``records_at`` of ``points_at(N, genus)``.  A
+    ``QuotientType`` is built only at a point with a genus, so the points
+    off a forced order cost no validation, and no point's genus is worked
+    out twice.  Every surface a formula builds has its point's genus, so
+    nothing needs filtering afterwards.
     """
     if N < 2:
         raise ValueError("the acting group must have order >= 2")
-    out = []
-    for kind, fam in FAMILIES.items():
-        formula = _FORMULAS[kind]
-        for m, n, p in fam.points(N, genus):
-            q = QuotientType(kind, m, n)
-            out += [ActionRecord(q, N, real) for real in formula(q, N, p)]
-    return out
+    return records_at(N, points_at(N, genus))
 
 
 def bucket_counts(entries) -> dict[tuple, int]:

@@ -144,6 +144,9 @@ def _classification_payload(res: ClassificationResult) -> dict:
 
 def cmd_classify(args) -> int:
     q = QuotientType(args.type, m=args.m, n=args.n)
+    if args.N is None and (q.forced_order() or 0) >= FACTORIZE_BOUND:
+        raise ValueError(f"--m/--n must force an order below {FACTORIZE_BOUND}, "
+                         "the exact factorisation bound")
     res = classify(q, args.N, k=args.k, orientable=args.orientable)
     payload = _classification_payload(res)
     word = "exists" if res.exists else "does not exist"

@@ -17,13 +17,15 @@ criterion 5 compare them realizer by realizer.
   table, ``_min_genus`` or ``_max_order``, after Bujalance, Etayo, Gamboa
   and Gromadzki (LNM 1439).  Each row names its points, and its value
   follows from them by Hurwitz-Riemann: an order-N action with quotient q
-  lives on genus p = 1 + N*area(q).  The solvers classify those points
-  alone (``records_at``); they never walk the catalog.
+  lives on genus p = 1 + N*area(q).  The solvers give each named point
+  its genus by ``Family.point_genus``, assert that it is the table's
+  value, and classify those points alone (``records_at``); they never
+  walk the catalog.
 - The searches walk the twelve catalog families.  ``min_genus_search``
-  reads the points of order N once, grouped by genus
-  (``points_by_genus``), and classifies the genera upward until one has a
-  matching record.  ``max_order_search`` walks the orders down from the
-  ceiling 2(p+1) and classifies the points of genus p at each
+  reads the points of order N once (``points_at``), groups them by their
+  genus, and classifies the genera upward until one has a matching
+  record.  ``max_order_search`` walks the orders down from the ceiling
+  2(p+1) and classifies the points of genus p at each
   (``actions_for_order(N, genus=p)``).
 Every answer satisfies N > p - 1, which is what makes the catalog
 exhaustive for these problems.  Realizers are listed in sweep order:
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .classify import ActionRecord, Point, actions_for_order, points_by_genus, records_at
+from .classify import ActionRecord, actions_for_order, points_at, records_at
 from .signatures import FAMILIES
 from .zmod import smallest_prime_factor
 
@@ -52,8 +54,8 @@ MAX_ORDER_VARIANTS = tuple("N" + flavour[1:] for flavour in _DEMANDS)
 #: kind -> its place in the catalog, the first key of sweep order
 _RANK = {kind: i for i, kind in enumerate(FAMILIES)}
 
-#: the catalog points of genus 2 at N = 2, where every variant has its minimum
-_ORDER_2_POINTS: tuple[Point, ...] = (
+#: the catalog points (kind, m, n) of genus 2 at N = 2, where every variant has its minimum
+_ORDER_2_POINTS = (
     ("d6", None, None), ("ann2", None, None), ("mb2", None, None), ("d14", 2, None),
     ("mb1", 2, None), ("ann1", 2, None), ("d3-22m", 2, None), ("d2c-2m", 2, None),
 )
@@ -97,23 +99,20 @@ def _keep(records, flavour: str) -> tuple[ActionRecord, ...]:
     )
 
 
-def _realizers_at(N: int, flavour: str, p: int) -> tuple[ActionRecord, ...]:
-    return _keep(actions_for_order(N, genus=p), flavour)
-
-
 # --- closed forms -----------------------------------------------------------
 
 
-def _extreme(pick, cases) -> tuple[int, tuple[Point, ...]]:
+def _extreme(pick, cases) -> tuple[int, tuple]:
     """The value ``pick`` (min or max) chooses among (value, points) cases, and
-    the points of every case that attains it, once each, in sweep order."""
+    the points (kind, m, n) of every case that attains it, once each, in sweep order."""
     value = pick(v for v, _ in cases)
     points = {pt for v, pts in cases if v == value for pt in pts}
     return value, tuple(sorted(points, key=lambda pt: (_RANK[pt[0]], pt[1] or 0, pt[2] or 0)))
 
 
-def _min_genus(N: int, variant: str) -> tuple[int, tuple[Point, ...]]:
-    """The closed-form minimum genus at order N and the catalog points that realise it.
+def _min_genus(N: int, variant: str) -> tuple[int, tuple]:
+    """The closed-form minimum genus at order N and the catalog points (kind, m, n)
+    that realise it.
 
     Each value is p = 1 + N*area at its points, with the areas
     d21(m,n) 1 - 1/m - 1/n, mb1(m) 1 - 1/m and d12(m) 1/2 - 1/m; q is the
@@ -164,10 +163,15 @@ def _min_genus(N: int, variant: str) -> tuple[int, tuple[Point, ...]]:
 
 
 def _closed_realizers(N: int, flavour: str, p: int, points) -> tuple[ActionRecord, ...]:
-    """The records of a closed form's points that meet the flavour's demands."""
-    assert all(FAMILIES[kind].point_genus(m, n, N) == p for kind, m, n in points), (
+    """The records of a closed form's points (kind, m, n) that meet the flavour's demands.
+
+    Each point is classified at its own ``Family.point_genus``, which must be
+    the closed value p.
+    """
+    points = [(kind, m, n, FAMILIES[kind].point_genus(m, n, N)) for kind, m, n in points]
+    assert all(pt[3] == p for pt in points), (
         f"a closed-form point at N={N} is not of genus {p}: {points}")
-    realizers = _keep(records_at(N, p, points), flavour)
+    realizers = _keep(records_at(N, points), flavour)
     assert realizers, f"closed form {p} at N={N} has no {flavour} realizer at {points}"
     return realizers
 
@@ -189,17 +193,20 @@ def min_genus_closed(N: int, variant: str) -> ExtremalAnswer:
 def min_genus_search(N: int, variant: str) -> ExtremalAnswer:
     """Exhaustive minimum over the quotient catalog (empty when unattained)."""
     flavour = _check("min-genus", variant, N)
-    groups = points_by_genus(N)
+    groups: dict[int, list] = {}
+    for point in points_at(N):
+        groups.setdefault(point[3], []).append(point)
     for value in sorted(groups):
-        realizers = _keep(records_at(N, value, groups[value]), flavour)
+        realizers = _keep(records_at(N, groups[value]), flavour)
         if realizers:
             assert N > value - 1, "catalog sweep only covers N > p - 1"
             return ExtremalAnswer("min-genus", variant, N, value, realizers)
     return ExtremalAnswer("min-genus", variant, N, None, ())
 
 
-def _max_order(p: int, variant: str) -> tuple[int, tuple[Point, ...]]:
-    """The closed-form maximum order at genus p and the catalog points that realise it.
+def _max_order(p: int, variant: str) -> tuple[int, tuple]:
+    """The closed-form maximum order at genus p and the catalog points (kind, m, n)
+    that realise it.
 
     Each order N solves p = 1 + N*area at its points, with the areas of
     ``_min_genus``.
@@ -241,7 +248,7 @@ def max_order_search(p: int, variant: str) -> ExtremalAnswer:
     flavour = _check("max-order", variant, p)
     for N in range(2 * (p + 1), max(p, 2) - 1, -1):
         # stays within N > p - 1, where the catalog is exhaustive
-        realizers = _realizers_at(N, flavour, p)
+        realizers = _keep(actions_for_order(N, genus=p), flavour)
         if realizers:
             return ExtremalAnswer("max-order", variant, p, N, realizers)
     return ExtremalAnswer("max-order", variant, p, None, ())

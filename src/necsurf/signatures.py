@@ -377,21 +377,20 @@ class Family(_FamilyFields):
 
         p is the ``point_genus``, and a point without one is left out;
         the order is that of ``cone_orders``.  With ``genus`` only the
-        points at that p are kept, and they are solved from it, not
-        searched.  By Hurwitz-Riemann p - 1 = N*mu, with the quotient area
-        mu = a/b - 1/m (- 1/n) and a/b = ``_area_base``.  With one cone
-        order that pins m = N*b / (N*a - (p - 1)*b); with two, each
-        divisor m of N pins n from 1/n = a/b - 1/m - (p - 1)/N, that is
-        n = N*b*m / (N*(a*m - b) - (p - 1)*b*m).  A solution counts only
+        points at that p are kept; a family without cone orders has its
+        one point, kept where its genus is p, and the others are solved
+        from p, not searched.  By Hurwitz-Riemann p - 1 = N*mu, with the
+        quotient area mu = a/b - 1/m (- 1/n) and a/b = ``_area_base``.
+        With one cone order that pins m = N*b / (N*a - (p - 1)*b); with
+        two, each divisor m of N pins n from 1/n = a/b - 1/m - (p - 1)/N,
+        that is n = N*b*m / (N*(a*m - b) - (p - 1)*b*m).  A solution counts only
         if it is an integer point of ``cone_orders(N)``, so a family costs
         O(1) steps, or O(d(N)) for two cone orders.  Each solution has
         genus p exactly, unless ``point_genus`` finds another forced order.
         """
         a, b = self._area_base
-        if genus is None:
+        if genus is None or not self.params:
             candidates = self.cone_orders(N)
-        elif not self.params:
-            candidates = [(None, None)]
         elif len(self.params) == 1:
             den = N * a - (genus - 1) * b
             m, rem = divmod(N * b, den) if den > 0 else (0, 1)

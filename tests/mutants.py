@@ -145,6 +145,27 @@ MUTANTS = (
         ("tests/test_extremal.py::test_max_order_search_walks_from_the_ceiling_down_to_p",),
         "the downward walk stops at the least order with N > p - 1",
     ),
+    Mutant(
+        "points-ignore-genus", "src/necsurf/signatures.py",
+        " is not None and genus in (None, p)\n",
+        " is not None\n",
+        ("tests/test_classify.py::test_genus_sweep_equals_filtered_full_sweep",),
+        "a family without cone orders keeps its one point only at its own genus",
+    ),
+    Mutant(
+        "json-through-json-dumps", "src/necsurf/cli.py",
+        "        print(_dumps(record))\n",
+        '        print(__import__("json").dumps(record, sort_keys=True, indent=2))\n',
+        ("tests/test_cli.py::test_json_commands_never_reach_the_pure_python_encoder",),
+        "an indent turns off json's C encoder, so the record is written by _dumps",
+    ),
+    Mutant(
+        "quotient-rendered-per-row", "src/necsurf/cli.py",
+        "    found = names.get(q)\n",
+        "    found = None\n",
+        ("tests/test_cli.py::test_each_quotient_is_rendered_once_per_command",),
+        "each quotient's label and signature are rendered once per command",
+    ),
 )
 
 

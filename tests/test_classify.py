@@ -1,13 +1,16 @@
 """Closed-form class counts, family by family."""
 
+import ast
 import inspect
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 from catalog_points import instances
 from classify_reference import PER_K, flags, reference_classify, reference_results
 
+import necsurf
 from necsurf.classify import (
     _FORMULAS,
     ActionRecord,
@@ -18,8 +21,8 @@ from necsurf.classify import (
     classification_buckets,
     classify,
     classify_ann1,
-    genera_for_order,
     parameter_space,
+    points_at,
     results_for,
 )
 from necsurf.signatures import (
@@ -471,11 +474,11 @@ def test_realized_counts_satisfy_harvey():
 def test_genus_sweep_equals_filtered_full_sweep(orders):
     """``actions_for_order(N, genus=p)`` is the full sweep kept at genus p, in
     the same order, for every genus that occurs and one that does not; and
-    every genus that occurs is one of ``genera_for_order(N)``."""
+    every genus that occurs is the genus of one of ``points_at(N)``."""
     for N in orders:
         full = actions_for_order(N)
         genera = {r.surface.algebraic_genus for r in full}
-        assert genera <= set(genera_for_order(N)), N
+        assert genera <= {p for *_, p in points_at(N)}, N
         absent = next(p for p in itertools.count(2) if p not in genera)
         for p in sorted(genera) + [absent]:
             want = [r for r in full if r.surface.algebraic_genus == p]
@@ -511,17 +514,18 @@ def test_sweep_asks_point_genus_once_per_point(monkeypatch, N):
     "orders", [range(2, 401), (720, 2520, 5040, 15015)], ids=["2-400", "tail"]
 )
 def test_genera_for_order_equals_point_genus_reference(orders):
-    """``genera_for_order(N)``, computed on integer cone orders, is exactly
-    the sorted set of ``Family.point_genus`` over every family's
-    ``parameter_space(kind, N)``."""
+    """``points_at(N)``, computed on integer cone orders, is exactly the
+    quotients of every family's ``parameter_space(kind, N)`` that have a
+    ``Family.point_genus``, each with that genus, in sweep order; so its
+    genera are exactly theirs."""
     for N in orders:
-        want = sorted({
-            p
+        want = [
+            (kind, q.m, q.n, p)
             for kind in FAMILIES
             for q in parameter_space(kind, N)
             if (p := FAMILIES[kind].point_genus(q.m, q.n, N)) is not None
-        })
-        assert genera_for_order(N) == want, N
+        ]
+        assert points_at(N) == want, N
 
 def _reference_genus(q, N):
     """The algebraic genus each family's formula once wrote out by hand."""
@@ -591,3 +595,35 @@ def test_buckets_shape():
     assert buckets[(True, False, 2)] == 1
     assert buckets[(True, False, 4)] == 1
     assert (False, None, 1) in buckets
+
+
+def _nodes_by_function(path):
+    """Every AST node of a module with the function that encloses it most
+    closely, as ``module.function`` (``module`` for module-level code)."""
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{path.stem}.{child.name}"
+            yield child, inner
+            yield from visit(child, inner)
+
+    return visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+
+
+def test_one_catalog_walk_and_two_formula_call_sites():
+    """Under ``src/necsurf`` a ``.points(`` call appears only in ``classify.points_at``,
+    the one walk over the catalog, and ``_FORMULAS[...]`` is subscripted only in
+    ``classify.results_for`` and ``classify.records_at``, the one loop that
+    classifies a list of points."""
+    points_calls, formula_reads = [], []
+    for path in sorted(Path(necsurf.__file__).parent.glob("*.py")):
+        for node, site in _nodes_by_function(path):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "points"):
+                points_calls.append(site)
+            elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                    and node.value.id == "_FORMULAS"):
+                formula_reads.append(site)
+    assert points_calls == ["classify.points_at"]
+    assert sorted(formula_reads) == ["classify.records_at", "classify.results_for"]

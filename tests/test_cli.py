@@ -152,8 +152,9 @@ def test_nineteen_digit_queries_answer_within_a_second():
 
 
 def test_orders_past_the_factorisation_bound_are_usage_errors(capsys, monkeypatch):
-    """An order N, or a genus p with 2(p+1), at or above the bound of exact
-    factorisation exits 2 before any work; just below it, an answer comes."""
+    """An order N, the order that --m/--n force when N is not given, or a genus
+    p with 2(p+1), at or above the bound of exact factorisation exits 2 before
+    any work; just below it, an answer comes."""
     from necsurf import cli
     from necsurf.zmod import FACTORIZE_BOUND
 
@@ -173,6 +174,8 @@ def test_orders_past_the_factorisation_bound_are_usage_errors(capsys, monkeypatc
             (("min-genus", "--N", str(10**30)), "--N"),
             (("max-order", "--p", str(half)), "--p"),
             (("max-order", "--p", str(10**30)), "--p"),
+            (("classify", "d21", "--m", str(10**25), "--n", str(10**25), "--k", "1"), "--m/--n"),
+            (("classify", "d12", "--m", str(10**29)), "--m/--n"),
         ):
             code, out, err = run(capsys, *argv)
             assert code == 2 and not out and f"{flag} must" in err and str(FACTORIZE_BOUND) in err, argv
@@ -180,6 +183,8 @@ def test_orders_past_the_factorisation_bound_are_usage_errors(capsys, monkeypatc
     assert code == 0 and out.rstrip().endswith(f"= {2 * (half - 1)}")  # p is odd: N++ is 2p
     code, out, _ = run(capsys, "enumerate", "--N", str(FACTORIZE_BOUND - 2), "--format", "json")
     assert code == 0 and json.loads(out)["result"]["rows"]
+    code, out, _ = run(capsys, "classify", "d12", "--m", str(FACTORIZE_BOUND - 1))  # m even: N = m
+    assert code == 0 and out.rstrip().endswith(f"N={FACTORIZE_BOUND - 1}")
 
 
 def test_min_genus_both_match(capsys):

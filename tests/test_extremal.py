@@ -164,10 +164,10 @@ def test_solvers_classify_only_points_at_the_answer_genus(monkeypatch):
 
 
 def test_genus_queries_never_build_the_parameter_space(monkeypatch):
-    """The solvers reach their points through ``Family.points``
-    and ``genera_for_order`` alone, so ``parameter_space`` never runs; and
-    ``actions_for_order(N, genus=p)`` builds a ``QuotientType`` only at
-    points whose genus is p."""
+    """The searches reach their points through ``points_at`` (``Family.points``)
+    and the closed solvers through their tables, so ``parameter_space`` never
+    runs; and ``actions_for_order(N, genus=p)`` builds a ``QuotientType`` only
+    at points whose genus is p."""
 
     def no_parameter_space(kind, N):
         raise AssertionError(f"parameter_space({kind!r}, {N}) ran")
@@ -218,11 +218,12 @@ def matches_reference(record, flavour):
 
 
 def test_realizers_at_match_the_reference_chain():
-    """For every flavour, at every genus of ``genera_for_order(N)`` for N = 2..200,
-    ``_realizers_at`` keeps the records the old if-chain kept, in sweep order, and
-    the one-pass grouping ``points_by_genus`` gives the same records at each genus
-    through ``records_at``.  The variants keep their order, each N variant asks
-    what its p variant asks, and only ``p+-`` is refused at an odd order."""
+    """For N = 2..200, the points of ``points_at(N)`` grouped by their genus p, in
+    sweep order, are ``points_at(N, genus=p)``, and their ``records_at`` are
+    ``actions_for_order(N, genus=p)``; for every flavour ``_keep`` keeps of those
+    the records the old if-chain kept, in order.  The variants keep their order,
+    each N variant asks what its p variant asks, and only ``p+-`` is refused at
+    an odd order."""
     assert MIN_GENUS_VARIANTS == ("p", "p+", "p-", "p++", "p+-")
     assert MAX_ORDER_VARIANTS == ("N", "N+", "N-", "N++", "N+-")
     for p_variant, n_variant in zip(MIN_GENUS_VARIANTS, MAX_ORDER_VARIANTS):
@@ -236,14 +237,16 @@ def test_realizers_at_match_the_reference_chain():
             assert min_genus_closed(9, variant).value is not None
     kept = 0
     for N in range(2, 201):
-        groups = classify_module.points_by_genus(N)
-        assert classify_module.genera_for_order(N) == sorted(groups)
+        groups = {}
+        for point in classify_module.points_at(N):
+            groups.setdefault(point[3], []).append(point)
         for p in sorted(groups):
-            records = classify_module.actions_for_order(N, genus=p)
-            assert classify_module.records_at(N, p, groups[p]) == records, (N, p)
+            assert classify_module.points_at(N, genus=p) == groups[p], (N, p)
+            records = classify_module.records_at(N, groups[p])
+            assert classify_module.actions_for_order(N, genus=p) == records, (N, p)
             for flavour in MIN_GENUS_VARIANTS:
                 want = tuple(r for r in records if matches_reference(r, flavour))
-                assert extremal._realizers_at(N, flavour, p) == want, (N, flavour, p)
+                assert extremal._keep(records, flavour) == want, (N, flavour, p)
                 kept += len(want)
     assert kept > 10_000
 
@@ -258,10 +261,10 @@ def test_closed_solvers_never_sweep(monkeypatch):
         raise AssertionError("a closed solver walked the catalog")
 
     for module in (classify_module, extremal):
-        for name in ("actions_for_order", "points_by_genus"):
+        for name in ("actions_for_order", "points_at"):
             monkeypatch.setattr(module, name, no_sweep)
-    monkeypatch.setattr(classify_module, "genera_for_order", no_sweep)
-    monkeypatch.setattr(Family, "points", no_sweep)
+    for name in ("points", "cone_orders"):
+        monkeypatch.setattr(Family, name, no_sweep)
     ran = []
 
     def recording(formula):
@@ -318,15 +321,17 @@ def test_closed_points_per_case():
 
 
 def test_max_order_search_walks_from_the_ceiling_down_to_p(monkeypatch):
-    """With no realizer at any order, the search asks every N from 2(p+1) down to
-    max(p, 2), the least order with N > p - 1, and answers None."""
+    """With no record at any order, the search asks ``actions_for_order(N, genus=p)``
+    for every N from 2(p+1) down to max(p, 2), the least order with N > p - 1, and
+    answers None."""
     asked = []
 
-    def none_at(N, flavour, p):
+    def none_at(N, genus):
+        assert genus == p
         asked.append(N)
-        return ()
+        return []
 
-    monkeypatch.setattr(extremal, "_realizers_at", none_at)
+    monkeypatch.setattr(extremal, "actions_for_order", none_at)
     for p in (2, 3, 4, 7, 10):
         for variant in MAX_ORDER_VARIANTS:
             asked.clear()
