@@ -1,8 +1,9 @@
 """Closed-form classification of cyclic actions for the ten quotient families.
 
-One private formula per family, ``f(q, N, p) -> list[Realization]``,
+One private formula per catalog kind (families 9 and 10 have two kinds
+each, so twelve), ``f(q, N, p) -> list[Realization]``,
 states the paper's conditions, and its docstring states the paper's
-result for the family: existence (an empty list means no action), the
+result for the kind: existence (an empty list means no action), the
 class counts, through the totient, its companion psi and gcds, and the
 boundary counts of the realized surfaces.  A formula returns every
 realization of the point in one pass: k ascending, then the orientable
@@ -21,7 +22,9 @@ catalog point is (kind, m, n, p) and carries its p: ``points_at(N,
 genus)`` is the one walk over ``FAMILIES`` and their ``Family.points``,
 which asked the same rule, and ``records_at(N, points)`` is the one loop
 that classifies a list of points, each at its own p.  It and
-``results_for`` are the only code that calls a formula of ``_FORMULAS``.
+``results_for`` are the only code that calls a formula of ``_FORMULAS``,
+and that table, one distinct formula per kind, is the only place code is
+chosen by kind: no formula tests a kind name.
 ``classify`` checks its input: N >= 2, defaulting to the forced order;
 k (>= 1) and the orientability flag exactly where the family's
 ``classify_args`` name them, so an argument a family does not take
@@ -102,41 +105,64 @@ def _ceil_half(x: int) -> int:
     return (x + 1) // 2
 
 
-def _corner_only(q: QuotientType, N: int, p: int) -> list[Realization]:
-    """The parameter-free families: d6, ann2, mb2.
+def _d6(q: QuotientType, N: int, p: int) -> list[Realization]:
+    """Disc quotients with 6 corner points: the order is forced, N = 2, and the
+    one class lies on the 3-holed sphere, with an orientation-reversing generator."""
+    return [Realization(SurfaceTopology.of_genus(True, p, 3), 1, reversing=True)]
 
-    d6 has the forced order N = 2 (one class, 3-holed sphere).  ann2 and
-    mb2 exist for even N; each realized surface carries a single class, and
-    the orientable surfaces (tori/spheres, only for odd N/2) carry
-    orientation-reversing actions.
+
+def _ann2(q: QuotientType, N: int, p: int) -> list[Realization]:
+    """Annulus quotients with 2 corner points.
+
+    They exist for even N, and each realized surface carries a single
+    class.  The non-orientable covers have N/2 boundary components (Klein
+    bottles) and N/2 + 1 (projective planes).  Only for odd N/2 are there
+    also orientable covers, with N/2 boundary components (tori) and
+    N/2 + 2 (spheres), whose actions reverse orientation.
     """
-    if q.kind == "d6":
-        return [Realization(SurfaceTopology.of_genus(True, p, 3), 1, reversing=True)]
-    half_odd = (N // 2) % 2 == 1
-    reals = []
-    if q.kind == "ann2":
-        for b in (N // 2, N // 2 + 1):  # Klein bottle, projective plane
-            reals.append(Realization(SurfaceTopology.of_genus(False, p, b), 1))
-        if half_odd:
-            for b in (N // 2, N // 2 + 2):
-                reals.append(Realization(SurfaceTopology.of_genus(True, p, b), 1, reversing=True))
-    else:  # mb2
-        reals.append(Realization(SurfaceTopology.of_genus(False, p, N // 2), 1))
-        if half_odd:
-            reals.append(Realization(SurfaceTopology.of_genus(True, p, N // 2), 1, reversing=True))
+    reals = [Realization(SurfaceTopology.of_genus(False, p, b), 1) for b in (N // 2, N // 2 + 1)]
+    if (N // 2) % 2 == 1:
+        reals += [Realization(SurfaceTopology.of_genus(True, p, b), 1, reversing=True)
+                  for b in (N // 2, N // 2 + 2)]
     return reals
 
 
-def _disc_corners(q: QuotientType, N: int, p: int) -> list[Realization]:
-    """Disc quotients with one cone point and 2 or 4 corners (d12, d14).
+def _mb2(q: QuotientType, N: int, p: int) -> list[Realization]:
+    """Moebius band quotients with 2 corner points.
 
-    The order is forced: N = m for even m (non-orientable cover), N = 2m
-    for odd m (orientable, orientation-reversing cover).  One class each, on the gate's genus p.
+    They exist for even N, and each realized surface, with N/2 boundary
+    components, carries a single class: a non-orientable one, and only for
+    odd N/2 also an orientable one whose action reverses orientation.
     """
-    b = N // 2 if q.kind == "d12" else N
-    if q.m % 2 == 0:
+    reals = [Realization(SurfaceTopology.of_genus(False, p, N // 2), 1)]
+    if (N // 2) % 2 == 1:
+        reals.append(Realization(SurfaceTopology.of_genus(True, p, N // 2), 1, reversing=True))
+    return reals
+
+
+def _one_class_cover(m: int, p: int, b: int) -> list[Realization]:
+    """The one class of a d12 or d14 point of cone order m, on genus p with b
+    boundary components: non-orientable for even m, else orientable and
+    orientation-reversing."""
+    if m % 2 == 0:
         return [Realization(SurfaceTopology.of_genus(False, p, b), 1)]
     return [Realization(SurfaceTopology.of_genus(True, p, b), 1, reversing=True)]
+
+
+def _d12(q: QuotientType, N: int, p: int) -> list[Realization]:
+    """Disc quotients with one cone point of order m and 2 corner points: the order
+    is forced, N = m for even m (non-orientable cover), N = 2m for odd m
+    (orientable, orientation-reversing cover); one class, with N/2 boundary
+    components, on the gate's genus p."""
+    return _one_class_cover(q.m, p, N // 2)
+
+
+def _d14(q: QuotientType, N: int, p: int) -> list[Realization]:
+    """Disc quotients with one cone point of order m and 4 corner points: the order
+    is forced, N = m for even m (non-orientable cover), N = 2m for odd m
+    (orientable, orientation-reversing cover); one class, with N boundary
+    components, on the gate's genus p."""
+    return _one_class_cover(q.m, p, N)
 
 
 def _cover_boundary_bases(m: int, N: int) -> tuple[int, int | None]:
@@ -297,33 +323,42 @@ def _ann1(q: QuotientType, N: int, p: int) -> list[Realization]:
     return [real for k in sorted(by_k) for real in by_k[k]]
 
 
-def _triangle(q: QuotientType, N: int, p: int) -> list[Realization]:
-    """Thrice-punctured disc quotients (cone orders 2,2,m or 2,3,m).
+def _d3_23m(q: QuotientType, N: int, p: int) -> list[Realization]:
+    """Thrice-punctured disc quotients with cone orders 2, 3, m.
 
-    Orders 2,2,m: N = lcm(2, m), orientable, N/m boundary components,
-    one class.  Orders 2,3,m: N = lcm(2, 3, m) with m in {3, 4, 5}; for
-    m = 3 there are two classes, with 1 and 3 boundary components; for
-    m = 4, 5 one class with 1.  All orientable and orientation-preserving.
+    N = lcm(2, 3, m) with m in {3, 4, 5}.  For m = 3 there are two
+    classes, with 1 and 3 boundary components; for m = 4, 5 one class
+    with 1.  All orientable and orientation-preserving.
     """
-    bs = (N // q.m,) if q.kind == "d3-22m" else {3: (1, 3), 4: (1,), 5: (1,)}[q.m]
+    bs = {3: (1, 3), 4: (1,), 5: (1,)}[q.m]
     return [Realization(SurfaceTopology.of_genus(True, p, b), 1, reversing=False) for b in bs]
 
 
-def _corner_pair(q: QuotientType, N: int, p: int) -> list[Realization]:
-    """Twice-punctured disc with two corner points (cone orders 2,m or 3,m).
+def _d3_22m(q: QuotientType, N: int, p: int) -> list[Realization]:
+    """Thrice-punctured disc quotients with cone orders 2, 2, m: N = lcm(2, m), and
+    one orientation-preserving class on an orientable surface with N/m boundary
+    components."""
+    return [Realization(SurfaceTopology.of_genus(True, p, N // q.m), 1, reversing=False)]
 
-    Orders 2,m: N = lcm(2, m), non-orientable with N/2 boundary
-    components, one class.  Orders 3,m with m in {3, 4, 5}: N = lcm(2, 3, m)
-    and N/2 boundary components; m = 3 gives two classes on an orientable
-    surface, m = 4 one class on a non-orientable one, m = 5 one class on
-    an orientable one.
+
+def _d2c_3m(q: QuotientType, N: int, p: int) -> list[Realization]:
+    """Twice-punctured disc quotients with two corner points and cone orders 3, m.
+
+    m is in {3, 4, 5}, N = lcm(2, 3, m), and the surface has N/2 boundary
+    components: m = 3 gives two classes on an orientable surface, m = 4
+    one class on a non-orientable one, m = 5 one class on an orientable
+    one.  The orientable covers carry orientation-reversing actions.
     """
-    if q.kind == "d2c-2m":
-        covered_orientable, count = False, 1
-    else:
-        covered_orientable, count = {3: (True, 2), 4: (False, 1), 5: (True, 1)}[q.m]
-    surf = SurfaceTopology.of_genus(covered_orientable, p, N // 2)
-    return [Realization(surf, count, reversing=True if covered_orientable else None)]
+    orientable, count = {3: (True, 2), 4: (False, 1), 5: (True, 1)}[q.m]
+    surf = SurfaceTopology.of_genus(orientable, p, N // 2)
+    return [Realization(surf, count, reversing=True if orientable else None)]
+
+
+def _d2c_2m(q: QuotientType, N: int, p: int) -> list[Realization]:
+    """Twice-punctured disc quotients with two corner points and cone orders 2, m:
+    N = lcm(2, m), and one class on a non-orientable surface with N/2 boundary
+    components."""
+    return [Realization(SurfaceTopology.of_genus(False, p, N // 2), 1)]
 
 
 # --- dispatch and sweeps ---------------------------------------------------
@@ -331,18 +366,18 @@ def _corner_pair(q: QuotientType, N: int, p: int) -> list[Realization]:
 #: kind -> formula(q, N, p), each keeping the contract of the module docstring
 #: behind the ``Family.point_genus`` gate, called with the genus p.
 _FORMULAS = {
-    "d6": _corner_only,
-    "ann2": _corner_only,
-    "mb2": _corner_only,
-    "d12": _disc_corners,
-    "d14": _disc_corners,
+    "d6": _d6,
+    "ann2": _ann2,
+    "mb2": _mb2,
+    "d12": _d12,
+    "d14": _d14,
     "mb1": _mb1,
     "d21": _d21,
     "ann1": _ann1,
-    "d3-23m": _triangle,
-    "d3-22m": _triangle,
-    "d2c-3m": _corner_pair,
-    "d2c-2m": _corner_pair,
+    "d3-23m": _d3_23m,
+    "d3-22m": _d3_22m,
+    "d2c-3m": _d2c_3m,
+    "d2c-2m": _d2c_2m,
 }
 
 

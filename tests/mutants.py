@@ -5,11 +5,15 @@ Run ``python3 tests/mutants.py``.  It copies ``src/``, ``tests/`` and
 test on the unchanged copy: that control is a no-op mutant, and it must
 survive, or a failing test would pass for a kill.  Then it applies one
 mutant at a time, runs that mutant's node ids in the copy and puts the
-file back.  It exits 1 if the control is killed or any mutant survives.
+file back.  Each mutant's run is limited to ``LIMIT_FACTOR`` times the
+control's time, but never to less than ``LIMIT_FLOOR_S``; a mutant whose tests
+run past the limit, as one that loops forever would, is killed and
+reported as ``killed (timeout)``.  It exits 1 if the control is killed or
+any mutant survives.
 The repository is only read, and its ``src/`` is hashed before and after
 to show it.  Bytecode is not written, so a restored file is never
 shadowed by its mutant's ``.pyc``.  Standard library only;
-``tests/test_mutants.py`` checks the list itself.
+``tests/test_mutants.py`` checks the list itself and the time limit.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -25,6 +30,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+#: a mutant's tests may run this many times the control's time, and at least the floor
+LIMIT_FACTOR = 10
+LIMIT_FLOOR_S = 60.0
+_VERDICTS = {"passed": "SURVIVED", "failed": "killed", "timeout": "killed (timeout)"}
 
 
 class Mutant(NamedTuple):
@@ -166,6 +175,111 @@ MUTANTS = (
         ("tests/test_cli.py::test_each_quotient_is_rendered_once_per_command",),
         "each quotient's label and signature are rendered once per command",
     ),
+    Mutant(
+        "d6-preserving", "src/necsurf/classify.py",
+        "of_genus(True, p, 3), 1, reversing=True)",
+        "of_genus(True, p, 3), 1, reversing=False)",
+        ("tests/test_classify.py::test_d6",),
+        "the one d6 class reverses orientation",
+    ),
+    Mutant(
+        "ann2-orientable-at-even-half", "src/necsurf/classify.py",
+        "    if (N // 2) % 2 == 1:\n        reals += [",
+        "    if (N // 2) % 2 == 0:\n        reals += [",
+        ("tests/test_classify.py::test_ann2",),
+        "ann2 has orientable covers only for odd N/2",
+    ),
+    Mutant(
+        "mb2-orientable-at-even-half", "src/necsurf/classify.py",
+        "    if (N // 2) % 2 == 1:\n        reals.append(",
+        "    if (N // 2) % 2 == 0:\n        reals.append(",
+        ("tests/test_classify.py::test_mb2",),
+        "mb2 has an orientable cover only for odd N/2",
+    ),
+    Mutant(
+        "d12-boundary-of-d14", "src/necsurf/classify.py",
+        "return _one_class_cover(q.m, p, N // 2)",
+        "return _one_class_cover(q.m, p, N)",
+        ("tests/test_classify.py::test_disc_corners",),
+        "a d12 cover has N/2 boundary components",
+    ),
+    Mutant(
+        "d14-boundary-of-d12", "src/necsurf/classify.py",
+        "return _one_class_cover(q.m, p, N)\n",
+        "return _one_class_cover(q.m, p, N // 2)\n",
+        ("tests/test_classify.py::test_disc_corners",),
+        "a d14 cover has N boundary components",
+    ),
+    Mutant(
+        "d3-23m-3-one-class", "src/necsurf/classify.py",
+        "{3: (1, 3), 4: (1,), 5: (1,)}",
+        "{3: (1,), 4: (1,), 5: (1,)}",
+        ("tests/test_classify.py::test_triangle",),
+        "d3-23m(3) has two classes, with 1 and 3 boundary components",
+    ),
+    Mutant(
+        "d3-22m-boundary-n-over-2", "src/necsurf/classify.py",
+        "of_genus(True, p, N // q.m)",
+        "of_genus(True, p, N // 2)",
+        ("tests/test_classify.py::test_triangle",),
+        "a d3-22m(m) cover has N/m boundary components",
+    ),
+    Mutant(
+        "d2c-3m-3-one-class", "src/necsurf/classify.py",
+        "{3: (True, 2), 4: (False, 1), 5: (True, 1)}",
+        "{3: (True, 1), 4: (False, 1), 5: (True, 1)}",
+        ("tests/test_classify.py::test_corner_pair",),
+        "d2c-3m(3) has two classes",
+    ),
+    Mutant(
+        "d2c-2m-boundary-n", "src/necsurf/classify.py",
+        "    return [Realization(SurfaceTopology.of_genus(False, p, N // 2), 1)]\n",
+        "    return [Realization(SurfaceTopology.of_genus(False, p, N), 1)]\n",
+        ("tests/test_classify.py::test_corner_pair",),
+        "a d2c-2m cover has N/2 boundary components",
+    ),
+    Mutant(
+        "min-search-range-guard-loose", "src/necsurf/extremal.py",
+        'assert N > value - 1, "catalog sweep',
+        'assert N > value - 2, "catalog sweep',
+        ("tests/test_extremal.py::test_min_genus_search_refuses_a_genus_past_the_range",),
+        "the search answers only with N > p - 1, where the catalog is exhaustive",
+    ),
+    Mutant(
+        "min-closed-range-guard-loose", "src/necsurf/extremal.py",
+        'assert N > value - 1, "minimum outside',
+        'assert N >= value - 1, "minimum outside',
+        ("tests/test_extremal.py::test_min_genus_closed_refuses_a_genus_past_the_range",),
+        "a closed minimum must satisfy N > p - 1",
+    ),
+    Mutant(
+        "max-closed-range-guard-loose", "src/necsurf/extremal.py",
+        'assert value > p - 1, "maximum outside',
+        'assert value >= p - 1, "maximum outside',
+        ("tests/test_extremal.py::test_max_order_closed_refuses_an_order_below_the_range",),
+        "a closed maximum must satisfy N > p - 1",
+    ),
+    Mutant(
+        "tuples-as-scalars", "src/necsurf/cli.py",
+        "_CONTAINERS = (dict, list, tuple)",
+        "_CONTAINERS = (dict, list)",
+        ("tests/test_cli.py::test_dumps_equals_json_dumps",),
+        "json writes a tuple as a list, so _dumps walks it as a container",
+    ),
+    Mutant(
+        "reach-one-domain-late", "src/necsurf/oracle.py",
+        "unreached = ~reach[pos + 1]",
+        "unreached = ~reach[pos + 2]",
+        ("tests/test_oracle.py::test_canonical_vectors_match_frozenset_reference",),
+        "a choice is pruned by the primes the domains after it reach",
+    ),
+    Mutant(
+        "reach-prune-dropped", "src/necsurf/oracle.py",
+        "and not (rest := pending & ~unit[v]) & unreached",
+        "and ((rest := pending & ~unit[v]) or True)",
+        ("tests/test_oracle.py::test_canonical_vectors_match_frozenset_reference",),
+        "no leaf of the search fails to generate Z_N",
+    ),
 )
 
 
@@ -176,14 +290,22 @@ def _digest(tree: Path) -> str:
     return h.hexdigest()
 
 
-def _passes(copy: Path, tests) -> bool:
-    """True when every node id passes in the copy."""
+def _outcome(copy: Path, tests, limit: float | None = None) -> str:
+    """"passed" when every node id passes in the copy, else "failed"; "timeout"
+    when the run takes more than ``limit`` seconds, and then its whole process
+    group is killed."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    done = subprocess.run(
+    run = subprocess.Popen(
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
         cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True,
     )
-    return done.returncode == 0
+    try:
+        return "passed" if run.wait(timeout=limit) == 0 else "failed"
+    except subprocess.TimeoutExpired:
+        os.killpg(run.pid, signal.SIGKILL)
+        run.wait()
+        return "timeout"
 
 
 def main() -> int:
@@ -196,9 +318,11 @@ def main() -> int:
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", copy)
         start = time.perf_counter()
-        control = _passes(copy, sorted({t for m in MUTANTS for t in m.tests}))
+        control = _outcome(copy, sorted({t for m in MUTANTS for t in m.tests})) == "passed"
+        control_s = time.perf_counter() - start
+        limit = max(LIMIT_FLOOR_S, LIMIT_FACTOR * control_s)
         print(f"{'survived' if control else 'KILLED':>8}  control (no-op mutant)"
-              f"  {time.perf_counter() - start:.1f} s")
+              f"  {control_s:.1f} s; each mutant may run {limit:.0f} s")
         for m in MUTANTS:
             path = copy / m.file
             text = path.read_text()
@@ -206,11 +330,11 @@ def main() -> int:
             path.write_text(text.replace(m.old, m.new))
             start = time.perf_counter()
             try:
-                killed = not _passes(copy, m.tests)
+                outcome = _outcome(copy, m.tests, limit)
             finally:
                 path.write_text(text)
-            print(f"{'killed' if killed else 'SURVIVED':>8}  {m.name}  {time.perf_counter() - start:.1f} s")
-            if not killed:
+            print(f"{_VERDICTS[outcome]:>8}  {m.name}  {time.perf_counter() - start:.1f} s")
+            if outcome == "passed":
                 survived.append(m.name)
     assert _digest(ROOT / "src") == before, "src/ changed during the run"
     print(f"{len(MUTANTS) - len(survived)} of {len(MUTANTS)} mutants killed; src/ untouched")

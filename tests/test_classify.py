@@ -341,7 +341,7 @@ def test_public_classifiers_reject_bad_input():
 
 
 def test_formula_table_matches_registry(no_formulas):
-    """One formula per family, each taking (q, N, p) and answering for
+    """One formula per kind, each taking (q, N, p) and answering for
     every k and flag at once.  Where ``Family.point_genus`` finds no genus,
     nothing exists and no formula runs: off a forced order, and where
     N*area(q) is not an integer, as for mb1(4) and ann1(4) at N = 6 and the
@@ -627,3 +627,32 @@ def test_one_catalog_walk_and_two_formula_call_sites():
                 formula_reads.append(site)
     assert points_calls == ["classify.points_at"]
     assert sorted(formula_reads) == ["classify.records_at", "classify.results_for"]
+
+
+def _kind_names(side):
+    """The ``FAMILIES`` kind names one side of a comparison holds as string constants:
+    the side itself, or the elements of a tuple, list or set literal."""
+    elements = side.elts if isinstance(side, (ast.Tuple, ast.List, ast.Set)) else [side]
+    return [e.value for e in elements if isinstance(e, ast.Constant) and e.value in FAMILIES]
+
+
+def test_no_code_branches_on_a_kind_name():
+    """``_FORMULAS`` maps the ``FAMILIES`` kinds, in catalog order, to twelve distinct
+    formulas, none of which reads an attribute named ``kind``; and under
+    ``src/necsurf`` no ``==``, ``!=``, ``in`` or ``not in`` has a kind name as a
+    string constant on either side.  So the table is the one place code is chosen
+    by kind."""
+    assert list(_FORMULAS) == list(FAMILIES)
+    assert len(set(_FORMULAS.values())) == len(FAMILIES) == 12
+    formulas = {f"classify.{f.__name__}" for f in _FORMULAS.values()}
+    kind_reads, branches = [], []
+    for path in sorted(Path(necsurf.__file__).parent.glob("*.py")):
+        for node, site in _nodes_by_function(path):
+            if isinstance(node, ast.Attribute) and node.attr == "kind" and site in formulas:
+                kind_reads.append(site)
+            elif isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops):
+                if any(_kind_names(side) for side in (node.left, *node.comparators)):
+                    branches.append((site, ast.unparse(node)))
+    assert kind_reads == []
+    assert branches == []

@@ -5,6 +5,8 @@ import importlib
 import pytest
 
 from necsurf import extremal
+from necsurf.classify import records_at
+from necsurf.cli import main
 from necsurf.extremal import (
     MAX_ORDER_VARIANTS,
     MIN_GENUS_VARIANTS,
@@ -338,3 +340,43 @@ def test_max_order_search_walks_from_the_ceiling_down_to_p(monkeypatch):
             assert max_order_search(p, variant) == ("max-order", variant, p, None, ())
             assert asked == [2 * p + 2 - i for i in range(p + 3)], (p, variant)
             assert asked[-1] == p
+
+
+# The range guards at their edge: mb2 at N = 4, classified at genus 5, has
+# consistent surfaces but sits one past the large-action range N > p - 1.
+
+
+def _classified_at(N, flavour, p, points):
+    """``_closed_realizers`` without its genus check: the points (kind, m, n) classified at p."""
+    return records_at(N, [(*point, p) for point in points])
+
+
+def _exits_on_invariant_failure(capsys, *argv):
+    assert main(list(argv)) == 1
+    assert capsys.readouterr().err.startswith("internal invariant failure")
+
+
+def test_min_genus_search_refuses_a_genus_past_the_range(monkeypatch, capsys):
+    """A group of genus N + 1 at order N fails the search's range guard, and the CLI exits 1."""
+    monkeypatch.setattr(extremal, "points_at", lambda N: [("mb2", None, None, N + 1)])
+    with pytest.raises(AssertionError, match="catalog sweep only covers"):
+        min_genus_search(4, "p")
+    _exits_on_invariant_failure(capsys, "min-genus", "--N", "4", "--search")
+
+
+def test_min_genus_closed_refuses_a_genus_past_the_range(monkeypatch, capsys):
+    """A closed value of N + 1 at order N fails the closed solver's range guard."""
+    monkeypatch.setattr(extremal, "_min_genus", lambda N, variant: (N + 1, (("mb2", None, None),)))
+    monkeypatch.setattr(extremal, "_closed_realizers", _classified_at)
+    with pytest.raises(AssertionError, match="minimum outside the large-action range"):
+        min_genus_closed(4, "p")
+    _exits_on_invariant_failure(capsys, "min-genus", "--N", "4", "--closed")
+
+
+def test_max_order_closed_refuses_an_order_below_the_range(monkeypatch, capsys):
+    """A closed order of p - 1 at genus p fails the closed solver's range guard."""
+    monkeypatch.setattr(extremal, "_max_order", lambda p, variant: (p - 1, (("mb2", None, None),)))
+    monkeypatch.setattr(extremal, "_closed_realizers", _classified_at)
+    with pytest.raises(AssertionError, match="maximum outside the large-action range"):
+        max_order_closed(5, "N")
+    _exits_on_invariant_failure(capsys, "max-order", "--p", "5", "--closed")

@@ -1,6 +1,8 @@
-"""The mutation gate's list (``tests/mutants.py``); running it is left to the gate itself."""
+"""The mutation gate's list and its runner's outcomes (``tests/mutants.py``); running
+the whole gate is left to the gate itself."""
 
 import ast
+import time
 
 import mutants
 
@@ -20,3 +22,20 @@ def test_mutant_list_names_live_text_and_tests():
                 tree = ast.parse((mutants.ROOT / path).read_text())
                 defined[path] = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
             assert func in defined[path], (m.name, node)
+
+
+def test_runner_reports_pass_fail_and_a_run_past_its_limit(tmp_path):
+    """On a temporary tree, a passing test is "passed", a failing one "failed", and
+    one that sleeps past a small limit is stopped there and reported "timeout"."""
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_tree.py").write_text(
+        "import time\n\n\n"
+        "def test_passes():\n    pass\n\n\n"
+        "def test_fails():\n    assert False\n\n\n"
+        "def test_sleeps():\n    time.sleep(60)\n"
+    )
+    assert mutants._outcome(tmp_path, ["tests/test_tree.py::test_passes"], 30) == "passed"
+    assert mutants._outcome(tmp_path, ["tests/test_tree.py::test_fails"], 30) == "failed"
+    start = time.perf_counter()
+    assert mutants._outcome(tmp_path, ["tests/test_tree.py::test_sleeps"], 2) == "timeout"
+    assert time.perf_counter() - start < 30
